@@ -16,20 +16,12 @@ import sys
 import time
 from pathlib import Path
 
-from priosynth.config import build_corpora, default_run_config_document, load_run_config
-from priosynth.dsl import eval_expr, parse_expr
-from priosynth.embedding import build_vocab, dump_normalizer
+from priosynth.config import default_run_config_document, load_run_config, prepare_run
+from priosynth.embedding import dump_normalizer
 from priosynth.graph import canonical_json
-from priosynth.kernels import build_kernel_library, dump_library
+from priosynth.kernels import dump_library
 from priosynth.loop import run_ablation
-from priosynth.scheduler import baseline_expr_text, list_schedule
-
-
-def mean_makespan(graphs, expr) -> float:
-    total = 0
-    for dag in graphs:
-        total += list_schedule(dag, eval_expr(expr, dag), measure=False).makespan
-    return total / len(graphs)
+from priosynth.scheduler import baseline_expr_text
 
 
 def main(argv=None) -> int:
@@ -46,22 +38,14 @@ def main(argv=None) -> int:
         cfg = load_run_config(default_run_config_document(seed=args.seed))
 
     t0 = time.perf_counter()
-    train, val = build_corpora(cfg)
-    vocab = build_vocab(train + val)
-    kernels, normalizer = build_kernel_library(
-        train,
-        vocab=vocab,
-        k=cfg.library.k,
-        theta=cfg.library.theta,
-        budget=cfg.library.budget,
-        chain_min_len=cfg.library.chain_min_len,
-    )
-    print(f"corpus {len(train)} train / {len(val)} val, library {len(kernels)} kernels "
+    run = prepare_run(cfg)
+    print(f"corpus {len(run.train)} train / {len(run.val)} val, library {len(run.kernels)} kernels "
           f"({time.perf_counter() - t0:.1f}s)")
 
-    report = run_ablation(train, val, kernels, normalizer, vocab, cfg.loop, modes=cfg.modes)
-    baseline = parse_expr(baseline_expr_text())
-    base_ms = mean_makespan(val, baseline)
+    report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
+    # Every mode schedules the same validation graphs under the same baseline.
+    base_evals = report["modes"][cfg.modes[0]]["history"]["baseline"]["evals"]
+    base_ms = sum(e["makespan"] for e in base_evals) / len(base_evals)
 
     print(f"\nbaseline {baseline_expr_text()!r}: mean validation makespan {base_ms:.3f}\n")
     header = f"{'mode':14s} {'mean makespan':>13s} {'gain %':>7s} {'iter':>4s}  best expression"
@@ -75,8 +59,8 @@ def main(argv=None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "ablation.json").write_text(canonical_json(report), encoding="utf-8")
-    (args.out / "library.json").write_text(dump_library(kernels), encoding="utf-8")
-    (args.out / "normalizer.json").write_text(dump_normalizer(normalizer), encoding="utf-8")
+    (args.out / "library.json").write_text(dump_library(run.kernels), encoding="utf-8")
+    (args.out / "normalizer.json").write_text(dump_normalizer(run.normalizer), encoding="utf-8")
     summary = {
         "seed": cfg.seed,
         "baseline_mean_makespan": base_ms,

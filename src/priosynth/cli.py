@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -24,12 +23,7 @@ from .bench import (
     run_campaign,
     standard_battery,
 )
-from .config import (
-    ConfigError,
-    build_corpora,
-    load_run_config,
-    run_config_to_document,
-)
+from .config import ConfigError, load_run_config, prepare_run, run_config_to_document
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
 from .embedding import build_vocab, dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
@@ -213,30 +207,14 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _prepare_run(args):
-    cfg = load_run_config(args.config)
-    if args.jobs is not None:
-        cfg = replace(cfg, loop=replace(cfg.loop, jobs=args.jobs))
-    train, val = build_corpora(cfg)
-    vocab = build_vocab(train + val)
-    kernels, normalizer = build_kernel_library(
-        train,
-        vocab=vocab,
-        k=cfg.library.k,
-        theta=cfg.library.theta,
-        budget=cfg.library.budget,
-        chain_min_len=cfg.library.chain_min_len,
-    )
-    return cfg, train, val, vocab, kernels, normalizer
-
-
 def cmd_synthesize(args) -> int:
-    cfg, train, val, vocab, kernels, normalizer = _prepare_run(args)
-    result = run_loop(train, val, kernels, normalizer, vocab, cfg.loop)
+    cfg = load_run_config(args.config)
+    run = prepare_run(cfg)
+    result = run_loop(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop)
     out_dir = Path(args.out)
     _write(out_dir / "history.json", canonical_json(result.history))
-    _write(out_dir / "library.json", dump_library(kernels))
-    _write(out_dir / "normalizer.json", dump_normalizer(normalizer))
+    _write(out_dir / "library.json", dump_library(run.kernels))
+    _write(out_dir / "normalizer.json", dump_normalizer(run.normalizer))
     comment = (
         f"selected at iteration {result.best_iteration} "
         f"(mean validation score {result.history['best']['mean_score']:.6f})"
@@ -252,8 +230,9 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, train, val, vocab, kernels, normalizer = _prepare_run(args)
-    report = run_ablation(train, val, kernels, normalizer, vocab, cfg.loop, modes=cfg.modes)
+    cfg = load_run_config(args.config)
+    run = prepare_run(cfg)
+    report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
     out_dir = Path(args.out)
     _write(out_dir / "ablation.json", canonical_json(report))
     inputs = {}
@@ -346,13 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="run the full synthesis loop")
     p.add_argument("--config", required=True, help="run-config JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None, help="parallel scheduler evaluations")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("ablate", help="run the loop once per ablation mode")
     p.add_argument("--config", required=True, help="run-config JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="run the standard battery over graphs")

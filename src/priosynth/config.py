@@ -15,6 +15,9 @@ from pathlib import Path
 from typing import Mapping
 
 from .bench import GeneratorSpec, generate_suite
+from .embedding import Normalizer, build_vocab
+from .graph import Dag
+from .kernels import Kernel, build_kernel_library
 from .loop import ABLATIONS, LoopConfig
 from .providers import load_provider_spec
 
@@ -114,7 +117,6 @@ def _loop_from_document(doc, seed: int) -> LoopConfig:
             seed=int(doc.get("seed", seed)),
             ablation=str(doc.get("ablation", "full")),
             runtime_mode=str(doc.get("runtime_mode", "zero")),
-            jobs=int(doc.get("jobs", 1)),
             fallback_on_error=bool(doc.get("fallback_on_error", True)),
             provider=provider,
         )
@@ -226,3 +228,30 @@ def build_corpora(cfg: RunConfig) -> tuple[list, list]:
     train = generate_suite(cfg.train_spec, cfg.train_count)
     val = generate_suite(cfg.val_spec, cfg.val_count)
     return train, val
+
+
+@dataclass(frozen=True)
+class PreparedRun:
+    """Everything a synthesis or ablation run reads besides its config."""
+
+    train: list[Dag]
+    val: list[Dag]
+    vocab: tuple[str, ...]
+    kernels: list[Kernel]
+    normalizer: Normalizer
+
+
+def prepare_run(cfg: RunConfig) -> PreparedRun:
+    """Build the corpora, the shared vocabulary over train and validation
+    graphs, and the kernel library mined from the training corpus."""
+    train, val = build_corpora(cfg)
+    vocab = build_vocab(train + val)
+    kernels, normalizer = build_kernel_library(
+        train,
+        vocab=vocab,
+        k=cfg.library.k,
+        theta=cfg.library.theta,
+        budget=cfg.library.budget,
+        chain_min_len=cfg.library.chain_min_len,
+    )
+    return PreparedRun(train, val, vocab, kernels, normalizer)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graph import Dag
 
@@ -69,15 +69,6 @@ def make_expr(weights: Mapping[str, float]) -> PriorityExpr:
     if not terms:
         return PriorityExpr(terms=((0.0, "const"),))
     return PriorityExpr(terms=tuple(terms))
-
-
-def merge_exprs(exprs: Iterable[PriorityExpr]) -> PriorityExpr:
-    """Coefficient-wise sum of several expressions, re-canonicalized."""
-    acc: dict[str, float] = {}
-    for expr in exprs:
-        for weight, name in expr.terms:
-            acc[name] = acc.get(name, 0.0) + weight
-    return make_expr(acc)
 
 
 def scale_expr(expr: PriorityExpr, factor: float) -> PriorityExpr:

@@ -3,9 +3,8 @@
 A :class:`Dag` holds typed, multi-cycle operations with precedence edges and
 per-type resource capacities.  All structural features used by priority
 expressions (level, remaining critical path, slack, degrees, reconvergence,
-resource pressure) are computed here.  Instances are immutable after
-construction and safe to share read-only across worker threads; the stats
-table is computed once and cached.
+resource pressure) are computed here, in one pass that :meth:`Dag.stats`
+caches.  Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -34,7 +33,9 @@ class StatsTable:
     """Per-node structural features plus graph-level aggregates.
 
     ``slack[v] = cp_length - level[v] - crit[v]`` and is zero exactly on the
-    nodes that lie on some longest source-to-sink path.
+    nodes that lie on some longest source-to-sink path.  ``pressure[t]`` is
+    the total work of type ``t`` over its capacity times ``cp_length`` (0.0
+    when ``cp_length`` is 0); a value above 1 marks a guaranteed bottleneck.
     """
 
     level: dict[int, int]
@@ -145,6 +146,7 @@ class Dag:
             crit = compute_crit(self)
             cp = max((level[v] + crit[v] for v in range(len(self))), default=0)
             slack = {v: cp - level[v] - crit[v] for v in range(len(self))}
+            work = compute_work(self)
             self._stats = StatsTable(
                 level=level,
                 crit=crit,
@@ -152,7 +154,7 @@ class Dag:
                 fanout={v: len(self.succs[v]) for v in range(len(self))},
                 fanin={v: len(self.preds[v]) for v in range(len(self))},
                 reconv=compute_reconv(self),
-                pressure=compute_pressure(self),
+                pressure={t: work[t] / (cap * cp) if cp else 0.0 for t, cap in self.capacities.items()},
                 cp_length=cp,
             )
         return self._stats
@@ -176,19 +178,13 @@ def compute_crit(dag: Dag) -> dict[int, int]:
     return crit
 
 
-def critical_path_length(dag: Dag) -> int:
-    level = compute_levels(dag)
-    crit = compute_crit(dag)
-    return max((level[v] + crit[v] for v in range(len(dag))), default=0)
-
-
-def compute_slack(dag: Dag) -> dict[int, int]:
-    """ALAP minus ASAP under infinite resources with deadline equal to the
-    critical path length.  Zero for every node on some longest path."""
-    level = compute_levels(dag)
-    crit = compute_crit(dag)
-    cp = max((level[v] + crit[v] for v in range(len(dag))), default=0)
-    return {v: cp - level[v] - crit[v] for v in range(len(dag))}
+def compute_work(dag: Dag) -> dict[str, int]:
+    """Total duration of the operations of each type, keyed in capacity
+    order; types without operations have work 0."""
+    work = {t: 0 for t in dag.capacities}
+    for rec in dag.nodes:
+        work[rec.op_type] += rec.duration
+    return work
 
 
 def compute_reconv(dag: Dag) -> dict[int, int]:
@@ -216,18 +212,6 @@ def compute_reconv(dag: Dag) -> dict[int, int]:
                     count += 1
         out[v] = count
     return out
-
-
-def compute_pressure(dag: Dag) -> dict[str, float]:
-    """Schedulability proxy per op type: total work over capacity times the
-    critical-path length.  A value above 1 marks a guaranteed bottleneck."""
-    cp = critical_path_length(dag)
-    work: dict[str, int] = {t: 0 for t in dag.capacities}
-    for rec in dag.nodes:
-        work[rec.op_type] += rec.duration
-    if cp == 0:
-        return {t: 0.0 for t in dag.capacities}
-    return {t: work[t] / (dag.capacities[t] * cp) for t in dag.capacities}
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +284,3 @@ def load_dag_file(path) -> Dag:
 
     p = Path(path)
     return load_dag(p.read_text(encoding="utf-8"), name=p.stem)
-
-
-def write_dag_file(dag: Dag, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(dump_dag(dag), encoding="utf-8")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -56,7 +55,6 @@ class LoopConfig:
     seed: int = 0
     ablation: str = "full"
     runtime_mode: str = "zero"
-    jobs: int = 1
     fallback_on_error: bool = True
     provider: ProviderSpec = field(default_factory=ProviderSpec)
 
@@ -71,8 +69,6 @@ class LoopConfig:
             raise ValueError("batch_size must be positive")
         if self.top_m < 0:
             raise ValueError("top_m must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
 
 def loop_config_to_document(cfg: LoopConfig) -> dict:
@@ -85,7 +81,6 @@ def loop_config_to_document(cfg: LoopConfig) -> dict:
         "seed": cfg.seed,
         "ablation": cfg.ablation,
         "runtime_mode": cfg.runtime_mode,
-        "jobs": cfg.jobs,
         "fallback_on_error": cfg.fallback_on_error,
         "provider": provider_spec_to_document(cfg.provider),
     }
@@ -127,8 +122,7 @@ def score_schedule(cfg: LoopConfig, makespan: int, runtime_ms: float, feasible: 
 
 
 def evaluate_heuristic(expr: PriorityExpr, dags: Sequence[Dag], cfg: LoopConfig) -> list[GraphEval]:
-    """Schedule every graph under ``expr``; order follows ``dags`` regardless
-    of ``cfg.jobs``."""
+    """Schedule every graph under ``expr``, in the order of ``dags``."""
     measure = cfg.runtime_mode == "wall"
 
     def one(dag: Dag) -> GraphEval:
@@ -141,9 +135,6 @@ def evaluate_heuristic(expr: PriorityExpr, dags: Sequence[Dag], cfg: LoopConfig)
             score=score_schedule(cfg, schedule.makespan, schedule.runtime_ms, schedule.feasible),
         )
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(one, dags))
     return [one(dag) for dag in dags]
 
 

@@ -83,7 +83,12 @@ class HttpProvider:
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
-        import requests
+        # Imported here: urllib.request costs a few MB that runs without an
+        # HTTP provider never need.
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
@@ -94,14 +99,25 @@ class HttpProvider:
         payload: dict = {"messages": [{"role": "user", "content": prompt}]}
         if self.model:
             payload["model"] = self.model
+        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ProviderError(f"request failed: endpoint {self.endpoint!r} is not an http(s) URL")
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+        )
         try:
-            response = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                status = response.status
+                raw = response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise ProviderError(f"provider returned HTTP {exc.code}") from None
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError and TimeoutError are OSErrors.
             raise ProviderError(f"request failed: {exc}") from None
-        if response.status_code != 200:
-            raise ProviderError(f"provider returned HTTP {response.status_code}")
+        if status != 200:
+            raise ProviderError(f"provider returned HTTP {status}")
         try:
-            body = response.json()
+            body = json.loads(raw)
             return body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from None

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Dag, canonical_json
+from .graph import Dag, canonical_json, compute_work
 
 
 @dataclass
@@ -154,12 +154,8 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
 def lower_bound_makespan(dag: Dag) -> int:
     """max(critical path, per-type ceil(work / capacity)); valid for any
     feasible schedule."""
-    stats = dag.stats()
-    bound = stats.cp_length
-    work: dict[str, int] = {t: 0 for t in dag.capacities}
-    for rec in dag.nodes:
-        work[rec.op_type] += rec.duration
-    for op, total in work.items():
+    bound = dag.stats().cp_length
+    for op, total in compute_work(dag).items():
         bound = max(bound, -(-total // dag.capacities[op]))
     return bound
 

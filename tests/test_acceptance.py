@@ -20,7 +20,7 @@ from priosynth.bench import (
     standard_battery,
     summarize,
 )
-from priosynth.config import build_corpora, default_run_config_document, load_run_config
+from priosynth.config import default_run_config_document, load_run_config, prepare_run
 from priosynth.dsl import FEATURES, eval_expr, make_expr, parse_expr, print_expr, scale_expr
 from priosynth.embedding import build_vocab, cosine_sim, retrieve_top_m
 from priosynth.graph import canonical_json, compute_crit, compute_reconv, dump_dag
@@ -52,18 +52,9 @@ def desk_run():
     """One pinned-seed synthesis-plus-ablation run over the default corpus."""
     t0 = time.perf_counter()
     cfg = load_run_config(default_run_config_document(seed=0))
-    train, val = build_corpora(cfg)
-    vocab = build_vocab(train + val)
-    kernels, normalizer = build_kernel_library(
-        train,
-        vocab=vocab,
-        k=cfg.library.k,
-        theta=cfg.library.theta,
-        budget=cfg.library.budget,
-        chain_min_len=cfg.library.chain_min_len,
-    )
-    report = run_ablation(train, val, kernels, normalizer, vocab, cfg.loop, modes=cfg.modes)
-    return {"val": val, "report": report, "elapsed": time.perf_counter() - t0}
+    run = prepare_run(cfg)
+    report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
+    return {"val": run.val, "report": report, "elapsed": time.perf_counter() - t0}
 
 
 class TestGate:

@@ -13,7 +13,6 @@ from priosynth.dsl import (
     eval_expr,
     load_heuristic_text,
     make_expr,
-    merge_exprs,
     parse_expr,
     print_expr,
     scale_expr,
@@ -122,10 +121,6 @@ class TestMakeMerge:
             make_expr({"crit": float("nan")})
         with pytest.raises(ExprError):
             make_expr({"crit": math.inf})
-
-    def test_merge_sums_coefficients(self):
-        merged = merge_exprs([parse_expr("1*crit - 1*level"), parse_expr("2*crit + 1*level")])
-        assert merged.terms == ((3.0, "crit"),)
 
     def test_scale(self):
         assert scale_expr(parse_expr("2*crit"), 0.5).terms == ((1.0, "crit"),)

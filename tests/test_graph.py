@@ -10,9 +10,7 @@ from priosynth.graph import (
     NodeRecord,
     compute_crit,
     compute_levels,
-    compute_pressure,
     compute_reconv,
-    compute_slack,
     dump_dag,
     load_dag,
 )
@@ -208,7 +206,7 @@ class TestFeatures:
     @given(dags())
     @settings(max_examples=80, deadline=None)
     def test_slack_nonnegative_and_zero_on_critical(self, dag):
-        slack = compute_slack(dag)
+        slack = dag.stats().slack
         assert all(s >= 0 for s in slack.values())
         if len(dag):
             assert 0 in slack.values()
@@ -217,14 +215,17 @@ class TestFeatures:
     @settings(max_examples=60, deadline=None)
     def test_pressure_definition(self, dag):
         stats = dag.stats()
+        cp = max((brute_level(dag, v) + brute_crit(dag, v) for v in range(len(dag))), default=0)
         work = {t: 0 for t in dag.capacities}
         for rec in dag.nodes:
             work[rec.op_type] += rec.duration
-        for op, value in compute_pressure(dag).items():
-            if stats.cp_length == 0:
+        assert stats.cp_length == cp
+        assert list(stats.pressure) == list(dag.capacities)
+        for op, value in stats.pressure.items():
+            if cp == 0:
                 assert value == 0.0
             else:
-                assert value == pytest.approx(work[op] / (dag.capacities[op] * stats.cp_length))
+                assert value == pytest.approx(work[op] / (dag.capacities[op] * cp))
 
 
 class TestSerialization:
