@@ -30,7 +30,7 @@ class GeneratorSpec:
     sharing a seed.
     """
 
-    family: str
+    family: str = "layered"
     layers: int = 4
     width: int = 4
     edge_prob: float = 0.35

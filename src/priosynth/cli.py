@@ -23,7 +23,7 @@ from .bench import (
     run_campaign,
     standard_battery,
 )
-from .config import ConfigError, load_run_config, prepare_run, run_config_to_document
+from .config import ConfigError, _generator_to_document, load_run_config, prepare_run, run_config_to_document
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
 from .embedding import build_vocab, dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
@@ -107,18 +107,7 @@ def cmd_gen(args) -> int:
     dags = generate_suite(spec, args.count)
     for dag in dags:
         _write(out_dir / f"{dag.name}.json", dump_dag(dag))
-    config_doc = {
-        "family": spec.family,
-        "count": args.count,
-        "layers": spec.layers,
-        "width": spec.width,
-        "edge_prob": spec.edge_prob,
-        "types": dict(spec.type_weights),
-        "durations": list(spec.duration_range),
-        "capacities": dict(spec.capacities),
-        "label": spec.label,
-    }
-    _write_manifest(out_dir, "gen", config_doc, spec.seed, {})
+    _write_manifest(out_dir, "gen", _generator_to_document(spec, args.count), spec.seed, {})
     print(f"wrote {len(dags)} graphs to {out_dir}")
     return EXIT_OK
 

@@ -10,16 +10,16 @@ environment instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 from .bench import GeneratorSpec, generate_suite
 from .embedding import Normalizer, build_vocab
 from .graph import Dag
 from .kernels import Kernel, build_kernel_library
-from .loop import ABLATIONS, LoopConfig
-from .providers import load_provider_spec
+from .loop import ABLATIONS, LoopConfig, loop_config_to_document
 
 
 class ConfigError(ValueError):
@@ -46,84 +46,69 @@ class RunConfig:
     modes: tuple[str, ...]
 
 
-def _as_pairs(doc, what: str, cast) -> tuple:
-    if not isinstance(doc, Mapping) or not doc:
-        raise ConfigError(f"{what} must be a non-empty object")
+# Resolving a class's string annotations takes ~0.1 ms, so it is done once per class.
+_field_types = cache(get_type_hints)
+
+
+def _check(kind, value, name: str):
+    """``value`` if it has type ``kind``, without coercion: only an int widens
+    to a float, and a bool is neither an int nor a float."""
+    if is_dataclass(kind):
+        return _read(kind, value, name)
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind == tuple[str, ...] and isinstance(value, (list, tuple)) and all(type(v) is str for v in value):
+        return tuple(value)
+    if type(value) is kind or (kind == str | None and (value is None or type(value) is str)):
+        return value
+    kind_name = kind.__name__ if kind in (int, float, bool, str) else kind
+    raise ConfigError(f"{name} must be of type {kind_name}, got {json.dumps(value, default=repr)}")
+
+
+def _read(cls, doc, what: str, **defaults):
+    """Build the dataclass ``cls`` from the JSON object ``doc``.
+
+    A field missing from ``doc`` takes its value from ``defaults``, else its
+    dataclass default.  Keys that name no field are ignored."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{what} must be an object")
+    hints = _field_types(cls)
+    kwargs = dict(defaults)
+    for f in fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = _check(hints[f.name], doc[f.name], f"{what}.{f.name}")
     try:
-        return tuple(sorted((str(key), cast(value)) for key, value in doc.items()))
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
 
 
+def _pairs(doc, name: str, kind) -> tuple:
+    if not isinstance(doc, Mapping) or not doc:
+        raise ConfigError(f"{name} must be a non-empty object")
+    return tuple(sorted((str(key), _check(kind, value, f"{name}.{key}")) for key, value in doc.items()))
+
+
 def _generator_from_document(doc, seed: int, label: str) -> tuple[GeneratorSpec, int]:
+    """The document spells three fields differently from ``GeneratorSpec``:
+    ``types`` and ``capacities`` are objects, ``durations`` is [lo, hi]."""
     if not isinstance(doc, Mapping):
-        raise ConfigError(f"{label} section must be an object")
+        raise ConfigError(f"{label} must be an object")
     data = dict(doc)
-    count = data.pop("count", 50)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+    count = _check(int, data.pop("count", 50), f"{label}.count")
+    if count < 1:
         raise ConfigError(f"{label}.count must be a positive integer")
-    kwargs: dict = {
-        "family": data.get("family", "layered"),
-        "layers": data.get("layers", 4),
-        "width": data.get("width", 4),
-        "edge_prob": data.get("edge_prob", 0.35),
-        "seed": data.get("seed", seed),
-        "label": data.get("label", label),
-    }
+    renamed: dict = {}
     if "types" in data:
-        kwargs["type_weights"] = _as_pairs(data["types"], f"{label}.types", float)
+        renamed["type_weights"] = _pairs(data.pop("types"), f"{label}.types", float)
     if "capacities" in data:
-        kwargs["capacities"] = _as_pairs(data["capacities"], f"{label}.capacities", int)
+        renamed["capacities"] = _pairs(data.pop("capacities"), f"{label}.capacities", int)
     if "durations" in data:
-        durations = data["durations"]
+        durations = data.pop("durations")
         if not isinstance(durations, (list, tuple)) or len(durations) != 2:
             raise ConfigError(f"{label}.durations must be [lo, hi]")
-        kwargs["duration_range"] = (int(durations[0]), int(durations[1]))
-    try:
-        return GeneratorSpec(**kwargs), count
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label} generator: {exc}") from None
-
-
-def _library_from_document(doc) -> LibraryParams:
-    if doc is None:
-        return LibraryParams()
-    if not isinstance(doc, Mapping):
-        raise ConfigError("library section must be an object")
-    try:
-        return LibraryParams(
-            k=int(doc.get("k", 2)),
-            theta=float(doc.get("theta", 0.95)),
-            budget=int(doc.get("budget", 50)),
-            chain_min_len=int(doc.get("chain_min_len", 4)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad library section: {exc}") from None
-
-
-def _loop_from_document(doc, seed: int) -> LoopConfig:
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, Mapping):
-        raise ConfigError("loop section must be an object")
-    try:
-        provider = load_provider_spec(doc.get("provider", {}))
-        return LoopConfig(
-            iterations=int(doc.get("iterations", 3)),
-            top_m=int(doc.get("top_m", 5)),
-            batch_size=int(doc.get("batch_size", 8)),
-            runtime_weight=float(doc.get("runtime_weight", 0.01)),
-            infeasibility_penalty=float(doc.get("infeasibility_penalty", 5000.0)),
-            seed=int(doc.get("seed", seed)),
-            ablation=str(doc.get("ablation", "full")),
-            runtime_mode=str(doc.get("runtime_mode", "zero")),
-            fallback_on_error=bool(doc.get("fallback_on_error", True)),
-            provider=provider,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad loop section: {exc}") from None
+        renamed["duration_range"] = tuple(_check(int, d, f"{label}.durations") for d in durations)
+    return _read(GeneratorSpec, data, label, seed=seed, label=label, **renamed), count
 
 
 def load_run_config(document) -> RunConfig:
@@ -145,9 +130,7 @@ def load_run_config(document) -> RunConfig:
     if not isinstance(document, Mapping):
         raise ConfigError("run config must be a JSON object")
 
-    seed = document.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    seed = _check(int, document.get("seed", 0), "seed")
     train_spec, train_count = _generator_from_document(document.get("train", {}), seed, "train")
     val_spec, val_count = _generator_from_document(document.get("val", {}), seed, "val")
     if train_spec.label == val_spec.label and train_spec.seed == val_spec.seed:
@@ -164,8 +147,8 @@ def load_run_config(document) -> RunConfig:
         train_count=train_count,
         val_spec=val_spec,
         val_count=val_count,
-        library=_library_from_document(document.get("library")),
-        loop=_loop_from_document(document.get("loop"), seed),
+        library=_read(LibraryParams, document.get("library", {}), "library"),
+        loop=_read(LoopConfig, document.get("loop", {}), "loop", seed=seed),
         modes=tuple(modes_doc),
     )
 
@@ -181,9 +164,7 @@ def default_run_config_document(seed: int = 0) -> dict:
             "iterations": 3,
             "top_m": 5,
             "batch_size": 8,
-            "runtime_weight": 0.01,
             "infeasibility_penalty": 5000.0,
-            "runtime_mode": "zero",
             "provider": {"kind": "fallback"},
         },
         "modes": list(ABLATIONS),
@@ -207,18 +188,11 @@ def _generator_to_document(spec: GeneratorSpec, count: int) -> dict:
 
 def run_config_to_document(cfg: RunConfig) -> dict:
     """Normalized echo of a run config, used in manifests and histories."""
-    from .loop import loop_config_to_document
-
     return {
         "seed": cfg.seed,
         "train": _generator_to_document(cfg.train_spec, cfg.train_count),
         "val": _generator_to_document(cfg.val_spec, cfg.val_count),
-        "library": {
-            "k": cfg.library.k,
-            "theta": cfg.library.theta,
-            "budget": cfg.library.budget,
-            "chain_min_len": cfg.library.chain_min_len,
-        },
+        "library": asdict(cfg.library),
         "loop": loop_config_to_document(cfg.loop),
         "modes": list(cfg.modes),
     }

@@ -143,8 +143,12 @@ def load_normalizer(document) -> Normalizer:
 
     if isinstance(document, str):
         document = json.loads(document)
+    if not isinstance(document, dict):
+        raise ValueError("normalizer must be a JSON object")
     if document.get("layout") != LAYOUT:
         raise ValueError(f"unsupported normalizer layout {document.get('layout')!r}")
+    if "mean" not in document or "std" not in document:
+        raise ValueError("normalizer has no 'mean' or no 'std' array")
     return Normalizer(
         mean=tuple(float(x) for x in document["mean"]),
         std=tuple(float(x) for x in document["std"]),

@@ -335,8 +335,12 @@ def dump_library(kernels: Sequence[Kernel]) -> str:
 def load_library(document) -> list[Kernel]:
     if isinstance(document, str):
         document = json.loads(document)
+    if not isinstance(document, dict):
+        raise ValueError("kernel library must be a JSON object")
     if document.get("layout") != LIBRARY_LAYOUT:
         raise ValueError(f"unsupported kernel library layout {document.get('layout')!r}")
+    if "kernels" not in document:
+        raise ValueError("kernel library has no 'kernels' array")
     kernels = []
     for entry in document["kernels"]:
         template = entry["template"]

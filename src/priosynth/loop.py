@@ -8,9 +8,9 @@ regressions against the level baseline is folded into the next prompt.  The
 loop returns the best-scoring candidate across iterations (earliest wins on
 ties).
 
-With ``runtime_mode="zero"`` every measured runtime is 0.0, so a whole run
-is a pure function of (corpus, library, config) and its history serializes
-to identical bytes on every execution.
+A candidate is scored by the schedule lengths it gives, never by a clock, so
+a whole run is a pure function of (corpus, library, config) and its history
+serializes to identical bytes on every execution.
 """
 
 from __future__ import annotations
@@ -41,28 +41,21 @@ _PROVIDER_ATTEMPTS = 3
 class LoopConfig:
     """Hyperparameters of one synthesis run.
 
-    ``runtime_weight`` is the score penalty per millisecond of scheduler
-    runtime; ``infeasibility_penalty`` is charged once per infeasible
-    schedule.  ``runtime_mode`` "zero" disables wall-clock measurement so
-    runs are byte-reproducible; "wall" measures for real.
+    ``infeasibility_penalty`` is charged once per infeasible schedule.
     """
 
     iterations: int = 3
     top_m: int = 5
     batch_size: int = 8
-    runtime_weight: float = 0.01
     infeasibility_penalty: float = 5000.0
     seed: int = 0
     ablation: str = "full"
-    runtime_mode: str = "zero"
     fallback_on_error: bool = True
     provider: ProviderSpec = field(default_factory=ProviderSpec)
 
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
-        if self.runtime_mode not in ("zero", "wall"):
-            raise ValueError(f"unknown runtime mode {self.runtime_mode!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if self.batch_size < 1:
@@ -76,11 +69,9 @@ def loop_config_to_document(cfg: LoopConfig) -> dict:
         "iterations": cfg.iterations,
         "top_m": cfg.top_m,
         "batch_size": cfg.batch_size,
-        "runtime_weight": cfg.runtime_weight,
         "infeasibility_penalty": cfg.infeasibility_penalty,
         "seed": cfg.seed,
         "ablation": cfg.ablation,
-        "runtime_mode": cfg.runtime_mode,
         "fallback_on_error": cfg.fallback_on_error,
         "provider": provider_spec_to_document(cfg.provider),
     }
@@ -91,7 +82,6 @@ class GraphEval:
     graph: str
     makespan: int
     feasible: bool
-    runtime_ms: float
     score: float
 
 
@@ -112,10 +102,10 @@ class RunResult:
     history: dict
 
 
-def score_schedule(cfg: LoopConfig, makespan: int, runtime_ms: float, feasible: bool) -> float:
-    """Higher is better: negated makespan minus weighted runtime, minus a
-    flat penalty when the schedule is infeasible."""
-    value = -float(makespan) - cfg.runtime_weight * runtime_ms
+def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
+    """Higher is better: negated makespan, minus a flat penalty when the
+    schedule is infeasible."""
+    value = -float(makespan)
     if not feasible:
         value -= cfg.infeasibility_penalty
     return value
@@ -123,16 +113,14 @@ def score_schedule(cfg: LoopConfig, makespan: int, runtime_ms: float, feasible: 
 
 def evaluate_heuristic(expr: PriorityExpr, dags: Sequence[Dag], cfg: LoopConfig) -> list[GraphEval]:
     """Schedule every graph under ``expr``, in the order of ``dags``."""
-    measure = cfg.runtime_mode == "wall"
 
     def one(dag: Dag) -> GraphEval:
-        schedule = list_schedule(dag, eval_expr(expr, dag), measure=measure)
+        schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
         return GraphEval(
             graph=dag.name or "",
             makespan=schedule.makespan,
             feasible=schedule.feasible,
-            runtime_ms=schedule.runtime_ms,
-            score=score_schedule(cfg, schedule.makespan, schedule.runtime_ms, schedule.feasible),
+            score=score_schedule(cfg, schedule.makespan, schedule.feasible),
         )
 
     return [one(dag) for dag in dags]
@@ -311,7 +299,7 @@ def fallback_synthesize(
         total = 0.0
         for dag in batch:
             schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
-            total += score_schedule(cfg, schedule.makespan, 0.0, schedule.feasible)
+            total += score_schedule(cfg, schedule.makespan, schedule.feasible)
         return total / max(1, len(batch))
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
@@ -407,7 +395,6 @@ def _eval_to_document(e: GraphEval) -> dict:
         "graph": e.graph,
         "makespan": e.makespan,
         "feasible": e.feasible,
-        "runtime_ms": e.runtime_ms,
         "score": e.score,
     }
 

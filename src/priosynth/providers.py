@@ -34,18 +34,6 @@ class ProviderSpec:
             raise ValueError("http provider requires an endpoint")
 
 
-def load_provider_spec(document) -> ProviderSpec:
-    if isinstance(document, str):
-        document = json.loads(document)
-    return ProviderSpec(
-        kind=document.get("kind", "fallback"),
-        endpoint=document.get("endpoint"),
-        model=document.get("model"),
-        auth_env=document.get("auth_env"),
-        replies=tuple(document.get("replies", ())),
-    )
-
-
 def provider_spec_to_document(spec: ProviderSpec) -> dict:
     doc: dict = {"kind": spec.kind}
     if spec.endpoint:

@@ -209,7 +209,7 @@ class TestGate:
         val = generate_suite(GeneratorSpec(family="layered", seed=17, label="det-val"), 6)
         vocab = build_vocab(train + val)
         kernels, normalizer = build_kernel_library(train, vocab=vocab, budget=15)
-        cfg = LoopConfig(iterations=2, batch_size=4, seed=17, runtime_mode="zero")
+        cfg = LoopConfig(iterations=2, batch_size=4, seed=17)
         replies = ("1*crit + 1*fanout - 1*level", "2*crit - 1*slack + 1*pressure")
 
         def one_history() -> str:

@@ -29,7 +29,7 @@ def tiny_config(tmp_path):
         "train": {"family": "layered", "count": 10, "layers": 4, "width": 4, "label": "train"},
         "val": {"family": "layered", "count": 4, "layers": 4, "width": 4, "label": "val"},
         "library": {"budget": 15},
-        "loop": {"iterations": 2, "batch_size": 4, "runtime_mode": "zero"},
+        "loop": {"iterations": 2, "batch_size": 4},
         "modes": ["full", "no_retrieval"],
     }
     path = tmp_path / "run.json"
@@ -52,6 +52,7 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "gen"
         assert manifest["seed"] == 5
+        assert manifest["config"]["seed"] == 5
         assert "timestamp" not in canonical_json(manifest)
 
     def test_reruns_identical_bytes(self, tmp_path, capsys):
@@ -133,6 +134,32 @@ class TestKernelsAndRetrieve:
         assert len(matches) == 3
         sims = [m["similarity"] for m in matches]
         assert sims == sorted(sims, reverse=True)
+
+    @pytest.mark.parametrize(
+        ("library", "normalizer", "message"),
+        [
+            ("empty", "normalizer", "kernel library must be a JSON object"),
+            ("normalizer", "normalizer", "kernel library has no 'kernels' array"),
+            ("library", "empty", "normalizer must be a JSON object"),
+            ("library", "library", "normalizer has no 'mean' or no 'std' array"),
+        ],
+    )
+    def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        run_cli(capsys, "gen", "--out", str(suite), "--count", "4", "--seed", "2")
+        files = {
+            "library": tmp_path / "lib.json",
+            "normalizer": tmp_path / "lib.normalizer.json",
+            "empty": tmp_path / "empty.json",
+        }
+        run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(files["library"]), "--budget", "4")
+        files["empty"].write_text("[]", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "retrieve", "--library", str(files[library]), "--normalizer", str(files[normalizer]),
+            "--graph", str(graph_file),
+        )
+        assert code == 3
+        assert message in err
 
     def test_build_deterministic(self, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -223,6 +250,13 @@ class TestSynthesize:
         bad.write_text("{\"modes\": []}", encoding="utf-8")
         code, _, err = run_cli(capsys, "synthesize", "--config", str(bad), "--out", str(tmp_path / "o"))
         assert code == 3
+
+    def test_mistyped_config_value_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"layers": 2.5}}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "synthesize", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "train.layers must be of type int, got 2.5" in err
 
     def test_provider_failure_exits_4(self, tmp_path, capsys):
         config = {

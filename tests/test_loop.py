@@ -48,9 +48,8 @@ def setup():
 class TestScoring:
     def test_score_formula(self):
         cfg = LoopConfig()
-        assert score_schedule(cfg, 10, 0.0, True) == -10.0
-        assert score_schedule(cfg, 10, 100.0, True) == pytest.approx(-11.0)
-        assert score_schedule(cfg, 10, 0.0, False) == -5010.0
+        assert score_schedule(cfg, 10, True) == -10.0
+        assert score_schedule(cfg, 10, False) == -5010.0
 
     def test_evaluate_follows_input_order(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -300,8 +299,6 @@ class TestRunLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LoopConfig(ablation="bogus")
-        with pytest.raises(ValueError):
-            LoopConfig(runtime_mode="fast")
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
 
