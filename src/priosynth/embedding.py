@@ -16,6 +16,7 @@ corpus so that all vectors have identical dimension ``19 + 2 * len(vocab)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Iterable, Sequence
@@ -138,6 +139,20 @@ def dump_normalizer(normalizer: Normalizer) -> str:
     return canonical_json(normalizer_to_document(normalizer))
 
 
+def is_number(value) -> bool:
+    """A finite int or float read from a document; a bool or a numeric
+    string is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def number_list(value, what: str) -> tuple[float, ...]:
+    """``value`` as floats if it is a list of numbers (see :func:`is_number`);
+    nothing is coerced, so ``"12"`` is an error rather than ``(1.0, 2.0)``."""
+    if not isinstance(value, list) or not all(is_number(x) for x in value):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return tuple(float(x) for x in value)
+
+
 def load_normalizer(document) -> Normalizer:
     import json
 
@@ -149,12 +164,14 @@ def load_normalizer(document) -> Normalizer:
         raise ValueError(f"unsupported normalizer layout {document.get('layout')!r}")
     if "mean" not in document or "std" not in document:
         raise ValueError("normalizer has no 'mean' or no 'std' array")
-    return Normalizer(
-        mean=tuple(float(x) for x in document["mean"]),
-        std=tuple(float(x) for x in document["std"]),
-        layout=LAYOUT,
-        vocab=tuple(document.get("vocab", ())),
-    )
+    mean = number_list(document["mean"], "normalizer 'mean'")
+    std = number_list(document["std"], "normalizer 'std'")
+    if len(mean) != len(std):
+        raise ValueError(f"normalizer 'mean' has {len(mean)} entries but 'std' has {len(std)}")
+    vocab = document.get("vocab", [])
+    if not isinstance(vocab, list) or not all(isinstance(op, str) for op in vocab):
+        raise ValueError("normalizer 'vocab' must be a list of strings")
+    return Normalizer(mean=mean, std=std, layout=LAYOUT, vocab=tuple(vocab))
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,6 +23,8 @@ from .embedding import (
     cosine_sim,
     embed,
     fit_normalizer,
+    is_number,
+    number_list,
 )
 from .graph import Dag, NodeRecord, canonical_json
 
@@ -341,26 +343,52 @@ def load_library(document) -> list[Kernel]:
         raise ValueError(f"unsupported kernel library layout {document.get('layout')!r}")
     if "kernels" not in document:
         raise ValueError("kernel library has no 'kernels' array")
-    kernels = []
-    for entry in document["kernels"]:
-        template = entry["template"]
-        kernels.append(
-            Kernel(
-                id=entry["id"],
-                category=entry["category"],
-                signature=tuple(float(x) for x in entry["signature"]),
-                template=TemplateSpec(
-                    family=template["family"],
-                    defaults=tuple(sorted((k, float(v)) for k, v in template["defaults"].items())),
-                    ranges=tuple(
-                        sorted((k, (float(v[0]), float(v[1]))) for k, v in template["ranges"].items())
-                    ),
-                ),
-                support=int(entry["support"]),
-            )
-        )
+    entries = document["kernels"]
+    if not isinstance(entries, list):
+        raise ValueError("kernel library 'kernels' must be an array")
+    kernels = [_kernel_from_document(entry, index) for index, entry in enumerate(entries)]
     kernels.sort(key=lambda kern: kern.id)
     return kernels
+
+
+def _kernel_from_document(entry, index: int) -> Kernel:
+    """One entry of a library's ``kernels`` array, type-checked without
+    coercion; a ValueError names the entry and the field."""
+    where = f"kernel library entry {index}"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object")
+    for name in ("id", "category"):
+        if not isinstance(entry.get(name), str):
+            raise ValueError(f"{where}: '{name}' must be a string")
+    where = f"kernel library entry {index} ({entry['id']})"
+    signature = number_list(entry.get("signature"), f"{where}: 'signature'")
+    support = entry.get("support")
+    if not isinstance(support, int) or isinstance(support, bool):
+        raise ValueError(f"{where}: 'support' must be an integer")
+    template = entry.get("template")
+    if not isinstance(template, dict):
+        raise ValueError(f"{where}: 'template' must be an object")
+    family = template.get("family")
+    if not isinstance(family, str) or family not in TEMPLATE_FAMILIES:
+        raise ValueError(f"{where}: 'template.family' must be one of {sorted(TEMPLATE_FAMILIES)}")
+    defaults, ranges = template.get("defaults"), template.get("ranges")
+    if not isinstance(defaults, dict) or not all(is_number(v) for v in defaults.values()):
+        raise ValueError(f"{where}: 'template.defaults' must map features to finite numbers")
+    if not isinstance(ranges, dict) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(is_number(x) for x in pair) for pair in ranges.values()
+    ):
+        raise ValueError(f"{where}: 'template.ranges' must map features to [lo, hi] number pairs")
+    return Kernel(
+        id=entry["id"],
+        category=entry["category"],
+        signature=signature,
+        template=TemplateSpec(
+            family=family,
+            defaults=tuple(sorted((name, float(value)) for name, value in defaults.items())),
+            ranges=tuple(sorted((name, (float(lo), float(hi))) for name, (lo, hi) in ranges.items())),
+        ),
+        support=support,
+    )
 
 
 def retrieve_kernels(

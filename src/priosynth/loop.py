@@ -10,7 +10,11 @@ ties).
 
 A candidate is scored by the schedule lengths it gives, never by a clock, so
 a whole run is a pure function of (corpus, library, config) and its history
-serializes to identical bytes on every execution.
+serializes to identical bytes on every execution.  That also lets one run
+schedule each (graph, expression) pair once: a memo from the ``Dag`` object
+and the expression's terms to (makespan, feasible) serves the fallback search
+and the validation scoring alike.  It lives for one :func:`run_loop` call, or
+for one :func:`run_ablation` call, whose modes share the same graphs.
 """
 
 from __future__ import annotations
@@ -111,16 +115,38 @@ def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
     return value
 
 
-def evaluate_heuristic(expr: PriorityExpr, dags: Sequence[Dag], cfg: LoopConfig) -> list[GraphEval]:
+# (graph, expression terms) -> (makespan, feasible).  Keyed on the ``Dag``
+# object itself, which hashes by identity, so a graph stays alive while the
+# memo does and two graphs that share a name never share an entry.
+ScheduleMemo = dict[tuple[Dag, tuple[tuple[float, str], ...]], tuple[int, bool]]
+
+
+def _schedule(expr: PriorityExpr, dag: Dag, memo: ScheduleMemo) -> tuple[int, bool]:
+    key = (dag, expr.terms)
+    found = memo.get(key)
+    if found is None:
+        schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
+        found = memo[key] = (schedule.makespan, schedule.feasible)
+    return found
+
+
+def evaluate_heuristic(
+    expr: PriorityExpr,
+    dags: Sequence[Dag],
+    cfg: LoopConfig,
+    memo: ScheduleMemo | None = None,
+) -> list[GraphEval]:
     """Schedule every graph under ``expr``, in the order of ``dags``."""
+    if memo is None:
+        memo = {}
 
     def one(dag: Dag) -> GraphEval:
-        schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
+        makespan, feasible = _schedule(expr, dag, memo)
         return GraphEval(
             graph=dag.name or "",
-            makespan=schedule.makespan,
-            feasible=schedule.feasible,
-            score=score_schedule(cfg, schedule.makespan, schedule.feasible),
+            makespan=makespan,
+            feasible=feasible,
+            score=score_schedule(cfg, makespan, feasible),
         )
 
     return [one(dag) for dag in dags]
@@ -276,6 +302,7 @@ def fallback_synthesize(
     selections: Sequence[tuple[Dag, Sequence[Kernel]]],
     batch: Sequence[Dag],
     cfg: LoopConfig,
+    memo: ScheduleMemo | None = None,
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer.
 
@@ -286,6 +313,8 @@ def fallback_synthesize(
     critical-path start, and that same start restricted to the core basis.
     No randomness and no wall-clock input anywhere.
     """
+    if memo is None:
+        memo = {}
     contributions: dict[str, list[float]] = {}
     for _, kerns in selections:
         for kern in kerns:
@@ -298,8 +327,7 @@ def fallback_synthesize(
         expr = make_expr(weights)
         total = 0.0
         for dag in batch:
-            schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
-            total += score_schedule(cfg, schedule.makespan, schedule.feasible)
+            total += score_schedule(cfg, *_schedule(expr, dag, memo))
         return total / max(1, len(batch))
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
@@ -407,6 +435,7 @@ def run_loop(
     vocab: Sequence[str],
     cfg: LoopConfig,
     provider=None,
+    memo: ScheduleMemo | None = None,
 ) -> RunResult:
     """Execute the full synthesis loop and return the winner plus history.
 
@@ -414,8 +443,12 @@ def run_loop(
     scripted providers this way).  Provider failures and unparseable replies
     are retried up to three attempts total, then the deterministic
     synthesizer takes over; with ``fallback_on_error=False`` the error
-    propagates instead.
+    propagates instead.  ``memo`` is shared by callers that score the same
+    graphs again, as :func:`run_ablation` does; by default the run keeps its
+    own.
     """
+    if memo is None:
+        memo = {}
     if provider is None:
         provider = make_provider(cfg.provider)
     active_kernels: Sequence[Kernel] = kernels
@@ -423,7 +456,7 @@ def run_loop(
         active_kernels = whole_graph_kernels(train, normalizer, vocab)
 
     baseline = parse_expr(baseline_expr_text())
-    baseline_evals = evaluate_heuristic(baseline, val, cfg)
+    baseline_evals = evaluate_heuristic(baseline, val, cfg, memo)
 
     feedback_history: list[str] = []
     records: list[RunRecord] = []
@@ -446,10 +479,10 @@ def run_loop(
         if expr is None:
             if provider is not None and not cfg.fallback_on_error:
                 raise ProviderError(f"provider failed after {_PROVIDER_ATTEMPTS} attempts: {last_error}")
-            expr = fallback_synthesize(selections, batch, cfg)
+            expr = fallback_synthesize(selections, batch, cfg, memo)
             source = "fallback"
 
-        evals = evaluate_heuristic(expr, val, cfg)
+        evals = evaluate_heuristic(expr, val, cfg, memo)
         feedback = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
@@ -502,12 +535,17 @@ def run_ablation(
     provider=None,
 ) -> dict:
     """Run the loop once per ablation mode on identical corpora and batches,
-    and report per-mode winners with mean validation makespans."""
+    and report per-mode winners with mean validation makespans.  The modes
+    share one schedule memo, so a pair one mode scored is not scheduled
+    again by the next."""
     out: dict = {"modes": {}}
+    memo: ScheduleMemo = {}
     for mode in modes:
         if mode not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {mode!r}")
-        result = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode), provider=provider)
+        result = run_loop(
+            train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode), provider=provider, memo=memo
+        )
         best_record = result.history["records"][result.best_iteration]
         makespans = [e["makespan"] for e in best_record["evals"]]
         feasible = sum(1 for e in best_record["evals"] if e["feasible"])

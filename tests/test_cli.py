@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +145,12 @@ class TestKernelsAndRetrieve:
             ("normalizer", "normalizer", "kernel library has no 'kernels' array"),
             ("library", "empty", "normalizer must be a JSON object"),
             ("library", "library", "normalizer has no 'mean' or no 'std' array"),
+            ("bare_entry", "normalizer", "kernel library entry 0: 'category' must be a string"),
+            ("text_signature", "normalizer", "entry 0 (x): 'signature' must be a list of finite numbers"),
+            ("float_support", "normalizer", "kernel library entry 0 (x): 'support' must be an integer"),
+            ("no_template", "normalizer", "kernel library entry 0 (x): 'template' must be an object"),
+            ("library", "text_mean", "normalizer 'mean' must be a list of finite numbers"),
+            ("library", "bool_std", "normalizer 'std' must be a list of finite numbers"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -150,10 +159,21 @@ class TestKernelsAndRetrieve:
         files = {
             "library": tmp_path / "lib.json",
             "normalizer": tmp_path / "lib.normalizer.json",
-            "empty": tmp_path / "empty.json",
         }
         run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(files["library"]), "--budget", "4")
-        files["empty"].write_text("[]", encoding="utf-8")
+        entry = {"id": "x", "category": "hub", "signature": [0.0], "support": 1}
+        written = {
+            "empty": [],
+            "bare_entry": {"layout": "v1", "kernels": [{"id": "x"}]},
+            "text_signature": {"layout": "v1", "kernels": [{**entry, "signature": "12"}]},
+            "float_support": {"layout": "v1", "kernels": [{**entry, "support": 1.5}]},
+            "no_template": {"layout": "v1", "kernels": [entry]},
+            "text_mean": {"layout": "v1", "mean": "12", "std": "34"},
+            "bool_std": {"layout": "v1", "mean": [0.0], "std": [True]},
+        }
+        for name, document in written.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(document), encoding="utf-8")
         code, _, err = run_cli(
             capsys, "retrieve", "--library", str(files[library]), "--normalizer", str(files[normalizer]),
             "--graph", str(graph_file),
@@ -328,3 +348,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "priosynth", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: priosynth")

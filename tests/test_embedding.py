@@ -114,6 +114,25 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="layout"):
             load_normalizer({"mean": [0.0], "std": [1.0], "layout": "v0"})
 
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"mean": "12", "std": "34"}, "'mean' must be a list of finite numbers"),
+            ({"mean": [0.0, "1"], "std": [1.0, 1.0]}, "'mean' must be a list of finite numbers"),
+            ({"mean": [0.0], "std": [False]}, "'std' must be a list of finite numbers"),
+            ({"mean": [float("nan")], "std": [1.0]}, "'mean' must be a list of finite numbers"),
+            ({"mean": [0.0, 1.0], "std": [1.0]}, "'mean' has 2 entries but 'std' has 1"),
+            ({"mean": [0.0], "std": [1.0], "vocab": "ab"}, "'vocab' must be a list of strings"),
+        ],
+    )
+    def test_fields_are_checked_not_coerced(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            load_normalizer({"layout": LAYOUT, **fields})
+
+    def test_integers_are_numbers(self):
+        norm = load_normalizer({"layout": LAYOUT, "mean": [1, 2], "std": [0, 3.5]})
+        assert norm.mean == (1.0, 2.0) and norm.std == (0.0, 3.5)
+
     def test_zscore_statistics(self):
         rng = random.Random(5)
         dags_list = [random_dag(rng, rng.randint(3, 9)) for _ in range(30)]

@@ -237,6 +237,53 @@ class TestLibrary:
         with pytest.raises(ValueError, match="layout"):
             load_library({"layout": "v9", "kernels": []})
 
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"id": 7}, "entry 0: 'id' must be a string"),
+            ({"category": None}, "entry 0: 'category' must be a string"),
+            ({"signature": "12"}, r"entry 0 \(k\): 'signature' must be a list of finite numbers"),
+            ({"signature": [1.0, True]}, "'signature' must be a list of finite numbers"),
+            ({"support": "3"}, "'support' must be an integer"),
+            ({"support": True}, "'support' must be an integer"),
+            ({"template": []}, "'template' must be an object"),
+            ({"template": {"family": "nope", "defaults": {}, "ranges": {}}}, "'template.family' must be one of"),
+            ({"template": {"family": "hub", "defaults": {}, "ranges": {}}}, "'template.family' must be one of"),
+            (
+                {"template": {"family": "fanout_aware", "defaults": {"crit": "1"}, "ranges": {}}},
+                "'template.defaults' must map features to finite numbers",
+            ),
+            (
+                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {"crit": [0.0]}}},
+                r"'template.ranges' must map features to \[lo, hi\] number pairs",
+            ),
+            (
+                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {"crit": "04"}}},
+                r"'template.ranges' must map features to \[lo, hi\] number pairs",
+            ),
+        ],
+    )
+    def test_entries_are_checked_not_coerced(self, change, message):
+        entry = {
+            "id": "k",
+            "category": "hub",
+            "signature": [0.5, -1],
+            "template": {"family": "fanout_aware", "defaults": {"crit": 1}, "ranges": {"crit": [0, 4]}},
+            "support": 2,
+        }
+        (kernel,) = load_library({"layout": "v1", "kernels": [entry]})
+        assert kernel.signature == (0.5, -1.0) and kernel.template.ranges == (("crit", (0.0, 4.0)),)
+        with pytest.raises(ValueError, match=message):
+            load_library({"layout": "v1", "kernels": [{**entry, **change}]})
+
+    @pytest.mark.parametrize(
+        ("entries", "message"),
+        [({}, "'kernels' must be an array"), (["k"], "entry 0 must be an object")],
+    )
+    def test_kernels_must_be_an_array_of_objects(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            load_library({"layout": "v1", "kernels": entries})
+
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             build_kernel_library([])

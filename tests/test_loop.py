@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import random_dag
-from priosynth.dsl import ExprError, parse_expr
+from priosynth import loop
+from priosynth.dsl import ExprError, eval_expr, parse_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import canonical_json
 from priosynth.kernels import build_kernel_library
@@ -24,6 +26,7 @@ from priosynth.loop import (
     whole_graph_kernels,
 )
 from priosynth.providers import ProviderError, ProviderSpec, ScriptedProvider
+from priosynth.scheduler import list_schedule
 
 
 def corpus(seed=11, count=20, n_lo=6, n_hi=16):
@@ -319,3 +322,51 @@ class TestAblation:
         cfg = LoopConfig()
         with pytest.raises(ValueError):
             run_ablation(train, val, kernels, normalizer, vocab, cfg, modes=("nope",))
+
+
+class TestScheduleMemo:
+    """One run schedules each (graph, expression) pair once and reuses the
+    result; the train and val corpora share graph names, so a memo keyed by
+    name would mix them up."""
+
+    def test_ablation_schedules_each_pair_once(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        evaluated, scheduled = [], []
+        real_eval, real_schedule = loop.eval_expr, loop.list_schedule
+
+        def counting_eval(expr, dag):
+            evaluated.append((dag, expr.terms))
+            return real_eval(expr, dag)
+
+        def counting_schedule(dag, priority, measure=True):
+            scheduled.append(dag)
+            return real_schedule(dag, priority, measure=measure)
+
+        monkeypatch.setattr(loop, "eval_expr", counting_eval)
+        monkeypatch.setattr(loop, "list_schedule", counting_schedule)
+        run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(seed=4))
+        assert len(scheduled) == len(evaluated) > 0
+        assert len(set(evaluated)) == len(evaluated)
+
+    def test_shared_memo_leaks_nothing_between_modes(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4)
+        report = run_ablation(train, val, kernels, normalizer, vocab, cfg)
+        for mode in ABLATIONS:
+            alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
+            assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
+
+    def test_recorded_evals_match_a_direct_replay(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=3, infeasibility_penalty=7.5)
+        history = run_loop(train, val, kernels, normalizer, vocab, cfg).history
+        for row in [history["baseline"], *history["records"]]:
+            expr = parse_expr(row["expr"])
+            for dag, recorded in zip(val, row["evals"], strict=True):
+                schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
+                assert recorded == {
+                    "graph": dag.name,
+                    "makespan": schedule.makespan,
+                    "feasible": schedule.feasible,
+                    "score": score_schedule(cfg, schedule.makespan, schedule.feasible),
+                }

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_optimal, capacity_ok, dags, random_dag, unit_step_schedule
+from priosynth.bench import GeneratorSpec, generate_graph, standard_battery
 from priosynth.dsl import eval_expr, parse_expr
 from priosynth.graph import load_dag
 from priosynth.scheduler import (
@@ -234,3 +236,48 @@ def test_lower_bound_work_term():
 def test_non_finite_guard_is_exact(diamond):
     values = {0: 1.0, 1: 2.0, 2: 3.0, 3: math.ldexp(1, 1000)}
     assert list_schedule(diamond, values).feasible
+
+
+def typed_graham_bound(dag) -> Fraction:
+    """cp + sum over types of work / capacity, exactly.
+
+    Graham's argument, per type: follow a chain back from the node that
+    finishes last.  Whenever no chain node runs, the next chain node is ready
+    and waits, so every unit of its type is busy; that idle-chain time is at
+    most work_t / cap_t per type.  So every list schedule that never leaves a
+    ready node waiting beside a free unit ends by this bound.  The critical
+    path is recomputed here from the edges rather than read from ``Dag.stats``."""
+    finish: dict[int, int] = {}
+    for v in dag.topo_order:
+        finish[v] = dag.nodes[v].duration + max((finish[u] for u in dag.preds[v]), default=0)
+    work: dict[str, int] = {}
+    for rec in dag.nodes:
+        work[rec.op_type] = work.get(rec.op_type, 0) + rec.duration
+    return max(finish.values(), default=0) + sum(Fraction(w, dag.capacities[op]) for op, w in work.items())
+
+
+@pytest.mark.parametrize(
+    ("family", "layers", "width", "edge_prob"),
+    [
+        ("layered", 24, 20, 0.35),
+        ("layered", 40, 48, 0.1),
+        ("layered", 30, 140, 0.02),
+        ("fork_join", 60, 30, 0.35),
+        ("diamond_mesh", 100, 12, 0.35),
+    ],
+)
+def test_list_schedules_of_large_graphs_meet_the_typed_graham_bound(family, layers, width, edge_prob):
+    # Hundreds to a few thousand nodes, far past optimal_makespan's limit.
+    for index in range(2):
+        spec = GeneratorSpec(family=family, layers=layers, width=width, edge_prob=edge_prob, seed=7, label="graham")
+        dag = generate_graph(spec, index)
+        assert len(dag) >= 200
+        upper = typed_graham_bound(dag)
+        lower = lower_bound_makespan(dag)
+        priorities = [eval_expr(expr, dag) for _, expr in standard_battery(index)]
+        priorities += [seeded_priority(dag, seed) for seed in range(3)]
+        for priority in priorities:
+            schedule = list_schedule(dag, priority, measure=False)
+            assert schedule.feasible
+            assert verify_schedule(dag, schedule.starts) == []
+            assert lower <= schedule.makespan <= upper
