@@ -153,6 +153,13 @@ def number_list(value, what: str) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
+def reject_unknown_keys(document: dict, known: Sequence[str], where: str) -> None:
+    """Refuse a misspelled or stray key rather than ignore it."""
+    for key in document:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r} (expected one of {', '.join(known)})")
+
+
 def load_normalizer(document) -> Normalizer:
     import json
 
@@ -164,6 +171,7 @@ def load_normalizer(document) -> Normalizer:
         raise ValueError(f"unsupported normalizer layout {document.get('layout')!r}")
     if "mean" not in document or "std" not in document:
         raise ValueError("normalizer has no 'mean' or no 'std' array")
+    reject_unknown_keys(document, ("layout", "mean", "std", "vocab"), "normalizer")
     mean = number_list(document["mean"], "normalizer 'mean'")
     std = number_list(document["std"], "normalizer 'std'")
     if len(mean) != len(std):
@@ -174,14 +182,42 @@ def load_normalizer(document) -> Normalizer:
     return Normalizer(mean=mean, std=std, layout=LAYOUT, vocab=tuple(vocab))
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-D array, reduced the same way as
+    the dot products of :func:`cosine_rows`."""
+    return np.sqrt((matrix * matrix).sum(axis=1))
+
+
+def cosine_rows(matrix: np.ndarray, norms: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Cosine similarity of ``vector`` to every row of ``matrix``, given the
+    rows' cached :func:`row_norms`; a zero vector or a zero row scores 0.
+
+    This is the one similarity kernel of the package.  Each dot product is
+    an elementwise product summed along its row by numpy's fixed-order sum,
+    never ``np.dot`` or ``@``, whose BLAS kernels may round differently from
+    one CPU to another; a row therefore scores the same bits alone or among
+    others."""
+    vector_norm = row_norms(vector[None, :])[0]
+    dots = (matrix * vector).sum(axis=1)
+    sims = np.zeros(len(norms))
+    if vector_norm != 0.0:
+        np.divide(dots, norms * vector_norm, out=sims, where=norms != 0.0)
+    return sims
+
+
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with the convention that any zero vector has
-    similarity 0 to everything."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    """Cosine similarity of two vectors: :func:`cosine_rows` with ``a`` as
+    the only row."""
+    row = np.asarray(a, dtype=float)[None, :]
+    return float(cosine_rows(row, row_norms(row), b)[0])
+
+
+def top_m(ids: Sequence[str], sims: np.ndarray, m: int) -> list[tuple[str, float]]:
+    """The ``m`` best of ``ids`` scored by ``sims`` (from :func:`cosine_rows`):
+    similarity descending, id ascending on exact ties."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return nsmallest(m, zip(ids, sims.tolist()), key=lambda pair: (-pair[1], pair[0]))
 
 
 def retrieve_top_m(
@@ -189,10 +225,6 @@ def retrieve_top_m(
     entries: Sequence[tuple[str, np.ndarray]],
     m: int,
 ) -> list[tuple[str, float]]:
-    """The ``m`` entries most similar to ``query``: similarity descending,
-    id ascending on exact ties."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    scored = [(entry_id, cosine_sim(query, vec)) for entry_id, vec in entries]
-    picked = nsmallest(m, scored, key=lambda pair: (-pair[1], pair[0]))
-    return picked
+    """The ``m`` entries most similar to ``query``, ranked by :func:`top_m`."""
+    matrix = np.array([vec for _, vec in entries], dtype=float).reshape(len(entries), len(query))
+    return top_m([entry_id for entry_id, _ in entries], cosine_rows(matrix, row_norms(matrix), query), m)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,11 +20,14 @@ from .embedding import (
     Normalizer,
     apply_normalizer,
     build_vocab,
-    cosine_sim,
+    cosine_rows,
     embed,
     fit_normalizer,
     is_number,
     number_list,
+    reject_unknown_keys,
+    row_norms,
+    top_m,
 )
 from .graph import Dag, NodeRecord, canonical_json
 
@@ -220,12 +223,26 @@ def mine_motifs(
     return motifs
 
 
-@dataclass
-class _Cluster:
-    category: str
-    order: int
-    centroid: np.ndarray
-    support: int
+class _Centroids:
+    """One category's cluster centroids, as the leading rows of a matrix that
+    doubles when full, with the rows' norms cached for :func:`cosine_rows`."""
+
+    def __init__(self, dim: int):
+        self.rows = np.empty((8, dim))
+        self.norms = np.empty(8)
+        self.clusters: list[int] = []  # creation order of the cluster in each row
+
+    def add(self, vec: np.ndarray, cluster: int) -> None:
+        count = len(self.clusters)
+        if count == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+            self.norms = np.concatenate([self.norms, np.empty_like(self.norms)])
+        self.rows[count] = vec
+        self.clusters.append(cluster)
+        self.renorm(count)
+
+    def renorm(self, row: int) -> None:
+        self.norms[row] = row_norms(self.rows[row : row + 1])[0]
 
 
 def cluster_motifs(
@@ -235,35 +252,42 @@ def cluster_motifs(
 ) -> list[tuple[Motif, np.ndarray, int, int]]:
     """Greedy leader clustering per category at cosine threshold ``theta``.
 
-    Returns one row per surviving cluster: (leader motif, centroid, support,
-    creation order).  Clusters beyond ``budget`` are dropped lowest-support
-    first (creation order breaks ties).
+    A motif joins the most similar centroid of its category (the earliest
+    on ties) if that similarity reaches ``theta``, and leads a new cluster
+    otherwise.  Returns one row per surviving cluster: (leader motif,
+    centroid, support, creation order).  Clusters beyond ``budget`` are
+    dropped lowest-support first (creation order breaks ties).
     """
-    clusters: list[_Cluster] = []
+    categories: dict[str, _Centroids] = {}
     leaders: list[Motif] = []
+    supports: list[int] = []
+    places: list[tuple[_Centroids, int]] = []  # each cluster's category matrix and row
     for motif, vec in entries:
-        best_index = -1
-        best_sim = -2.0
-        for index, cluster in enumerate(clusters):
-            if cluster.category != motif.category:
+        group = categories.get(motif.category)
+        if group is None:
+            group = categories[motif.category] = _Centroids(len(vec))
+        count = len(group.clusters)
+        if count:
+            sims = cosine_rows(group.rows[:count], group.norms[:count], vec)
+            best = int(np.argmax(sims))
+            if sims[best] >= theta:
+                cluster = group.clusters[best]
+                centroid = group.rows[best]
+                # Running mean keeps the centroid independent of later members.
+                centroid += (vec - centroid) / (supports[cluster] + 1)
+                group.renorm(best)
+                supports[cluster] += 1
                 continue
-            sim = cosine_sim(cluster.centroid, vec)
-            if sim > best_sim:
-                best_sim = sim
-                best_index = index
-        if best_index >= 0 and best_sim >= theta:
-            cluster = clusters[best_index]
-            # Running mean keeps the centroid independent of later members.
-            cluster.centroid = cluster.centroid + (vec - cluster.centroid) / (cluster.support + 1)
-            cluster.support += 1
-        else:
-            clusters.append(
-                _Cluster(category=motif.category, order=len(clusters), centroid=vec.copy(), support=1)
-            )
-            leaders.append(motif)
-    ranked = sorted(range(len(clusters)), key=lambda i: (-clusters[i].support, clusters[i].order))
-    kept = sorted(ranked[:budget])
-    return [(leaders[i], clusters[i].centroid, clusters[i].support, clusters[i].order) for i in kept]
+        places.append((group, count))
+        group.add(vec, len(leaders))
+        leaders.append(motif)
+        supports.append(1)
+    ranked = sorted(range(len(leaders)), key=lambda i: (-supports[i], i))
+    rows = []
+    for i in sorted(ranked[:budget]):
+        group, row = places[i]
+        rows.append((leaders[i], group.rows[row].copy(), supports[i], i))
+    return rows
 
 
 def build_kernel_library(
@@ -343,6 +367,7 @@ def load_library(document) -> list[Kernel]:
         raise ValueError(f"unsupported kernel library layout {document.get('layout')!r}")
     if "kernels" not in document:
         raise ValueError("kernel library has no 'kernels' array")
+    reject_unknown_keys(document, ("layout", "kernels"), "kernel library")
     entries = document["kernels"]
     if not isinstance(entries, list):
         raise ValueError("kernel library 'kernels' must be an array")
@@ -357,6 +382,7 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     where = f"kernel library entry {index}"
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be an object")
+    reject_unknown_keys(entry, ("id", "category", "signature", "template", "support"), where)
     for name in ("id", "category"):
         if not isinstance(entry.get(name), str):
             raise ValueError(f"{where}: '{name}' must be a string")
@@ -368,6 +394,7 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     template = entry.get("template")
     if not isinstance(template, dict):
         raise ValueError(f"{where}: 'template' must be an object")
+    reject_unknown_keys(template, ("family", "defaults", "ranges"), f"{where} 'template'")
     family = template.get("family")
     if not isinstance(family, str) or family not in TEMPLATE_FAMILIES:
         raise ValueError(f"{where}: 'template.family' must be one of {sorted(TEMPLATE_FAMILIES)}")
@@ -391,18 +418,56 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     )
 
 
+# Dag -> its embedding in one normalizer's z-space, keyed on the graph object
+# like loop.ScheduleMemo, so a run embeds each query graph once.
+QueryVectors = dict[Dag, np.ndarray]
+
+
+def query_vector(dag: Dag, normalizer: Normalizer, vocab: Sequence[str], vectors: QueryVectors) -> np.ndarray:
+    """``dag``'s normalized embedding, computed on first use and then read
+    from ``vectors``; the vector is read-only because callers share it."""
+    vec = vectors.get(dag)
+    if vec is None:
+        vec = vectors[dag] = apply_normalizer(normalizer, embed(dag, vocab))
+        vec.flags.writeable = False
+    return vec
+
+
+class KernelIndex(Sequence):
+    """A library as a sequence of kernels that also keeps their signatures
+    stacked as matrix rows with cached norms, so one query is scored against
+    every kernel in one :func:`cosine_rows` pass."""
+
+    def __init__(self, kernels: Sequence[Kernel]):
+        self._kernels = tuple(kernels)
+        self._ids = [kern.id for kern in self._kernels]
+        self._by_id = {kern.id: kern for kern in self._kernels}
+        self._matrix = np.array([kern.signature for kern in self._kernels], dtype=float)
+        self._norms = row_norms(self._matrix) if self._kernels else np.zeros(0)
+
+    def __getitem__(self, index):
+        return self._kernels[index]
+
+    def __len__(self) -> int:
+        return len(self._kernels)
+
+    def retrieve(self, query: np.ndarray, m: int) -> list[tuple[Kernel, float]]:
+        sims = cosine_rows(self._matrix, self._norms, query) if self._kernels else np.zeros(0)
+        return [(self._by_id[kern_id], sim) for kern_id, sim in top_m(self._ids, sims, m)]
+
+
 def retrieve_kernels(
     dag: Dag,
     kernels: Sequence[Kernel],
     normalizer: Normalizer,
     vocab: Sequence[str],
     m: int,
+    vectors: QueryVectors | None = None,
 ) -> list[tuple[Kernel, float]]:
     """Top-m kernels for one query graph: cosine similarity in z-space,
-    descending, kernel id ascending on ties."""
-    from .embedding import retrieve_top_m
-
-    query = apply_normalizer(normalizer, embed(dag, vocab))
-    by_id = {kern.id: kern for kern in kernels}
-    picked = retrieve_top_m(query, [(kern.id, np.asarray(kern.signature)) for kern in kernels], m)
-    return [(by_id[kern_id], sim) for kern_id, sim in picked]
+    descending, kernel id ascending on ties.  Callers that query many graphs
+    pass a :class:`KernelIndex` built once and a ``vectors`` dict that lives
+    for the run."""
+    if not isinstance(kernels, KernelIndex):
+        kernels = KernelIndex(kernels)
+    return kernels.retrieve(query_vector(dag, normalizer, vocab, {} if vectors is None else vectors), m)

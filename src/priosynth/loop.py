@@ -15,6 +15,8 @@ schedule each (graph, expression) pair once: a memo from the ``Dag`` object
 and the expression's terms to (makespan, feasible) serves the fallback search
 and the validation scoring alike.  It lives for one :func:`run_loop` call, or
 for one :func:`run_ablation` call, whose modes share the same graphs.
+Retrieval works the same way: a run embeds each query graph once and scores
+it against the whole library in one pass.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .dsl import ExprError, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
-from .embedding import Normalizer, apply_normalizer, embed
+from .embedding import Normalizer
 from .graph import Dag
 from .kernels import (
     TEMPLATE_FAMILIES,
     Kernel,
+    KernelIndex,
+    QueryVectors,
     default_template,
+    query_vector,
     retrieve_kernels,
 )
 from .providers import ProviderError, ProviderSpec, make_provider, provider_spec_to_document
@@ -158,12 +163,20 @@ def mean_score(evals: Sequence[GraphEval]) -> float:
     return sum(e.score for e in evals) / len(evals)
 
 
-def whole_graph_kernels(train: Sequence[Dag], normalizer: Normalizer, vocab: Sequence[str]) -> list[Kernel]:
+def whole_graph_kernels(
+    train: Sequence[Dag],
+    normalizer: Normalizer,
+    vocab: Sequence[str],
+    vectors: QueryVectors | None = None,
+) -> list[Kernel]:
     """Substitute library for the no_motif ablation: one kernel per training
-    graph, signature = that graph's own embedding, no budget applied."""
+    graph, signature = that graph's own embedding (shared with retrieval
+    through ``vectors``), no budget applied."""
+    if vectors is None:
+        vectors = {}
     kernels = []
     for index, dag in enumerate(train):
-        vec = apply_normalizer(normalizer, embed(dag, vocab))
+        vec = query_vector(dag, normalizer, vocab, vectors)
         kernels.append(
             Kernel(
                 id=f"whole_graph-{index:04d}",
@@ -183,8 +196,11 @@ def select_kernels(
     vocab: Sequence[str],
     cfg: LoopConfig,
     iteration: int,
+    vectors: QueryVectors | None = None,
 ) -> list[tuple[Dag, list[Kernel]]]:
-    """Per-graph kernel choice under the configured ablation mode."""
+    """Per-graph kernel choice under the configured ablation mode.  A run
+    passes its library as a :class:`KernelIndex` and its query ``vectors``,
+    so neither is rebuilt per call."""
     if cfg.ablation == "no_retrieval":
         return [(dag, []) for dag in batch]
     if cfg.ablation == "random_kernel":
@@ -195,7 +211,7 @@ def select_kernels(
             out.append((dag, rng.sample(pool, min(cfg.top_m, len(pool)))))
         return out
     return [
-        (dag, [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, vocab, cfg.top_m)])
+        (dag, [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, vocab, cfg.top_m, vectors)])
         for dag in batch
     ]
 
@@ -436,6 +452,7 @@ def run_loop(
     cfg: LoopConfig,
     provider=None,
     memo: ScheduleMemo | None = None,
+    vectors: QueryVectors | None = None,
 ) -> RunResult:
     """Execute the full synthesis loop and return the winner plus history.
 
@@ -443,17 +460,19 @@ def run_loop(
     scripted providers this way).  Provider failures and unparseable replies
     are retried up to three attempts total, then the deterministic
     synthesizer takes over; with ``fallback_on_error=False`` the error
-    propagates instead.  ``memo`` is shared by callers that score the same
-    graphs again, as :func:`run_ablation` does; by default the run keeps its
-    own.
+    propagates instead.  ``memo`` and the query ``vectors`` are shared by
+    callers that score or embed the same graphs again, as
+    :func:`run_ablation` does; by default the run keeps its own.
     """
     if memo is None:
         memo = {}
+    if vectors is None:
+        vectors = {}
     if provider is None:
         provider = make_provider(cfg.provider)
-    active_kernels: Sequence[Kernel] = kernels
     if cfg.ablation == "no_motif":
-        active_kernels = whole_graph_kernels(train, normalizer, vocab)
+        kernels = whole_graph_kernels(train, normalizer, vocab, vectors)
+    index = KernelIndex(kernels)
 
     baseline = parse_expr(baseline_expr_text())
     baseline_evals = evaluate_heuristic(baseline, val, cfg, memo)
@@ -462,7 +481,7 @@ def run_loop(
     records: list[RunRecord] = []
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
-        selections = select_kernels(batch, active_kernels, normalizer, vocab, cfg, iteration)
+        selections = select_kernels(batch, index, normalizer, vocab, cfg, iteration, vectors)
         prompt = build_prompt(batch, selections, feedback_history, vocab)
 
         expr: PriorityExpr | None = None
@@ -536,15 +555,24 @@ def run_ablation(
 ) -> dict:
     """Run the loop once per ablation mode on identical corpora and batches,
     and report per-mode winners with mean validation makespans.  The modes
-    share one schedule memo, so a pair one mode scored is not scheduled
-    again by the next."""
+    share one schedule memo and one set of query vectors, so a pair one mode
+    scored is not scheduled again by the next, nor a graph embedded again."""
     out: dict = {"modes": {}}
     memo: ScheduleMemo = {}
+    vectors: QueryVectors = {}
     for mode in modes:
         if mode not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {mode!r}")
         result = run_loop(
-            train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode), provider=provider, memo=memo
+            train,
+            val,
+            kernels,
+            normalizer,
+            vocab,
+            replace(cfg, ablation=mode),
+            provider=provider,
+            memo=memo,
+            vectors=vectors,
         )
         best_record = result.history["records"][result.best_iteration]
         makespans = [e["makespan"] for e in best_record["evals"]]

@@ -6,6 +6,7 @@ The desk-scale synthesis checks share one pinned-seed run via a module
 fixture so the gain and ablation checks observe the same corpus.
 """
 
+import hashlib
 import random
 import time
 
@@ -22,9 +23,9 @@ from priosynth.bench import (
 )
 from priosynth.config import default_run_config_document, load_run_config, prepare_run
 from priosynth.dsl import FEATURES, eval_expr, make_expr, parse_expr, print_expr, scale_expr
-from priosynth.embedding import build_vocab, cosine_sim, retrieve_top_m
+from priosynth.embedding import build_vocab, cosine_sim, dump_normalizer, retrieve_top_m
 from priosynth.graph import canonical_json, compute_crit, compute_reconv, dump_dag
-from priosynth.kernels import build_kernel_library
+from priosynth.kernels import build_kernel_library, dump_library
 from priosynth.loop import LoopConfig, run_ablation, run_loop
 from priosynth.providers import ScriptedProvider
 from priosynth.scheduler import (
@@ -54,7 +55,26 @@ def desk_run():
     cfg = load_run_config(default_run_config_document(seed=0))
     run = prepare_run(cfg)
     report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
-    return {"val": run.val, "report": report, "elapsed": time.perf_counter() - t0}
+    return {
+        "val": run.val,
+        "kernels": run.kernels,
+        "normalizer": run.normalizer,
+        "report": report,
+        "elapsed": time.perf_counter() - t0,
+    }
+
+
+# sha256 of the seed-0 desk library and normalizer files.  The similarity
+# kernel reduces in a fixed order, so a change to that order (or any other
+# drift in clustering) shows up here as changed bytes.
+DESK_LIBRARY_SHA256 = "b8e4343727dce3cbf8d00d1ffcaeb3c156e538be5c75fc4758ed2c2f3f3b8bab"
+DESK_NORMALIZER_SHA256 = "3ea8d5d66adb7c2010f1131c8ac9bf3ff24f3acc57e27b0ef010fa7d8ecf1a94"
+
+
+def test_desk_library_bytes_are_pinned(desk_run):
+    library = hashlib.sha256(dump_library(desk_run["kernels"]).encode("utf-8")).hexdigest()
+    normalizer = hashlib.sha256(dump_normalizer(desk_run["normalizer"]).encode("utf-8")).hexdigest()
+    assert (library, normalizer) == (DESK_LIBRARY_SHA256, DESK_NORMALIZER_SHA256)
 
 
 class TestGate:

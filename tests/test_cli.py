@@ -151,6 +151,10 @@ class TestKernelsAndRetrieve:
             ("no_template", "normalizer", "kernel library entry 0 (x): 'template' must be an object"),
             ("library", "text_mean", "normalizer 'mean' must be a list of finite numbers"),
             ("library", "bool_std", "normalizer 'std' must be a list of finite numbers"),
+            ("stray_top_key", "normalizer", "kernel library: unknown key 'kernel'"),
+            ("stray_entry_key", "normalizer", "kernel library entry 0: unknown key 'signatrue'"),
+            ("stray_template_key", "normalizer", "kernel library entry 0 (x) 'template': unknown key 'rangez'"),
+            ("library", "stray_normalizer_key", "normalizer: unknown key 'vocabulary'"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -170,6 +174,13 @@ class TestKernelsAndRetrieve:
             "no_template": {"layout": "v1", "kernels": [entry]},
             "text_mean": {"layout": "v1", "mean": "12", "std": "34"},
             "bool_std": {"layout": "v1", "mean": [0.0], "std": [True]},
+            "stray_top_key": {"layout": "v1", "kernels": [], "kernel": []},
+            "stray_entry_key": {"layout": "v1", "kernels": [{**entry, "signatrue": [0.0]}]},
+            "stray_template_key": {
+                "layout": "v1",
+                "kernels": [{**entry, "template": {"family": "hub", "defaults": {}, "ranges": {}, "rangez": {}}}],
+            },
+            "stray_normalizer_key": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocabulary": ["a"]},
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"

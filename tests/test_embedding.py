@@ -123,6 +123,7 @@ class TestNormalizer:
             ({"mean": [float("nan")], "std": [1.0]}, "'mean' must be a list of finite numbers"),
             ({"mean": [0.0, 1.0], "std": [1.0]}, "'mean' has 2 entries but 'std' has 1"),
             ({"mean": [0.0], "std": [1.0], "vocab": "ab"}, "'vocab' must be a list of strings"),
+            ({"mean": [0.0], "std": [1.0], "stdev": [1.0]}, "normalizer: unknown key 'stdev'"),
         ],
     )
     def test_fields_are_checked_not_coerced(self, fields, message):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_dag
 from priosynth.dsl import parse_expr, print_expr
-from priosynth.embedding import apply_normalizer, build_vocab, embed, fit_normalizer
+from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer
 from priosynth.graph import load_dag
 from priosynth.kernels import (
     CATEGORY_FAMILY,
@@ -17,6 +17,7 @@ from priosynth.kernels import (
     dump_library,
     induced_subdag,
     instantiate_template,
+    Motif,
     load_library,
     mine_motifs,
     retrieve_kernels,
@@ -156,6 +157,44 @@ class TestMining:
         assert mine_motifs(dag_a) == mine_motifs(dag_b)
 
 
+def reference_cluster_motifs(entries, theta, budget):
+    """The scalar leader-clustering loop that ``cluster_motifs`` replaced:
+    one ``cosine_sim`` call per (motif, cluster of its category), the
+    strictly better similarity wins, so ties go to the earliest cluster."""
+    clusters = []  # [category, centroid, support], in creation order
+    leaders = []
+    for motif, vec in entries:
+        best_index, best_sim = -1, -2.0
+        for index, (category, centroid, _) in enumerate(clusters):
+            if category != motif.category:
+                continue
+            sim = cosine_sim(centroid, vec)
+            if sim > best_sim:
+                best_index, best_sim = index, sim
+        if best_index >= 0 and best_sim >= theta:
+            category, centroid, support = clusters[best_index]
+            clusters[best_index] = [category, centroid + (vec - centroid) / (support + 1), support + 1]
+        else:
+            clusters.append([motif.category, vec.copy(), 1])
+            leaders.append(motif)
+    ranked = sorted(range(len(clusters)), key=lambda i: (-clusters[i][2], i))
+    return [(leaders[i], clusters[i][1], clusters[i][2], i) for i in sorted(ranked[:budget])]
+
+
+def assert_same_clusters(rows, expected):
+    """Identical leaders, supports and creation orders, and centroids equal
+    bit for bit."""
+    assert [(motif, support, order) for motif, _, support, order in rows] == [
+        (motif, support, order) for motif, _, support, order in expected
+    ]
+    for (_, got, _, _), (_, want, _, _) in zip(rows, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def toy_motif(category, index):
+    return Motif(category=category, anchor=index, nodes=(index, index + 1))
+
+
 class TestClustering:
     def _embedded(self, dags_list):
         vocab = build_vocab(dags_list)
@@ -201,6 +240,49 @@ class TestClustering:
         rows = cluster_motifs([(motif, vec) for vec in members], theta=0.9, budget=10)
         assert len(rows) == 1
         assert np.allclose(rows[0][1], np.mean(members, axis=0))
+
+    @pytest.mark.parametrize("seed", [2, 5, 9])
+    @pytest.mark.parametrize("theta", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("budget", [7, 10**9])
+    def test_matches_the_scalar_reference(self, seed, theta, budget):
+        entries = self._embedded(corpus(seed=seed, count=10))
+        assert_same_clusters(cluster_motifs(entries, theta, budget), reference_cluster_motifs(entries, theta, budget))
+
+    def test_theta_exactly_at_a_similarity_joins(self):
+        rng = np.random.default_rng(3)
+        first, second = rng.standard_normal(6), rng.standard_normal(6)
+        sim = cosine_sim(first, second)
+        entries = [(toy_motif("hub", 0), first), (toy_motif("hub", 1), second)]
+        for theta, clusters in ((sim, 1), (float(np.nextafter(sim, 2.0)), 2)):
+            rows = cluster_motifs(entries, theta, 10)
+            assert len(rows) == clusters
+            assert_same_clusters(rows, reference_cluster_motifs(entries, theta, 10))
+
+    def test_tied_best_centroids_go_to_the_earliest(self):
+        entries = [
+            (toy_motif("chain", 0), np.array([1.0, 0.0, 0.0])),
+            (toy_motif("chain", 1), np.array([0.0, 1.0, 0.0])),
+            (toy_motif("chain", 2), np.array([1.0, 1.0, 0.0])),
+        ]
+        assert cosine_sim(entries[0][1], entries[2][1]) == cosine_sim(entries[1][1], entries[2][1])
+        rows = cluster_motifs(entries, 0.5, 10)
+        assert [(row[0].anchor, row[2]) for row in rows] == [(0, 2), (1, 1)]
+        assert_same_clusters(rows, reference_cluster_motifs(entries, 0.5, 10))
+
+    @pytest.mark.parametrize("theta", [0.95, 0.0, -1.0])
+    def test_zero_vectors_score_zero(self, theta):
+        zero, unit = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])
+        entries = [
+            (toy_motif("hub", 0), zero),
+            (toy_motif("hub", 1), unit),
+            (toy_motif("hub", 2), zero),
+            (toy_motif("reconvergent", 3), zero),
+            (toy_motif("hub", 4), unit),
+        ]
+        rows = cluster_motifs(entries, theta, 10)
+        assert_same_clusters(rows, reference_cluster_motifs(entries, theta, 10))
+        if theta > 0:
+            assert [row[2] for row in rows] == [1, 2, 1, 1]
 
 
 class TestLibrary:
@@ -261,6 +343,11 @@ class TestLibrary:
                 {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {"crit": "04"}}},
                 r"'template.ranges' must map features to \[lo, hi\] number pairs",
             ),
+            ({"signatrue": [0.5]}, "entry 0: unknown key 'signatrue'"),
+            (
+                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {}, "default": {}}},
+                r"entry 0 \(k\) 'template': unknown key 'default'",
+            ),
         ],
     )
     def test_entries_are_checked_not_coerced(self, change, message):
@@ -283,6 +370,10 @@ class TestLibrary:
     def test_kernels_must_be_an_array_of_objects(self, entries, message):
         with pytest.raises(ValueError, match=message):
             load_library({"layout": "v1", "kernels": entries})
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match="kernel library: unknown key 'version'"):
+            load_library({"layout": "v1", "kernels": [], "version": 2})
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from helpers import random_dag
+from priosynth import kernels as kernels_module
 from priosynth import loop
 from priosynth.dsl import ExprError, eval_expr, parse_expr
 from priosynth.embedding import build_vocab
@@ -370,3 +372,36 @@ class TestScheduleMemo:
                     "feasible": schedule.feasible,
                     "score": score_schedule(cfg, schedule.makespan, schedule.feasible),
                 }
+
+
+class TestQueryVectors:
+    """One run embeds each query graph once and stacks each library once; the
+    shared vectors must not change any mode's history."""
+
+    def test_ablation_embeds_each_query_graph_once(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4, batch_size=8)
+        selecting: list[str] = []
+        embedded: Counter = Counter()
+        real_select, real_embed = loop.select_kernels, kernels_module.embed
+
+        def tracking_select(batch, library, normalizer, vocab, cfg, iteration, *rest):
+            selecting.append(cfg.ablation)
+            try:
+                return real_select(batch, library, normalizer, vocab, cfg, iteration, *rest)
+            finally:
+                selecting.pop()
+
+        def counting_embed(dag, vocab):
+            if selecting:
+                embedded[(selecting[-1], dag)] += 1
+            return real_embed(dag, vocab)
+
+        monkeypatch.setattr(loop, "select_kernels", tracking_select)
+        monkeypatch.setattr(kernels_module, "embed", counting_embed)
+        report = run_ablation(train, val, kernels, normalizer, vocab, cfg)
+        monkeypatch.undo()
+        assert embedded and max(embedded.values()) == 1
+        for mode in ABLATIONS:
+            alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
+            assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
