@@ -94,9 +94,11 @@ class Dag:
         edge_set: set[tuple[int, int]] = set()
         for edge in edges:
             u, v = edge
+            if type(u) is not int or type(v) is not int:
+                raise GraphFormatError(f"edge ({u!r}, {v!r}): endpoints must be integer node ids")
             if u not in seen or v not in seen:
                 raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id")
-            edge_set.add((int(u), int(v)))
+            edge_set.add((u, v))
 
         self.nodes: tuple[NodeRecord, ...] = tuple(node_list)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
@@ -192,24 +194,43 @@ def compute_reconv(dag: Dag) -> dict[int, int]:
     pairs whose reachable sets intersect.
 
     Reachability is reflexive-transitive, so a child counts as "shared" when
-    the other child reaches it.  Computed with bitset transitive closure.
+    the other child reaches it.  Every node reaches some sink, so two nodes
+    share a descendant exactly when they share a sink descendant; the reach
+    bitsets therefore hold one bit per sink, not per node.  A node's children
+    are grouped by equal reach sets: the ``c`` children of one group give
+    ``c * (c - 1) / 2`` pairs (a reach set is never empty), and two groups
+    of ``ca`` and ``cb`` children give ``ca * cb`` pairs when their sets
+    intersect.
     """
     n = len(dag)
+    succs = dag.succs
     reach = [0] * n
+    sink_bit = 1
     for v in reversed(dag.topo_order):
-        r = 1 << v
-        for w in dag.succs[v]:
-            r |= reach[w]
+        children = succs[v]
+        if children:
+            r = 0
+            for w in children:
+                r |= reach[w]
+        else:
+            r = sink_bit
+            sink_bit <<= 1
         reach[v] = r
     out: dict[int, int] = {}
     for v in range(n):
-        children = dag.succs[v]
+        children = succs[v]
         count = 0
-        for i in range(len(children)):
-            ri = reach[children[i]]
-            for j in range(i + 1, len(children)):
-                if ri & reach[children[j]]:
-                    count += 1
+        if len(children) > 1:
+            groups: dict[int, int] = {}
+            for w in children:
+                r = reach[w]
+                groups[r] = groups.get(r, 0) + 1
+            sets = list(groups.items())
+            for i, (ra, ca) in enumerate(sets):
+                count += ca * (ca - 1) // 2
+                for rb, cb in sets[i + 1 :]:
+                    if ra & rb:
+                        count += ca * cb
         out[v] = count
     return out
 

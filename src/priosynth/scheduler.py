@@ -6,6 +6,14 @@ admitted while per-type capacity remains.  Decision cycles are event-aligned
 (cycle 0 plus every finish time), which is equivalent to stepping one cycle
 at a time because capacity and readiness only change when something finishes.
 
+Whether one ready operation is admitted depends only on how many units of
+its own type are busy, and only admissions of that type change that count.
+A pass over all ready operations in rank order therefore admits, per type,
+exactly the best-ranked ready operations of that type until its units run
+out.  So the scheduler keeps one ready heap per type, keyed
+(-priority, id), pops each until its type is full, and never re-sorts the
+whole ready list; the start times are those of the global ranked pass.
+
 ``optimal_makespan`` is a memoized branch-and-bound over event-aligned
 schedules.  Restricting starts to event times is lossless: any feasible
 schedule can be left-shifted op by op, without increasing the makespan, until
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -75,25 +84,32 @@ def list_schedule(dag: Dag, priority: Mapping[int, float], measure: bool = True)
     if any(not math.isfinite(p) for p in prio):
         return finish({}, False)
 
-    caps = dag.capacities
-    indeg = [len(dag.preds[v]) for v in range(n)]
-    ready = [v for v in range(n) if indeg[v] == 0]
+    caps = list(dag.capacities.values())
+    type_index = {op: i for i, op in enumerate(dag.capacities)}
+    op_of = [type_index[rec.op_type] for rec in dag.nodes]
+    durations = [rec.duration for rec in dag.nodes]
+    succs = dag.succs
+    indeg = list(map(len, dag.preds))
+    # One ready heap per op type, keyed (-priority, id); see the module
+    # docstring for why this admits exactly what one global ranking would.
+    ready: list[list[tuple[float, int]]] = [[] for _ in caps]
+    for v in range(n):
+        if indeg[v] == 0:
+            ready[op_of[v]].append((-prio[v], v))
+    for heap in ready:
+        heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     running: list[tuple[int, int]] = []
-    busy = {t: 0 for t in caps}
+    free = caps[:]
     starts: dict[int, int] = {}
     now = 0
-    while len(starts) < n:
-        ready.sort(key=lambda v: (-prio[v], v))
-        still_blocked: list[int] = []
-        for v in ready:
-            op = dag.nodes[v].op_type
-            if busy[op] < caps[op]:
-                busy[op] += 1
+    while True:
+        for op, heap in enumerate(ready):
+            while free[op] and heap:
+                v = pop(heap)[1]
                 starts[v] = now
-                heapq.heappush(running, (now + dag.nodes[v].duration, v))
-            else:
-                still_blocked.append(v)
-        ready = still_blocked
+                push(running, (now + durations[v], v))
+                free[op] -= 1
         if len(starts) == n:
             break
         if not running:
@@ -102,12 +118,12 @@ def list_schedule(dag: Dag, priority: Mapping[int, float], measure: bool = True)
             return finish({}, False)
         now = running[0][0]
         while running and running[0][0] == now:
-            _, v = heapq.heappop(running)
-            busy[dag.nodes[v].op_type] -= 1
-            for w in dag.succs[v]:
+            v = pop(running)[1]
+            free[op_of[v]] += 1
+            for w in succs[v]:
                 indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
+                if not indeg[w]:
+                    push(ready[op_of[w]], (-prio[w], w))
     return finish(starts, True)
 
 
@@ -115,8 +131,12 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
     """Return a list of violation messages; empty means valid.
 
     Checks completeness, integer nonnegative starts, every precedence edge,
-    and per-type capacity at every cycle (by an event sweep).
+    and per-type capacity at every cycle (by an event sweep).  A valid
+    schedule is accepted by one pass over the nodes; only a schedule that
+    pass cannot vouch for reaches the slower loop that writes the messages.
     """
+    if _fast_accept(dag, starts):
+        return []
     violations: list[str] = []
     n = len(dag)
     for v in range(n):
@@ -149,6 +169,40 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
                 violations.append(f"capacity exceeded for type {op!r} at cycle {cycle}")
                 break
     return violations
+
+
+def _fast_accept(dag: Dag, starts: Mapping[int, int]) -> bool:
+    """True only when ``verify_schedule``'s message loop would report
+    nothing: every key a plain ``int`` node id, every node present, every
+    start a plain nonnegative ``int``, no node starting before its latest
+    predecessor finishes, and, per type, counting from 0, no j-th smallest
+    start before the (j - cap)-th smallest finish.  The last is the event
+    sweep's test, where a finish at cycle t frees its unit before a start at
+    t claims one.  False means "not proven valid", never "invalid"."""
+    n = len(dag)
+    if len(starts) != n or set(map(type, starts)) != {int} or min(starts) < 0 or max(starts) >= n:
+        return False
+    values = starts.values()
+    if set(map(type, values)) != {int} or min(values) < 0:
+        return False
+    start = [0] * n
+    for v, s in starts.items():
+        start[v] = s
+    nodes = dag.nodes
+    finish = [s + rec.duration for s, rec in zip(start, nodes)]
+    for v, preds in enumerate(dag.preds):
+        if preds and max(map(finish.__getitem__, preds)) > start[v]:
+            return False
+    by_type: dict[str, list[int]] = {t: [] for t in dag.capacities}
+    for rec in nodes:
+        by_type[rec.op_type].append(rec.id)
+    for op, members in by_type.items():
+        cap = dag.capacities[op]
+        type_starts = sorted(map(start.__getitem__, members))
+        type_finishes = sorted(map(finish.__getitem__, members))
+        if any(map(operator.gt, type_finishes, type_starts[cap:])):
+            return False
+    return True
 
 
 def lower_bound_makespan(dag: Dag) -> int:

@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import SCALE_SPECS
+from priosynth.bench import generate_graph
 from priosynth.graph import load_dag
 
 
@@ -29,3 +31,8 @@ def chain5():
             "capacities": {"alu": 1},
         }
     )
+
+
+@pytest.fixture(scope="session")
+def scale_dags():
+    return tuple(generate_graph(spec, 0) for spec in SCALE_SPECS)

@@ -3,18 +3,26 @@
 Every oracle here recomputes a quantity by a different algorithm than the
 implementation under test: exhaustive path walks for level and crit, literal
 reachability sets for reconvergence, unit-cycle stepping for the scheduler,
-and bounded start-time enumeration for the exact optimum.
+and bounded start-time enumeration for the exact optimum.  The ``reference_*``
+functions at the end are earlier implementations, kept verbatim so the
+faster ones can be checked against them on graphs of thousands of nodes.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
+import time
 from collections import Counter
 from typing import Mapping
 
 from hypothesis import strategies as st
 
+from priosynth.bench import GeneratorSpec
+from priosynth.dsl import eval_expr, parse_expr
 from priosynth.graph import Dag, load_dag
+from priosynth.scheduler import Schedule
 
 
 @st.composite
@@ -173,3 +181,169 @@ def brute_optimal(dag: Dag) -> int:
 
     go(0)
     return best[0]
+
+
+# Graph 0 of each is one seeded graph of 300 to about 3,000 nodes: all four
+# families, one type at capacity 1, and four types.
+SCALE_SPECS = (
+    GeneratorSpec("layered", layers=40, width=100, edge_prob=0.03, seed=11, label="scale"),
+    GeneratorSpec("fork_join", layers=40, width=20, seed=11, label="scale"),
+    GeneratorSpec("diamond_mesh", layers=100, width=8, seed=11, label="scale"),
+    GeneratorSpec("chain", layers=300, seed=11, label="scale"),
+    # One type at capacity 1: every operation waits for the same unit.
+    GeneratorSpec(
+        "layered", layers=20, width=40, edge_prob=0.1, seed=11, label="scale",
+        type_weights=(("alu", 1.0),), capacities=(("alu", 1),),
+    ),
+    GeneratorSpec(
+        "layered", layers=25, width=40, edge_prob=0.1, seed=11, label="scale",
+        type_weights=(("alu", 3.0), ("mem", 1.0), ("mul", 1.0), ("div", 1.0)),
+        capacities=(("alu", 2), ("mem", 1), ("mul", 1), ("div", 3)),
+    ),
+)
+
+
+def scale_priorities(dag: Dag, seed: int = 0) -> list[dict[int, float]]:
+    """Priority maps from heavily tied to tie-free: ``1*fanout``, a constant,
+    small integers, and distinct floats."""
+    rng = random.Random(seed)
+    return [
+        eval_expr(parse_expr("1*fanout"), dag),
+        {v: 1.0 for v in range(len(dag))},
+        {v: float(rng.randint(0, 3)) for v in range(len(dag))},
+        {v: rng.uniform(-10, 10) for v in range(len(dag))},
+    ]
+
+
+def reference_compute_reconv(dag: Dag) -> dict[int, int]:
+    """Reconvergence with one reach bit per node, before the sink bitsets
+    and child grouping.
+
+    Reconvergence marker: for each node, the number of unordered child
+    pairs whose reachable sets intersect.
+
+    Reachability is reflexive-transitive, so a child counts as "shared" when
+    the other child reaches it.  Computed with bitset transitive closure.
+    """
+    n = len(dag)
+    reach = [0] * n
+    for v in reversed(dag.topo_order):
+        r = 1 << v
+        for w in dag.succs[v]:
+            r |= reach[w]
+        reach[v] = r
+    out: dict[int, int] = {}
+    for v in range(n):
+        children = dag.succs[v]
+        count = 0
+        for i in range(len(children)):
+            ri = reach[children[i]]
+            for j in range(i + 1, len(children)):
+                if ri & reach[children[j]]:
+                    count += 1
+        out[v] = count
+    return out
+
+
+def reference_list_schedule(dag: Dag, priority: Mapping[int, float], measure: bool = True) -> Schedule:
+    """The list scheduler that per-type ready heaps replaced: it re-sorts the
+    whole ready list by (priority descending, id ascending) at every event.
+
+    Greedy list schedule under ``priority``.
+
+    Non-finite priority values poison the whole schedule: the result is
+    infeasible with empty starts instead of an exception, so a bad synthesized
+    expression scores a penalty rather than crashing a run.
+    """
+    begin = time.perf_counter()
+    n = len(dag)
+    try:
+        prio = [float(priority[v]) for v in range(n)]
+    except KeyError as exc:
+        raise ValueError(f"priority map is missing node {exc.args[0]}") from None
+
+    def finish(starts: dict[int, int], feasible: bool) -> Schedule:
+        makespan = max((starts[v] + dag.nodes[v].duration for v in starts), default=0)
+        elapsed = (time.perf_counter() - begin) * 1000.0 if measure else 0.0
+        return Schedule(starts=starts, makespan=makespan, feasible=feasible, runtime_ms=elapsed)
+
+    if any(not math.isfinite(p) for p in prio):
+        return finish({}, False)
+
+    caps = dag.capacities
+    indeg = [len(dag.preds[v]) for v in range(n)]
+    ready = [v for v in range(n) if indeg[v] == 0]
+    running: list[tuple[int, int]] = []
+    busy = {t: 0 for t in caps}
+    starts: dict[int, int] = {}
+    now = 0
+    while len(starts) < n:
+        ready.sort(key=lambda v: (-prio[v], v))
+        still_blocked: list[int] = []
+        for v in ready:
+            op = dag.nodes[v].op_type
+            if busy[op] < caps[op]:
+                busy[op] += 1
+                starts[v] = now
+                heapq.heappush(running, (now + dag.nodes[v].duration, v))
+            else:
+                still_blocked.append(v)
+        ready = still_blocked
+        if len(starts) == n:
+            break
+        if not running:
+            # Unreachable on a validated DAG (capacity >= 1 guarantees
+            # progress); kept as a guard against internal inconsistency.
+            return finish({}, False)
+        now = running[0][0]
+        while running and running[0][0] == now:
+            _, v = heapq.heappop(running)
+            busy[dag.nodes[v].op_type] -= 1
+            for w in dag.succs[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+    return finish(starts, True)
+
+
+def reference_verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
+    """The schedule checker as it was before its one-pass acceptance test:
+    every schedule goes through the message loop.
+
+    Return a list of violation messages; empty means valid.
+
+    Checks completeness, integer nonnegative starts, every precedence edge,
+    and per-type capacity at every cycle (by an event sweep).
+    """
+    violations: list[str] = []
+    n = len(dag)
+    for v in range(n):
+        if v not in starts:
+            violations.append(f"node {v} has no start time")
+    for v in starts:
+        if not (isinstance(v, int) and 0 <= v < n):
+            violations.append(f"unknown node {v!r} in starts")
+    if violations:
+        return violations
+    for v, s in starts.items():
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            violations.append(f"node {v}: start {s!r} is not a nonnegative integer")
+    if violations:
+        return violations
+    for u, v in dag.edges:
+        if starts[v] < starts[u] + dag.nodes[u].duration:
+            violations.append(
+                f"precedence violated on edge ({u}, {v}): {starts[v]} < {starts[u]} + {dag.nodes[u].duration}"
+            )
+    events: dict[str, list[tuple[int, int]]] = {t: [] for t in dag.capacities}
+    for rec in dag.nodes:
+        events[rec.op_type].append((starts[rec.id], 1))
+        events[rec.op_type].append((starts[rec.id] + rec.duration, -1))
+    for op, moves in events.items():
+        load = 0
+        for cycle, delta in sorted(moves):
+            load += delta
+            if load > dag.capacities[op]:
+                violations.append(f"capacity exceeded for type {op!r} at cycle {cycle}")
+                break
+    return violations

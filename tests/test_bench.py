@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from priosynth.bench import (
     summarize,
 )
 from priosynth.dsl import print_expr
-from priosynth.graph import dump_dag
+from priosynth.graph import canonical_json, dump_dag
 
 
 class TestGenerators:
@@ -169,3 +170,14 @@ class TestCampaign:
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(self._suites(), [])
+
+    def test_report_bytes_are_pinned(self):
+        # The report path on graphs of 60-600 nodes from every family: any
+        # change to a schedule, a feature or the report layout moves this hash.
+        suites = {}
+        for family, layers, width in (("layered", 24, 32), ("diamond_mesh", 30, 6), ("fork_join", 20, 8), ("chain", 60, 1)):
+            spec = GeneratorSpec(family, layers=layers, width=width, seed=0, label="pin")
+            suites[family] = [generate_graph(spec, 0), generate_graph(spec, 1)]
+        report = run_campaign(suites, standard_battery(0), measure_runtime=False)
+        digest = hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()
+        assert digest == "715e36989efc8eb43f2cdb36f54329c9c290ff6944f6f02d5c2f792e509104b9"

@@ -112,6 +112,18 @@ class TestStats:
         assert code == 3
 
 
+    def test_non_integer_edge_endpoint_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "coerced.json"
+        bad.write_text(
+            '{"nodes": [{"id": 0, "type": "a", "duration": 1}, {"id": 1, "type": "a", "duration": 1}],'
+            ' "edges": [[0.0, true]], "capacities": {"a": 1}}',
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "stats", str(bad))
+        assert code == 3
+        assert "edge (0.0, True)" in err
+
+
 class TestKernelsAndRetrieve:
     def test_build_then_retrieve(self, tmp_path, capsys):
         suite = tmp_path / "suite"

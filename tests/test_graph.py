@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_crit, brute_level, brute_reconv, dags
+from helpers import brute_crit, brute_level, brute_reconv, dags, reference_compute_reconv
+from priosynth.bench import GeneratorSpec, generate_graph
 from priosynth.graph import (
     Dag,
     GraphFormatError,
@@ -81,6 +82,17 @@ class TestValidation:
                 {
                     "nodes": [{"id": 0, "type": "a", "duration": 1}],
                     "edges": [[0, 7]],
+                    "capacities": {"a": 1},
+                }
+            )
+
+    @pytest.mark.parametrize("edge", [[0.0, 1], [0, True], [0.0, True], [0, 1.5], [0, "1"], [None, 1]])
+    def test_non_integer_edge_endpoint_rejected(self, edge):
+        with pytest.raises(GraphFormatError, match="endpoints must be integer"):
+            load_dag(
+                {
+                    "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(2)],
+                    "edges": [edge],
                     "capacities": {"a": 1},
                 }
             )
@@ -181,6 +193,37 @@ class TestFeatures:
             }
         )
         assert compute_reconv(dag)[0] == 0
+
+    def test_reconv_groups_children_with_equal_sink_sets(self):
+        # 0 -> {1, 2, 3, 5, 7}; 1, 2 and 3 reach only sink 4, 5 is a sink of
+        # its own, 7 reaches sinks 4 and 6.  Pairs among {1, 2, 3} share 4,
+        # and each of them shares 4 with 7; 5 shares nothing: 3 + 3 = 6.
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(8)],
+                "edges": [[0, 1], [0, 2], [0, 3], [0, 5], [0, 7], [1, 4], [2, 4], [3, 4], [7, 4], [7, 6]],
+                "capacities": {"a": 2},
+            }
+        )
+        assert compute_reconv(dag)[0] == 6
+        assert compute_reconv(dag) == reference_compute_reconv(dag)
+
+    def test_reconv_matches_reference_at_scale(self, scale_dags):
+        for dag in scale_dags:
+            assert compute_reconv(dag) == reference_compute_reconv(dag)
+
+    def test_reconv_matches_reference_with_many_sinks(self):
+        # Wide layers leave many nodes without successors; isolated nodes
+        # appended after the graph are sinks of their own.
+        spec = GeneratorSpec("layered", layers=12, width=60, edge_prob=0.02, seed=5, label="sinks")
+        for index in range(3):
+            base = generate_graph(spec, index)
+            n = len(base)
+            extra = [NodeRecord(n + k, "alu", 1) for k in range(40)]
+            dag = Dag(list(base.nodes) + extra, base.edges, base.capacities)
+            sinks = sum(1 for v in range(len(dag)) if not dag.succs[v])
+            assert sinks > 100
+            assert compute_reconv(dag) == reference_compute_reconv(dag)
 
     @given(dags())
     @settings(max_examples=120, deadline=None)

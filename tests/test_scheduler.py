@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_optimal, capacity_ok, dags, random_dag, unit_step_schedule
+from helpers import (
+    SCALE_SPECS,
+    brute_optimal,
+    capacity_ok,
+    dags,
+    random_dag,
+    reference_list_schedule,
+    reference_verify_schedule,
+    scale_priorities,
+    unit_step_schedule,
+)
 from priosynth.bench import GeneratorSpec, generate_graph, standard_battery
 from priosynth.dsl import eval_expr, parse_expr
 from priosynth.graph import load_dag
@@ -109,6 +119,21 @@ class TestListSchedule:
         assert list_schedule(dag, priority).starts == list_schedule(dag, scaled).starts
 
 
+class TestScaleEquivalence:
+    """The per-type ready heaps against the global re-sorting scheduler they
+    replaced, on graphs far past the hypothesis sizes."""
+
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
+    def test_matches_reference_scheduler(self, scale_dags, index):
+        dag = scale_dags[index]
+        for priority in scale_priorities(dag, index):
+            schedule = list_schedule(dag, priority, measure=False)
+            reference = reference_list_schedule(dag, priority, measure=False)
+            assert schedule.feasible and reference.feasible
+            assert schedule.starts == reference.starts
+            assert schedule.makespan == reference.makespan
+
+
 class TestVerify:
     def test_reports_missing_node(self, diamond):
         assert any("no start" in v for v in verify_schedule(diamond, {0: 0}))
@@ -139,6 +164,83 @@ class TestVerify:
             starts[rec.id] = t
             t += rec.duration
         assert verify_schedule(chain5, starts) == []
+
+
+def schedule_mutants(dag, starts):
+    """Invalid variants of a valid schedule, one per kind of violation."""
+    n = len(dag)
+    durations = [rec.duration for rec in dag.nodes]
+    edges = [(u, v) for u, v in dag.edges if starts[v] > starts[u]]
+    mutants = {}
+    dropped = dict(starts)
+    del dropped[n // 2]
+    mutants["dropped"] = dropped
+    mutants["unknown"] = {**starts, n: 0}
+    mutants["negative"] = {**starts, n // 3: -1}
+    mutants["bool"] = {**starts, n // 3: True}
+    mutants["float_key"] = {(1.0 if v == 1 else v): s for v, s in starts.items()}
+    u, v = edges[len(edges) // 2]
+    mutants["one_edge"] = {**starts, v: starts[u] + durations[u] - 1}
+    several = dict(starts)
+    for u, v in edges[:: max(1, len(edges) // 5)]:
+        several[v] = starts[u]
+    mutants["several_edges"] = several
+    # A node that waited for a unit after its inputs were ready: every unit
+    # of its type was busy the cycle before it started, so starting it then
+    # exceeds the capacity by one without breaking any edge.
+    ready = [max((starts[u] + durations[u] for u in dag.preds[v]), default=0) for v in range(n)]
+    waited = [v for v in range(n) if starts[v] > ready[v]]
+    if waited:
+        v = min(waited, key=starts.__getitem__)
+        mutants["capacity_by_one"] = {**starts, v: starts[v] - 1}
+    return mutants
+
+
+class TestVerifyEquivalence:
+    """The one-pass acceptance test must accept exactly what the message loop
+    accepts, and every rejected schedule must get the message loop's exact
+    messages."""
+
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
+    def test_messages_match_reference_at_scale(self, scale_dags, index):
+        dag = scale_dags[index]
+        starts = list_schedule(dag, scale_priorities(dag, index)[3], measure=False).starts
+        assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts) == []
+        mutants = schedule_mutants(dag, starts)
+        assert SCALE_SPECS[index].family == "chain" or "capacity_by_one" in mutants
+        for kind, mutant in mutants.items():
+            expected = reference_verify_schedule(dag, mutant)
+            assert expected, kind
+            assert verify_schedule(dag, mutant) == expected, kind
+
+    def test_float_key_is_an_unknown_node(self, diamond):
+        starts = {0: 0, 1.0: 2, 2: 2, 3: 5}
+        expected = ["unknown node 1.0 in starts"]
+        assert verify_schedule(diamond, starts) == reference_verify_schedule(diamond, starts) == expected
+
+    def test_capacity_boundary(self):
+        # Two units of "a": a third op may start exactly when one finishes,
+        # but not a cycle earlier.
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 2} for i in range(3)],
+                "edges": [],
+                "capacities": {"a": 2},
+            }
+        )
+        assert verify_schedule(dag, {0: 0, 1: 0, 2: 2}) == []
+        late = {0: 0, 1: 0, 2: 1}
+        expected = ["capacity exceeded for type 'a' at cycle 1"]
+        assert verify_schedule(dag, late) == reference_verify_schedule(dag, late) == expected
+
+    @given(dags(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_starts_match_reference(self, dag, seed):
+        # Random starts near a list schedule: some valid, most not.
+        rng = random.Random(seed)
+        base = list_schedule(dag, seeded_priority(dag, seed), measure=False).starts
+        starts = {v: max(0, s + rng.choice((0, 0, 0, -1, 1, -2))) for v, s in base.items()}
+        assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts)
 
 
 class TestOptimal:
