@@ -11,7 +11,6 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -73,8 +72,7 @@ def main(argv=None) -> int:
             for mode in cfg.modes
         },
     }
-    (args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+    (args.out / "summary.json").write_text(canonical_json(summary), encoding="utf-8")
     print(f"\nwrote {args.out}/ablation.json, library.json, normalizer.json, summary.json")
     print(f"total {time.perf_counter() - t0:.1f}s")
     return 0

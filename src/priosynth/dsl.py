@@ -174,37 +174,26 @@ def print_expr(expr: PriorityExpr) -> str:
     return "".join(parts)
 
 
-def eval_expr(expr: PriorityExpr, dag: Dag) -> dict[int, float]:
-    """Evaluate the expression for every node of ``dag``.
+def eval_expr(expr: PriorityExpr, dag: Dag) -> list[float]:
+    """Evaluate the expression for every node of ``dag``; the result is
+    indexed by node id.
 
-    ``pressure`` contributes the pressure of the node's own op type; ``const``
-    contributes its coefficient directly.
+    Terms are summed in expression order, each over a whole
+    :class:`~priosynth.graph.StatsTable` column.  ``pressure`` contributes
+    the pressure of the node's own op type; ``const`` contributes its
+    coefficient directly.
     """
     stats = dag.stats()
-    tables: dict[str, Mapping[int, float] | None] = {
-        "crit": stats.crit,
-        "duration": None,
-        "fanin": stats.fanin,
-        "fanout": stats.fanout,
-        "level": stats.level,
-        "reconv": stats.reconv,
-        "slack": stats.slack,
-    }
-    out: dict[int, float] = {}
-    for rec in dag.nodes:
-        total = 0.0
-        for weight, name in expr.terms:
-            if name == "const":
-                total += weight
-            elif name == "duration":
-                total += weight * rec.duration
-            elif name == "pressure":
-                total += weight * stats.pressure[rec.op_type]
-            else:
-                table = tables[name]
-                assert table is not None
-                total += weight * table[rec.id]
-        out[rec.id] = total
+    out = [0.0] * len(dag)
+    for weight, name in expr.terms:
+        if name == "const":
+            out = [total + weight for total in out]
+            continue
+        if name == "pressure":
+            column = [stats.pressure[rec.op_type] for rec in dag.nodes]
+        else:
+            column = getattr(stats, name)
+        out = [total + weight * x for total, x in zip(out, column)]
     return out
 
 

@@ -32,18 +32,20 @@ class NodeRecord:
 class StatsTable:
     """Per-node structural features plus graph-level aggregates.
 
+    Each per-node feature is a column: a tuple indexed by the dense node id.
     ``slack[v] = cp_length - level[v] - crit[v]`` and is zero exactly on the
     nodes that lie on some longest source-to-sink path.  ``pressure[t]`` is
     the total work of type ``t`` over its capacity times ``cp_length`` (0.0
     when ``cp_length`` is 0); a value above 1 marks a guaranteed bottleneck.
     """
 
-    level: dict[int, int]
-    crit: dict[int, int]
-    slack: dict[int, int]
-    fanout: dict[int, int]
-    fanin: dict[int, int]
-    reconv: dict[int, int]
+    level: tuple[int, ...]
+    crit: tuple[int, ...]
+    slack: tuple[int, ...]
+    fanout: tuple[int, ...]
+    fanin: tuple[int, ...]
+    reconv: tuple[int, ...]
+    duration: tuple[int, ...]
     pressure: dict[str, float]
     cp_length: int
 
@@ -146,38 +148,38 @@ class Dag:
         if self._stats is None:
             level = compute_levels(self)
             crit = compute_crit(self)
-            cp = max((level[v] + crit[v] for v in range(len(self))), default=0)
-            slack = {v: cp - level[v] - crit[v] for v in range(len(self))}
+            cp = max((lv + cr for lv, cr in zip(level, crit)), default=0)
             work = compute_work(self)
             self._stats = StatsTable(
                 level=level,
                 crit=crit,
-                slack=slack,
-                fanout={v: len(self.succs[v]) for v in range(len(self))},
-                fanin={v: len(self.preds[v]) for v in range(len(self))},
+                slack=tuple(cp - lv - cr for lv, cr in zip(level, crit)),
+                fanout=tuple(map(len, self.succs)),
+                fanin=tuple(map(len, self.preds)),
                 reconv=compute_reconv(self),
+                duration=tuple(rec.duration for rec in self.nodes),
                 pressure={t: work[t] / (cap * cp) if cp else 0.0 for t, cap in self.capacities.items()},
                 cp_length=cp,
             )
         return self._stats
 
 
-def compute_levels(dag: Dag) -> dict[int, int]:
+def compute_levels(dag: Dag) -> tuple[int, ...]:
     """Unconstrained ASAP start times: 0 for sources, else max over
     predecessors of ``level(u) + duration(u)``."""
-    level: dict[int, int] = {}
+    level = [0] * len(dag)
     for v in dag.topo_order:
         level[v] = max((level[u] + dag.nodes[u].duration for u in dag.preds[v]), default=0)
-    return level
+    return tuple(level)
 
 
-def compute_crit(dag: Dag) -> dict[int, int]:
+def compute_crit(dag: Dag) -> tuple[int, ...]:
     """Remaining critical-path length: the largest duration sum over any
     directed path from ``v`` to a sink, including ``v`` itself."""
-    crit: dict[int, int] = {}
+    crit = [0] * len(dag)
     for v in reversed(dag.topo_order):
         crit[v] = dag.nodes[v].duration + max((crit[w] for w in dag.succs[v]), default=0)
-    return crit
+    return tuple(crit)
 
 
 def compute_work(dag: Dag) -> dict[str, int]:
@@ -189,7 +191,7 @@ def compute_work(dag: Dag) -> dict[str, int]:
     return work
 
 
-def compute_reconv(dag: Dag) -> dict[int, int]:
+def compute_reconv(dag: Dag) -> tuple[int, ...]:
     """Reconvergence marker: for each node, the number of unordered child
     pairs whose reachable sets intersect.
 
@@ -216,7 +218,7 @@ def compute_reconv(dag: Dag) -> dict[int, int]:
             r = sink_bit
             sink_bit <<= 1
         reach[v] = r
-    out: dict[int, int] = {}
+    out = [0] * n
     for v in range(n):
         children = succs[v]
         count = 0
@@ -232,7 +234,7 @@ def compute_reconv(dag: Dag) -> dict[int, int]:
                     if ra & rb:
                         count += ca * cb
         out[v] = count
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

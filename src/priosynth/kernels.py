@@ -136,10 +136,10 @@ def _bounded_bfs(adjacency: Sequence[Sequence[int]], source: int, depth: int) ->
     return dist
 
 
-def _top_decile(degrees: Mapping[int, int], n: int) -> list[int]:
+def _top_decile(degrees: Sequence[int], n: int) -> list[int]:
     # Highest-degree ceil(n/10) nodes, ties broken by ascending id.
     count = -(-n // 10)
-    ranked = sorted(degrees, key=lambda v: (-degrees[v], v))
+    ranked = sorted(range(n), key=lambda v: (-degrees[v], v))
     return ranked[:count]
 
 

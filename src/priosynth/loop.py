@@ -482,12 +482,12 @@ def run_loop(
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
         selections = select_kernels(batch, index, normalizer, vocab, cfg, iteration, vectors)
-        prompt = build_prompt(batch, selections, feedback_history, vocab)
 
         expr: PriorityExpr | None = None
         source = "fallback"
         last_error: Exception | None = None
         if provider is not None:
+            prompt = build_prompt(batch, selections, feedback_history, vocab)
             for _ in range(_PROVIDER_ATTEMPTS):
                 try:
                     expr = parse_reply(provider.complete(prompt))

@@ -27,7 +27,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graph import Dag, canonical_json, compute_work
 
@@ -62,8 +62,9 @@ def baseline_expr_text() -> str:
     return "1*level"
 
 
-def list_schedule(dag: Dag, priority: Mapping[int, float], measure: bool = True) -> Schedule:
-    """Greedy list schedule under ``priority``.
+def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], measure: bool = True) -> Schedule:
+    """Greedy list schedule under ``priority``, a sequence indexed by node id
+    (as :func:`~priosynth.dsl.eval_expr` returns) or a mapping keyed by it.
 
     Non-finite priority values poison the whole schedule: the result is
     infeasible with empty starts instead of an exception, so a bad synthesized
@@ -75,6 +76,8 @@ def list_schedule(dag: Dag, priority: Mapping[int, float], measure: bool = True)
         prio = [float(priority[v]) for v in range(n)]
     except KeyError as exc:
         raise ValueError(f"priority map is missing node {exc.args[0]}") from None
+    except IndexError:
+        raise ValueError(f"priority map is missing node {len(priority)}") from None
 
     def finish(starts: dict[int, int], feasible: bool) -> Schedule:
         makespan = max((starts[v] + dag.nodes[v].duration for v in starts), default=0)
@@ -143,7 +146,7 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
         if v not in starts:
             violations.append(f"node {v} has no start time")
     for v in starts:
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not (type(v) is int and 0 <= v < n):
             violations.append(f"unknown node {v!r} in starts")
     if violations:
         return violations
@@ -226,7 +229,7 @@ def optimal_makespan(dag: Dag, node_limit: int = 12) -> int:
     stats = dag.stats()
     crit = stats.crit
     caps = dag.capacities
-    durations = [dag.nodes[v].duration for v in range(n)]
+    durations = stats.duration
     op_types = [dag.nodes[v].op_type for v in range(n)]
     preds_mask = [0] * n
     for u, v in dag.edges:
@@ -234,7 +237,7 @@ def optimal_makespan(dag: Dag, node_limit: int = 12) -> int:
     succ_crit = [max((crit[w] for w in dag.succs[v]), default=0) for v in range(n)]
     full = (1 << n) - 1
 
-    incumbent = list_schedule(dag, {v: float(crit[v]) for v in range(n)}, measure=False)
+    incumbent = list_schedule(dag, crit, measure=False)
     best = incumbent.makespan
 
     memo: dict[tuple, int] = {}

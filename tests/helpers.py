@@ -15,12 +15,12 @@ import math
 import random
 import time
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from hypothesis import strategies as st
 
 from priosynth.bench import GeneratorSpec
-from priosynth.dsl import eval_expr, parse_expr
+from priosynth.dsl import PriorityExpr, eval_expr, parse_expr
 from priosynth.graph import Dag, load_dag
 from priosynth.scheduler import Schedule
 
@@ -203,9 +203,10 @@ SCALE_SPECS = (
 )
 
 
-def scale_priorities(dag: Dag, seed: int = 0) -> list[dict[int, float]]:
-    """Priority maps from heavily tied to tie-free: ``1*fanout``, a constant,
-    small integers, and distinct floats."""
+def scale_priorities(dag: Dag, seed: int = 0) -> list[Sequence[float] | Mapping[int, float]]:
+    """Priorities from heavily tied to tie-free: ``1*fanout`` (a sequence
+    indexed by node id, as ``eval_expr`` returns), then maps holding a
+    constant, small integers, and distinct floats."""
     rng = random.Random(seed)
     return [
         eval_expr(parse_expr("1*fanout"), dag),
@@ -347,3 +348,40 @@ def reference_verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
                 violations.append(f"capacity exceeded for type {op!r} at cycle {cycle}")
                 break
     return violations
+
+
+def reference_eval_expr(expr: PriorityExpr, dag: Dag) -> dict[int, float]:
+    """The expression evaluator before the stats columns: one scalar loop
+    per node that branches on each term's feature name.
+
+    Evaluate the expression for every node of ``dag``.
+
+    ``pressure`` contributes the pressure of the node's own op type; ``const``
+    contributes its coefficient directly.
+    """
+    stats = dag.stats()
+    tables: dict[str, Mapping[int, float] | None] = {
+        "crit": stats.crit,
+        "duration": None,
+        "fanin": stats.fanin,
+        "fanout": stats.fanout,
+        "level": stats.level,
+        "reconv": stats.reconv,
+        "slack": stats.slack,
+    }
+    out: dict[int, float] = {}
+    for rec in dag.nodes:
+        total = 0.0
+        for weight, name in expr.terms:
+            if name == "const":
+                total += weight
+            elif name == "duration":
+                total += weight * rec.duration
+            elif name == "pressure":
+                total += weight * stats.pressure[rec.op_type]
+            else:
+                table = tables[name]
+                assert table is not None
+                total += weight * table[rec.id]
+        out[rec.id] = total
+    return out

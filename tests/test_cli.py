@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -328,6 +329,26 @@ class TestAblate:
         report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
         assert set(report["modes"]) == {"full", "no_retrieval"}
         assert "full" in stdout and "no_retrieval" in stdout
+
+
+class TestDeskAblationScript:
+    def test_writes_the_four_files_and_the_cli_report(self, tiny_config, tmp_path, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_ablation.py"
+        spec = importlib.util.spec_from_file_location("run_desk_ablation", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        out = tmp_path / "desk"
+        assert module.main(["--config", str(tiny_config), "--out", str(out)]) == 0
+        names = ["ablation.json", "library.json", "normalizer.json", "summary.json"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        summary = (out / "summary.json").read_text(encoding="utf-8")
+        assert summary == canonical_json(json.loads(summary))
+        assert set(json.loads(summary)["modes"]) == {"full", "no_retrieval"}
+
+        cli_out = tmp_path / "ab"
+        code, *_ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(cli_out))
+        assert code == 0
+        assert (out / "ablation.json").read_bytes() == (cli_out / "ablation.json").read_bytes()
 
 
 class TestReport:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dags
+from helpers import dags, reference_eval_expr
+from priosynth.bench import standard_battery
 from priosynth.dsl import (
     FEATURES,
     ExprError,
@@ -27,6 +28,25 @@ weights_strategy = st.dictionaries(
     min_size=0,
     max_size=len(FEATURES),
 )
+
+finite_weights = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+
+# Every draw weights const, duration and pressure, the three features that
+# are not a plain StatsTable column lookup in the reference evaluator.
+column_weights_strategy = st.fixed_dictionaries(
+    {"const": finite_weights, "duration": finite_weights, "pressure": finite_weights},
+    optional={name: finite_weights for name in FEATURES if name not in ("const", "duration", "pressure")},
+)
+
+
+def bits(values) -> list[str]:
+    """Exact float identity, sign of zero included."""
+    return [float(x).hex() for x in values]
+
+
+def reference_column(expr, dag) -> list[str]:
+    reference = reference_eval_expr(expr, dag)
+    return bits(reference[v] for v in range(len(dag)))
 
 
 class TestParse:
@@ -157,6 +177,20 @@ class TestEval:
         twice = eval_expr(doubled, dag)
         for v in range(len(dag)):
             assert twice[v] == pytest.approx(2 * base[v])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_reference_at_scale(self, scale_dags, seed):
+        for dag in scale_dags:
+            for _, expr in standard_battery(seed):
+                values = eval_expr(expr, dag)
+                assert isinstance(values, list)
+                assert bits(values) == reference_column(expr, dag)
+
+    @given(dags(), column_weights_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_reference(self, dag, weights):
+        expr = make_expr(weights)
+        assert bits(eval_expr(expr, dag)) == reference_column(expr, dag)
 
 
 class TestHeuristicFiles:

@@ -17,6 +17,12 @@ from priosynth.graph import (
 )
 
 
+def _reference_reconv_column(dag: Dag) -> tuple[int, ...]:
+    """The reference count as a column indexed by node id."""
+    reference = reference_compute_reconv(dag)
+    return tuple(reference[v] for v in range(len(dag)))
+
+
 class TestValidation:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(GraphFormatError, match="duplicate"):
@@ -159,12 +165,13 @@ class TestValidation:
 class TestFeatures:
     def test_diamond_tables(self, diamond):
         stats = diamond.stats()
-        assert stats.level == {0: 0, 1: 2, 2: 2, 3: 5}
-        assert stats.crit == {0: 7, 1: 5, 2: 3, 3: 2}
-        assert stats.slack == {0: 0, 1: 0, 2: 2, 3: 0}
-        assert stats.fanout == {0: 2, 1: 1, 2: 1, 3: 0}
-        assert stats.fanin == {0: 0, 1: 1, 2: 1, 3: 2}
-        assert stats.reconv == {0: 1, 1: 0, 2: 0, 3: 0}
+        assert stats.level == (0, 2, 2, 5)
+        assert stats.crit == (7, 5, 3, 2)
+        assert stats.slack == (0, 0, 2, 0)
+        assert stats.fanout == (2, 1, 1, 0)
+        assert stats.fanin == (0, 1, 1, 2)
+        assert stats.reconv == (1, 0, 0, 0)
+        assert stats.duration == (2, 3, 1, 2)
         assert stats.cp_length == 7
 
     def test_diamond_pressure(self, diamond):
@@ -206,11 +213,11 @@ class TestFeatures:
             }
         )
         assert compute_reconv(dag)[0] == 6
-        assert compute_reconv(dag) == reference_compute_reconv(dag)
+        assert compute_reconv(dag) == _reference_reconv_column(dag)
 
     def test_reconv_matches_reference_at_scale(self, scale_dags):
         for dag in scale_dags:
-            assert compute_reconv(dag) == reference_compute_reconv(dag)
+            assert compute_reconv(dag) == _reference_reconv_column(dag)
 
     def test_reconv_matches_reference_with_many_sinks(self):
         # Wide layers leave many nodes without successors; isolated nodes
@@ -223,7 +230,7 @@ class TestFeatures:
             dag = Dag(list(base.nodes) + extra, base.edges, base.capacities)
             sinks = sum(1 for v in range(len(dag)) if not dag.succs[v])
             assert sinks > 100
-            assert compute_reconv(dag) == reference_compute_reconv(dag)
+            assert compute_reconv(dag) == _reference_reconv_column(dag)
 
     @given(dags())
     @settings(max_examples=120, deadline=None)
@@ -250,9 +257,10 @@ class TestFeatures:
     @settings(max_examples=80, deadline=None)
     def test_slack_nonnegative_and_zero_on_critical(self, dag):
         slack = dag.stats().slack
-        assert all(s >= 0 for s in slack.values())
+        assert len(slack) == len(dag)
+        assert all(s >= 0 for s in slack)
         if len(dag):
-            assert 0 in slack.values()
+            assert 0 in slack
 
     @given(dags())
     @settings(max_examples=60, deadline=None)

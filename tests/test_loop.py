@@ -246,6 +246,16 @@ class TestRunLoop:
         assert len(history["records"][0]["evals"]) == len(val)
         assert history["config"]["seed"] == 3
 
+    def test_fallback_run_builds_no_prompt(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+
+        def no_prompt(*args, **kwargs):
+            raise AssertionError("a run without a provider rendered a prompt")
+
+        monkeypatch.setattr(loop, "build_prompt", no_prompt)
+        result = run_loop(train, val, kernels, normalizer, vocab, LoopConfig(seed=3, iterations=2))
+        assert [r["source"] for r in result.history["records"]] == ["fallback", "fallback"]
+
     def test_byte_identical_reruns(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(seed=3)

@@ -84,6 +84,18 @@ class TestListSchedule:
         with pytest.raises(ValueError, match="missing node"):
             list_schedule(diamond, {0: 1.0})
 
+    def test_short_priority_sequence_raises_like_a_mapping(self):
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(2)],
+                "edges": [],
+                "capacities": {"a": 1},
+            }
+        )
+        for priority in ({0: 1.0}, [1.0]):
+            with pytest.raises(ValueError, match="^priority map is missing node 1$"):
+                list_schedule(dag, priority)
+
     def test_empty_graph(self):
         dag = load_dag({"nodes": [], "edges": [], "capacities": {}})
         schedule = list_schedule(dag, {})
@@ -152,6 +164,17 @@ class TestVerify:
         )
         violations = verify_schedule(dag, {0: 0, 1: 1})
         assert any("capacity" in v for v in violations)
+
+    def test_bool_key_is_an_unknown_node(self):
+        # True == 1 and hashes like 1, so a membership test alone finds it.
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(2)],
+                "edges": [[0, 1]],
+                "capacities": {"a": 1},
+            }
+        )
+        assert verify_schedule(dag, {0: 0, True: 1}) == ["unknown node True in starts"]
 
     def test_reports_bad_start_values(self, diamond):
         assert verify_schedule(diamond, {0: -1, 1: 2, 2: 2, 3: 5})
