@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print one ``sha256  name`` line per artifact the package writes.
+
+Two checkouts that should write the same bytes are compared with one diff:
+
+    PYTHONPATH=src python scripts/artifact_digests.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python scripts/artifact_digests.py > old.txt
+    diff old.txt new.txt
+
+The artifacts cover:
+- ``search``-shaped ablations (24 training and 200 validation desk graphs,
+  10 iterations, batches of 16) for input seeds 0-19: ``library.json``,
+  ``normalizer.json`` and ``ablation.json``;
+- ``large``-shaped campaigns (four 60x64 and two 80x96 layered graphs through
+  the standard battery) for input seeds 0-4: ``campaign.json``;
+- the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1;
+- the output of ``priosynth stats``, ``report --zero-runtime`` (text and csv)
+  and ``schedule --zero-runtime --verify`` under three expressions, on a
+  generated six-graph suite.
+
+Everything runs through the package's public API and CLI.  One run takes
+about a minute.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from priosynth import bench, cli, config, embedding, kernels, loop
+from priosynth.graph import canonical_json, dump_dag
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import run_desk_ablation  # noqa: E402
+
+LARGE_SUITES = ((60, 64, 4), (80, 96, 2))
+CLI_EXPRESSIONS = ("1*level", "2*crit + 1*fanout - 1*level", "1*reconv - 0.5*slack + 0.25*pressure")
+
+
+def search_artifacts(seed: int) -> dict[str, str]:
+    doc = config.default_run_config_document(seed)
+    doc["train"]["count"] = 24
+    doc["val"]["count"] = 200
+    doc["loop"]["iterations"] = 10
+    doc["loop"]["batch_size"] = 16
+    cfg = config.load_run_config(doc)
+    run = config.prepare_run(cfg)
+    report = loop.run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
+    return {
+        "library.json": kernels.dump_library(run.kernels),
+        "normalizer.json": embedding.dump_normalizer(run.normalizer),
+        "ablation.json": canonical_json(report),
+    }
+
+
+def large_artifacts(seed: int) -> dict[str, str]:
+    suites = {}
+    for layers, width, graphs in LARGE_SUITES:
+        spec = bench.GeneratorSpec("layered", layers=layers, width=width, seed=seed, label=f"large-{layers}x{width}")
+        suites[f"layered-{layers}x{width}"] = [bench.generate_graph(spec, index) for index in range(graphs)]
+    report = bench.run_campaign(suites, bench.standard_battery(seed), measure_runtime=False)
+    return {"campaign.json": canonical_json(report)}
+
+
+def desk_artifacts(seed: int) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        run_desk_ablation.main(["--seed", str(seed), "--out", tmp])
+        return {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(tmp).iterdir())}
+
+
+def run_cli(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"priosynth {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def cli_artifacts() -> dict[str, str]:
+    spec = bench.GeneratorSpec("layered", layers=4, width=4, seed=0, label="cli")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for dag in bench.generate_suite(spec, 6):
+            path = Path(tmp) / f"{dag.name}.json"
+            path.write_text(dump_dag(dag), encoding="utf-8")
+            paths.append(str(path))
+        out = {
+            "stats": run_cli("stats", *paths),
+            "report.txt": run_cli("report", "--graphs", tmp, "--zero-runtime"),
+            "report.csv": run_cli("report", "--graphs", tmp, "--zero-runtime", "--format", "csv"),
+        }
+        for index, text in enumerate(CLI_EXPRESSIONS):
+            out[f"schedule-{index}"] = "".join(
+                run_cli("schedule", "--graph", path, "--heuristic", text, "--zero-runtime", "--verify")
+                for path in paths
+            )
+    return out
+
+
+def main() -> int:
+    groups = [(f"search/{seed}", lambda seed=seed: search_artifacts(seed)) for seed in range(20)]
+    groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed)) for seed in range(5)]
+    groups += [(f"desk/{seed}", lambda seed=seed: desk_artifacts(seed)) for seed in range(2)]
+    groups.append(("cli", cli_artifacts))
+    for prefix, build in groups:
+        for name, text in build().items():
+            print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {prefix}/{name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

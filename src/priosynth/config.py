@@ -138,9 +138,11 @@ def load_run_config(document) -> RunConfig:
     modes_doc = document.get("modes", list(ABLATIONS))
     if not isinstance(modes_doc, list) or not modes_doc:
         raise ConfigError("modes must be a non-empty array")
-    for mode in modes_doc:
+    for index, mode in enumerate(modes_doc):
         if mode not in ABLATIONS:
             raise ConfigError(f"unknown ablation mode {mode!r}")
+        if mode in modes_doc[:index]:
+            raise ConfigError(f"ablation mode {mode!r} is listed twice")
     return RunConfig(
         seed=seed,
         train_spec=train_spec,

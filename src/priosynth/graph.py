@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 
@@ -296,10 +297,81 @@ def dump_dag(dag: Dag) -> str:
     return canonical_json(dag_to_document(dag))
 
 
+# Value types that the C encoder writes exactly as the pure-Python one does.
+# Subclasses (an ``IntEnum``, a NumPy float) are left to ``json.dumps``.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+class _Unproven(Exception):
+    """A part of a document that ``canonical_json`` leaves to ``json.dumps``."""
+
+
 def canonical_json(document) -> str:
     """The one JSON writer used for every artifact: sorted keys, 2-space
-    indent, trailing newline.  Equal documents produce equal bytes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    indent, trailing newline.  Equal documents produce equal bytes.
+
+    The bytes are exactly ``json.dumps(document, indent=2, sort_keys=True)
+    + "\\n"``.  ``indent`` forces ``json.dumps`` onto its pure-Python
+    encoder, so nesting is written here and every container whose values
+    are all scalars goes to the C encoder, whose item separator carries
+    that container's indent.  A document holding anything else (a non-``str``
+    key, a type outside :data:`_SCALARS`, a cycle) is written by
+    ``json.dumps`` whole.
+    """
+    encoders: list[json.JSONEncoder] = []  # index: indent depth of the items
+    out: list[str] = []
+    emit = out.append
+
+    def flat(value, depth: int) -> str:
+        while len(encoders) <= depth:
+            pad = "  " * len(encoders)
+            encoders.append(json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")))
+        return encoders[depth].encode(value)
+
+    def write(value, depth: int) -> None:
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                emit("{}")
+                return
+            if not _STR.issuperset(map(type, value)):
+                raise _Unproven
+            inner = "\n" + "  " * (depth + 1)
+            if _SCALARS.issuperset(map(type, value.values())):
+                emit("{" + inner + flat(value, depth + 1)[1:-1] + "\n" + "  " * depth + "}")
+                return
+            sep = "{" + inner
+            for key in sorted(value):
+                emit(sep + encode_basestring_ascii(key) + ": ")
+                write(value[key], depth + 1)
+                sep = "," + inner
+            emit("\n" + "  " * depth + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                emit("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            if _SCALARS.issuperset(map(type, value)):
+                emit("[" + inner + flat(value, depth + 1)[1:-1] + "\n" + "  " * depth + "]")
+                return
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                write(item, depth + 1)
+                sep = "," + inner
+            emit("\n" + "  " * depth + "]")
+        elif kind in _SCALARS:
+            emit(flat(value, 0))
+        else:
+            raise _Unproven
+
+    try:
+        write(document, 0)
+    except (_Unproven, RecursionError):
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    emit("\n")
+    return "".join(out)
 
 
 def load_dag_file(path) -> Dag:

@@ -9,6 +9,7 @@ categories and deduplicated by greedy leader clustering per category.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -302,8 +303,17 @@ def build_kernel_library(
 
     The normalizer is fitted on whole-graph embeddings of the corpus and is
     the same one used at retrieval time, so motif signatures and query
-    vectors live in one z-space.
+    vectors live in one z-space.  ``theta`` must be finite, ``k`` and
+    ``budget`` nonnegative and ``chain_min_len`` positive.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    if chain_min_len < 1:
+        raise ValueError(f"chain_min_len must be positive, got {chain_min_len!r}")
     if not train:
         raise ValueError("cannot build a kernel library from zero graphs")
     if vocab is None:

@@ -21,6 +21,7 @@ it against the whole library in one pass.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,8 @@ _PROVIDER_ATTEMPTS = 3
 class LoopConfig:
     """Hyperparameters of one synthesis run.
 
-    ``infeasibility_penalty`` is charged once per infeasible schedule.
+    ``infeasibility_penalty`` is charged once per infeasible schedule; it
+    must be finite and nonnegative.
     """
 
     iterations: int = 3
@@ -71,6 +73,9 @@ class LoopConfig:
             raise ValueError("batch_size must be positive")
         if self.top_m < 0:
             raise ValueError("top_m must be nonnegative")
+        penalty = self.infeasibility_penalty
+        if not (math.isfinite(penalty) and penalty >= 0):
+            raise ValueError(f"infeasibility_penalty must be finite and nonnegative, got {penalty!r}")
 
 
 def loop_config_to_document(cfg: LoopConfig) -> dict:
@@ -327,7 +332,8 @@ def fallback_synthesize(
     descent over a fixed magnitude grid maximizes the mean batch score, run
     from three starts: the signed mean of template defaults, a hand-written
     critical-path start, and that same start restricted to the core basis.
-    No randomness and no wall-clock input anywhere.
+    Each distinct candidate is scored once per call.  No randomness and no
+    wall-clock input anywhere.
     """
     if memo is None:
         memo = {}
@@ -338,13 +344,19 @@ def fallback_synthesize(
             for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
                 contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
     basis = sorted(set(contributions) | set(_CORE_FEATURES))
+    # The descent revisits the same weights again and again; a candidate
+    # scored earlier in this call returns its score without a memo lookup.
+    scores: dict[tuple[tuple[float, str], ...], float] = {}
 
     def objective(weights: dict[str, float]) -> float:
         expr = make_expr(weights)
-        total = 0.0
-        for dag in batch:
-            total += score_schedule(cfg, *_schedule(expr, dag, memo))
-        return total / max(1, len(batch))
+        value = scores.get(expr.terms)
+        if value is None:
+            total = 0.0
+            for dag in batch:
+                total += score_schedule(cfg, *_schedule(expr, dag, memo))
+            value = scores[expr.terms] = total / max(1, len(batch))
+        return value
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
         weights = dict(start)

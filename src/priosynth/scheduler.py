@@ -72,20 +72,20 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     """
     begin = time.perf_counter()
     n = len(dag)
-    try:
-        prio = [float(priority[v]) for v in range(n)]
-    except KeyError as exc:
-        raise ValueError(f"priority map is missing node {exc.args[0]}") from None
-    except IndexError:
-        raise ValueError(f"priority map is missing node {len(priority)}") from None
+    if (type(priority) is list or type(priority) is tuple) and len(priority) == n:
+        prio = list(map(float, priority))
+    else:
+        try:
+            prio = [float(priority[v]) for v in range(n)]
+        except KeyError as exc:
+            raise ValueError(f"priority map is missing node {exc.args[0]}") from None
+        except IndexError:
+            raise ValueError(f"priority map is missing node {len(priority)}") from None
 
-    def finish(starts: dict[int, int], feasible: bool) -> Schedule:
-        makespan = max((starts[v] + dag.nodes[v].duration for v in starts), default=0)
-        elapsed = (time.perf_counter() - begin) * 1000.0 if measure else 0.0
-        return Schedule(starts=starts, makespan=makespan, feasible=feasible, runtime_ms=elapsed)
-
-    if any(not math.isfinite(p) for p in prio):
-        return finish({}, False)
+    # A sum of finite values is finite unless it overflows, so only a
+    # non-finite sum needs the scan for a NaN or an infinity.
+    if not math.isfinite(sum(prio)) and not all(map(math.isfinite, prio)):
+        return _result(begin, measure, {}, 0, False)
 
     caps = list(dag.capacities.values())
     type_index = {op: i for i, op in enumerate(dag.capacities)}
@@ -105,20 +105,23 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     running: list[tuple[int, int]] = []
     free = caps[:]
     starts: dict[int, int] = {}
-    now = 0
+    now = makespan = 0
     while True:
         for op, heap in enumerate(ready):
             while free[op] and heap:
                 v = pop(heap)[1]
                 starts[v] = now
-                push(running, (now + durations[v], v))
+                end = now + durations[v]
+                push(running, (end, v))
+                if end > makespan:
+                    makespan = end
                 free[op] -= 1
         if len(starts) == n:
             break
         if not running:
             # Unreachable on a validated DAG (capacity >= 1 guarantees
             # progress); kept as a guard against internal inconsistency.
-            return finish({}, False)
+            return _result(begin, measure, {}, 0, False)
         now = running[0][0]
         while running and running[0][0] == now:
             v = pop(running)[1]
@@ -127,7 +130,12 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
                 indeg[w] -= 1
                 if not indeg[w]:
                     push(ready[op_of[w]], (-prio[w], w))
-    return finish(starts, True)
+    return _result(begin, measure, starts, makespan, True)
+
+
+def _result(begin: float, measure: bool, starts: dict[int, int], makespan: int, feasible: bool) -> Schedule:
+    elapsed = (time.perf_counter() - begin) * 1000.0 if measure else 0.0
+    return Schedule(starts=starts, makespan=makespan, feasible=feasible, runtime_ms=elapsed)
 
 
 def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:

@@ -20,8 +20,19 @@ from typing import Mapping, Sequence
 from hypothesis import strategies as st
 
 from priosynth.bench import GeneratorSpec
-from priosynth.dsl import PriorityExpr, eval_expr, parse_expr
+from priosynth.dsl import PriorityExpr, eval_expr, make_expr, parse_expr
 from priosynth.graph import Dag, load_dag
+from priosynth.kernels import TEMPLATE_FAMILIES, Kernel
+from priosynth.loop import (
+    _CORE_FEATURES,
+    _FEATURE_SIGNS,
+    _GRID,
+    _MAX_PASSES,
+    LoopConfig,
+    ScheduleMemo,
+    _schedule,
+    score_schedule,
+)
 from priosynth.scheduler import Schedule
 
 
@@ -385,3 +396,85 @@ def reference_eval_expr(expr: PriorityExpr, dag: Dag) -> dict[int, float]:
                 total += weight * table[rec.id]
         out[rec.id] = total
     return out
+
+
+def reference_fallback_synthesize(
+    selections: Sequence[tuple[Dag, Sequence[Kernel]]],
+    batch: Sequence[Dag],
+    cfg: LoopConfig,
+    memo: ScheduleMemo | None = None,
+) -> PriorityExpr:
+    """The fallback synthesizer before it kept its own scores: every
+    candidate, repeated or not, is looked up in the schedule memo again.
+
+    Deterministic template-merge synthesizer.
+
+    The basis is the union of features named by the retrieved kernel
+    templates plus an always-present core (crit, fanout, level).  Coordinate
+    descent over a fixed magnitude grid maximizes the mean batch score, run
+    from three starts: the signed mean of template defaults, a hand-written
+    critical-path start, and that same start restricted to the core basis.
+    No randomness and no wall-clock input anywhere.
+    """
+    if memo is None:
+        memo = {}
+    contributions: dict[str, list[float]] = {}
+    for _, kerns in selections:
+        for kern in kerns:
+            defaults = dict(kern.template.defaults)
+            for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
+                contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
+    basis = sorted(set(contributions) | set(_CORE_FEATURES))
+
+    def objective(weights: dict[str, float]) -> float:
+        expr = make_expr(weights)
+        total = 0.0
+        for dag in batch:
+            total += score_schedule(cfg, *_schedule(expr, dag, memo))
+        return total / max(1, len(batch))
+
+    def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
+        weights = dict(start)
+        best = objective(weights)
+        for _ in range(_MAX_PASSES):
+            improved = False
+            for feature in features:
+                kept = weights[feature]
+                for magnitude in _GRID:
+                    candidate = _FEATURE_SIGNS[feature] * magnitude
+                    if candidate == kept:
+                        continue
+                    weights[feature] = candidate
+                    value = objective(weights)
+                    if value > best:
+                        best = value
+                        kept = candidate
+                        improved = True
+                    else:
+                        weights[feature] = kept
+                weights[feature] = kept
+            if not improved:
+                break
+        return weights, best
+
+    template_start = {}
+    for feature in basis:
+        if feature in contributions:
+            values = contributions[feature]
+            template_start[feature] = sum(values) / len(values)
+        else:
+            template_start[feature] = _FEATURE_SIGNS[feature]
+    core_start_full = {feature: 0.0 for feature in basis}
+    for feature in _CORE_FEATURES:
+        core_start_full[feature] = _FEATURE_SIGNS[feature]
+    core_start_only = {feature: _FEATURE_SIGNS[feature] for feature in _CORE_FEATURES}
+
+    best_weights, best_value = descend(template_start, basis)
+    for start, features in (
+        (core_start_full, basis),
+        (core_start_only, sorted(_CORE_FEATURES)),
+    ):
+        weights, value = descend(start, features)
+        if value > best_value:
+            best_weights, best_value = weights, value
+    return make_expr(best_weights)

@@ -69,12 +69,20 @@ def desk_run():
 # drift in clustering) shows up here as changed bytes.
 DESK_LIBRARY_SHA256 = "b8e4343727dce3cbf8d00d1ffcaeb3c156e538be5c75fc4758ed2c2f3f3b8bab"
 DESK_NORMALIZER_SHA256 = "3ea8d5d66adb7c2010f1131c8ac9bf3ff24f3acc57e27b0ef010fa7d8ecf1a94"
+# sha256 of the seed-0 desk ablation.json: the fallback search's winners,
+# every recorded schedule length, and the JSON writer's bytes.
+DESK_ABLATION_SHA256 = "fbb7059144cc31c71a349f101ea5dd85ecdda6eda64df6ba1dd8762fc6431063"
 
 
 def test_desk_library_bytes_are_pinned(desk_run):
     library = hashlib.sha256(dump_library(desk_run["kernels"]).encode("utf-8")).hexdigest()
     normalizer = hashlib.sha256(dump_normalizer(desk_run["normalizer"]).encode("utf-8")).hexdigest()
     assert (library, normalizer) == (DESK_LIBRARY_SHA256, DESK_NORMALIZER_SHA256)
+
+
+def test_desk_ablation_bytes_are_pinned(desk_run):
+    ablation = hashlib.sha256(canonical_json(desk_run["report"]).encode("utf-8")).hexdigest()
+    assert ablation == DESK_ABLATION_SHA256
 
 
 class TestGate:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,6 +206,26 @@ class TestKernelsAndRetrieve:
         assert code == 3
         assert message in err
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--theta", "nan", "theta must be finite, got nan"),
+            ("--theta", "inf", "theta must be finite, got inf"),
+            ("--k", "-1", "k must be nonnegative, got -1"),
+            ("--budget", "-1", "budget must be nonnegative, got -1"),
+            ("--chain-min-len", "0", "chain_min_len must be positive, got 0"),
+            ("--chain-min-len", "-3", "chain_min_len must be positive, got -3"),
+        ],
+    )
+    def test_bad_library_parameter_exits_3(self, flag, value, message, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        run_cli(capsys, "gen", "--out", str(suite), "--count", "2", "--seed", "2")
+        lib = tmp_path / "lib.json"
+        code, _, err = run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(lib), flag, value)
+        assert code == 3
+        assert message in err
+        assert not lib.exists()
+
     def test_build_deterministic(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         run_cli(capsys, "gen", "--out", str(suite), "--count", "8", "--seed", "2")
@@ -329,6 +350,26 @@ class TestAblate:
         report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
         assert set(report["modes"]) == {"full", "no_retrieval"}
         assert "full" in stdout and "no_retrieval" in stdout
+
+
+    @pytest.mark.parametrize(
+        ("section", "message"),
+        [
+            ({"library": {"budget": -5}}, "budget must be nonnegative, got -5"),
+            ({"loop": {"infeasibility_penalty": math.nan}}, "infeasibility_penalty must be finite and nonnegative"),
+            ({"loop": {"infeasibility_penalty": math.inf}}, "infeasibility_penalty must be finite and nonnegative"),
+            ({"loop": {"infeasibility_penalty": -1.0}}, "infeasibility_penalty must be finite and nonnegative"),
+            ({"modes": ["full", "no_retrieval", "full"]}, "ablation mode 'full' is listed twice"),
+        ],
+    )
+    def test_bad_run_config_value_exits_3(self, section, message, tmp_path, capsys):
+        config = {"seed": 3, "train": {"count": 4, "label": "train"}, "val": {"count": 2, "label": "val"}, **section}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "ablate", "--config", str(path), "--out", str(tmp_path / "ab"))
+        assert code == 3
+        assert message in err
+        assert not (tmp_path / "ab").exists()
 
 
 class TestDeskAblationScript:

@@ -1,7 +1,11 @@
+import enum
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_crit, brute_level, brute_reconv, dags, reference_compute_reconv
 from priosynth.bench import GeneratorSpec, generate_graph
@@ -9,12 +13,45 @@ from priosynth.graph import (
     Dag,
     GraphFormatError,
     NodeRecord,
+    canonical_json,
     compute_crit,
     compute_levels,
     compute_reconv,
     dump_dag,
     load_dag,
 )
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+
+# Non-str keys of one type at a time: json.dumps sorts keys before it writes
+# them, so mixed key types fail the same way in both writers.
+_json_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _stdlib_json(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def _reference_reconv_column(dag: Dag) -> tuple[int, ...]:
@@ -298,6 +335,28 @@ class TestSerialization:
         ids = [entry["id"] for entry in doc["nodes"]]
         assert ids == sorted(ids)
         assert doc["edges"] == sorted(doc["edges"])
+
+    @given(_json_documents)
+    @settings(max_examples=400, deadline=None)
+    def test_canonical_json_matches_the_stdlib_writer(self, document):
+        assert canonical_json(document) == _stdlib_json(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"a": [np.float64(0.1), 2], "b": {}},
+            [_Level.LOW, {"z": _Level.LOW}],
+            {1: "a", 10: "b", 2: "c"},
+        ],
+    )
+    def test_canonical_json_examples(self, document):
+        assert canonical_json(document) == _stdlib_json(document)
+
+    def test_canonical_json_rejects_a_cycle_like_the_stdlib(self):
+        document: list = [1]
+        document.append({"loop": document})
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_json(document)
 
     def test_direct_construction_matches_loader(self):
         dag = Dag(

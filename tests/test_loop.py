@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_dag
+from helpers import random_dag, reference_fallback_synthesize
 from priosynth import kernels as kernels_module
 from priosynth import loop
 from priosynth.dsl import ExprError, eval_expr, parse_expr
@@ -204,6 +204,42 @@ class TestFallback:
         selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
         assert fallback_synthesize(selections, batch, cfg) == fallback_synthesize(selections, batch, cfg)
 
+    @pytest.mark.parametrize("mode", ["full", "no_retrieval", "random_kernel"])
+    def test_matches_reference_synthesizer(self, setup, mode):
+        train, val, vocab, kernels, normalizer = setup
+        for iteration in range(3):
+            cfg = LoopConfig(seed=iteration, top_m=2 + iteration, batch_size=4 + 3 * iteration, ablation=mode)
+            batch = sample_batch(train, cfg, iteration)
+            selections = select_kernels(batch, kernels, normalizer, vocab, cfg, iteration)
+            expected = reference_fallback_synthesize(selections, batch, cfg)
+            assert fallback_synthesize(selections, batch, cfg) == expected
+
+    def test_repeated_candidate_skips_the_memo(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(top_m=3)
+        batch = train[:8]
+        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        candidates = []
+        real_make_expr = loop.make_expr
+
+        def recording_make_expr(weights):
+            expr = real_make_expr(weights)
+            candidates.append(expr.terms)
+            return expr
+
+        class CountingMemo(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        monkeypatch.setattr(loop, "make_expr", recording_make_expr)
+        memo = CountingMemo()
+        fallback_synthesize(selections, batch, cfg, memo)
+        assert len(set(candidates)) < len(candidates)
+        assert memo.lookups == len(set(candidates)) * len(batch)
+
 
 class TestFeedback:
     def test_mentions_worst_regressions(self, setup):
@@ -316,6 +352,10 @@ class TestRunLoop:
             LoopConfig(ablation="bogus")
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
+        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0):
+            with pytest.raises(ValueError, match="infeasibility_penalty must be finite and nonnegative"):
+                LoopConfig(infeasibility_penalty=penalty)
+        assert LoopConfig(infeasibility_penalty=0.0).infeasibility_penalty == 0.0
 
 
 class TestAblation:

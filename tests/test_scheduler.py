@@ -80,6 +80,20 @@ class TestListSchedule:
         schedule = list_schedule(diamond, {0: bad, 1: 0.0, 2: 0.0, 3: 0.0})
         assert schedule == Schedule(starts={}, makespan=0, feasible=False, runtime_ms=schedule.runtime_ms)
 
+    @pytest.mark.parametrize(
+        "priority",
+        [
+            [math.nan, 0.0, 0.0, 0.0],
+            (0.0, 0.0, 0.0, math.inf),
+            [1e308, 1e308, 1e308, -math.inf],
+            [math.inf, -math.inf, 0.0, 0.0],
+            [1e308, 1e308, 1e308, math.nan],
+        ],
+    )
+    def test_non_finite_priority_sequence_poisons(self, diamond, priority):
+        schedule = list_schedule(diamond, priority, measure=False)
+        assert schedule == Schedule(starts={}, makespan=0, feasible=False, runtime_ms=0.0)
+
     def test_missing_priority_raises(self, diamond):
         with pytest.raises(ValueError, match="missing node"):
             list_schedule(diamond, {0: 1.0})
@@ -144,6 +158,25 @@ class TestScaleEquivalence:
             assert schedule.feasible and reference.feasible
             assert schedule.starts == reference.starts
             assert schedule.makespan == reference.makespan
+
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
+    def test_finite_priorities_whose_sum_overflows(self, scale_dags, index):
+        dag = scale_dags[index]
+        n = len(dag)
+        for priority in ([1e308] * n, tuple((v % 7) * 1e307 for v in range(n))):
+            assert not math.isfinite(sum(priority))
+            schedule = list_schedule(dag, priority, measure=False)
+            reference = reference_list_schedule(dag, priority, measure=False)
+            assert schedule.feasible and reference.feasible
+            assert schedule.starts == reference.starts
+            assert schedule.makespan == reference.makespan
+
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
+    def test_makespan_is_the_latest_finish(self, scale_dags, index):
+        dag = scale_dags[index]
+        for priority in scale_priorities(dag, index):
+            schedule = list_schedule(dag, priority, measure=False)
+            assert schedule.makespan == max(t + dag.nodes[v].duration for v, t in schedule.starts.items())
 
 
 class TestVerify:
