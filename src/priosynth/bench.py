@@ -116,6 +116,8 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
 
 
 def generate_suite(spec: GeneratorSpec, count: int) -> list[Dag]:
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     return [generate_graph(spec, index) for index in range(count)]
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    FAMILIES,
     GeneratorSpec,
     generate_suite,
     render_report_csv,
@@ -23,7 +24,14 @@ from .bench import (
     run_campaign,
     standard_battery,
 )
-from .config import ConfigError, _generator_to_document, load_run_config, prepare_run, run_config_to_document
+from .config import (
+    ConfigError,
+    LibraryParams,
+    _generator_to_document,
+    load_run_config,
+    prepare_run,
+    run_config_to_document,
+)
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
 from .embedding import build_vocab, dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded graph suite")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--family", default="layered", choices=("layered", "chain", "fork_join", "diamond_mesh"))
+    p.add_argument("--family", default="layered", choices=FAMILIES)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=4)
@@ -289,10 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--train", nargs="+", required=True, help="graph files or directories")
     pb.add_argument("--out", required=True, help="library JSON path")
     pb.add_argument("--normalizer-out", default=None, help="normalizer JSON path")
-    pb.add_argument("--k", type=int, default=2, help="neighborhood hop radius")
-    pb.add_argument("--theta", type=float, default=0.95, help="clustering similarity threshold")
-    pb.add_argument("--budget", type=int, default=50, help="maximum kernels kept")
-    pb.add_argument("--chain-min-len", type=int, default=4)
+    library = LibraryParams()
+    pb.add_argument("--k", type=int, default=library.k, help="neighborhood hop radius")
+    pb.add_argument("--theta", type=float, default=library.theta, help="clustering similarity threshold")
+    pb.add_argument("--budget", type=int, default=library.budget, help="maximum kernels kept")
+    pb.add_argument("--chain-min-len", type=int, default=library.chain_min_len)
     pb.set_defaults(func=cmd_kernels_build)
 
     p = sub.add_parser("retrieve", help="top-m kernels for a graph")

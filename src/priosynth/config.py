@@ -19,7 +19,7 @@ from .bench import GeneratorSpec, generate_suite
 from .embedding import Normalizer, build_vocab
 from .graph import Dag
 from .kernels import Kernel, build_kernel_library
-from .loop import ABLATIONS, LoopConfig, loop_config_to_document
+from .loop import ABLATIONS, LoopConfig, check_modes, loop_config_to_document
 
 
 class ConfigError(ValueError):
@@ -138,11 +138,10 @@ def load_run_config(document) -> RunConfig:
     modes_doc = document.get("modes", list(ABLATIONS))
     if not isinstance(modes_doc, list) or not modes_doc:
         raise ConfigError("modes must be a non-empty array")
-    for index, mode in enumerate(modes_doc):
-        if mode not in ABLATIONS:
-            raise ConfigError(f"unknown ablation mode {mode!r}")
-        if mode in modes_doc[:index]:
-            raise ConfigError(f"ablation mode {mode!r} is listed twice")
+    try:
+        check_modes(modes_doc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunConfig(
         seed=seed,
         train_spec=train_spec,

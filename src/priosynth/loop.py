@@ -555,6 +555,15 @@ def run_loop(
     return RunResult(best_expr=parse_expr(best.expr), best_iteration=best.iteration, history=history)
 
 
+def check_modes(modes: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless every mode is a known ablation mode, listed once."""
+    for index, mode in enumerate(modes):
+        if mode not in ABLATIONS:
+            raise ValueError(f"unknown ablation mode {mode!r}")
+        if mode in modes[:index]:
+            raise ValueError(f"ablation mode {mode!r} is listed twice")
+
+
 def run_ablation(
     train: Sequence[Dag],
     val: Sequence[Dag],
@@ -569,12 +578,11 @@ def run_ablation(
     and report per-mode winners with mean validation makespans.  The modes
     share one schedule memo and one set of query vectors, so a pair one mode
     scored is not scheduled again by the next, nor a graph embedded again."""
+    check_modes(modes)
     out: dict = {"modes": {}}
     memo: ScheduleMemo = {}
     vectors: QueryVectors = {}
     for mode in modes:
-        if mode not in ABLATIONS:
-            raise ValueError(f"unknown ablation mode {mode!r}")
         result = run_loop(
             train,
             val,

@@ -142,78 +142,58 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
     """Return a list of violation messages; empty means valid.
 
     Checks completeness, integer nonnegative starts, every precedence edge,
-    and per-type capacity at every cycle (by an event sweep).  A valid
-    schedule is accepted by one pass over the nodes; only a schedule that
-    pass cannot vouch for reaches the slower loop that writes the messages.
+    and per-type capacity at every cycle, in that order.  Each check is one
+    pass over whole columns; only a check that fails walks its items to
+    write the messages.
+
+    Capacity: per type, counting from 0, the j-th smallest finish must not
+    exceed the (j + cap)-th smallest start.  A finish at cycle t frees its
+    unit before a start at t claims one, so the first j that breaks this
+    names the cycle, that (j + cap)-th start, at which the load first
+    exceeds the capacity.
     """
-    if _fast_accept(dag, starts):
-        return []
-    violations: list[str] = []
     n = len(dag)
-    for v in range(n):
-        if v not in starts:
-            violations.append(f"node {v} has no start time")
-    for v in starts:
-        if not (type(v) is int and 0 <= v < n):
-            violations.append(f"unknown node {v!r} in starts")
-    if violations:
-        return violations
-    for v, s in starts.items():
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            violations.append(f"node {v}: start {s!r} is not a nonnegative integer")
-    if violations:
-        return violations
-    for u, v in dag.edges:
-        if starts[v] < starts[u] + dag.nodes[u].duration:
-            violations.append(
-                f"precedence violated on edge ({u}, {v}): {starts[v]} < {starts[u]} + {dag.nodes[u].duration}"
-            )
-    events: dict[str, list[tuple[int, int]]] = {t: [] for t in dag.capacities}
-    for rec in dag.nodes:
-        events[rec.op_type].append((starts[rec.id], 1))
-        events[rec.op_type].append((starts[rec.id] + rec.duration, -1))
-    for op, moves in events.items():
-        load = 0
-        for cycle, delta in sorted(moves):
-            load += delta
-            if load > dag.capacities[op]:
-                violations.append(f"capacity exceeded for type {op!r} at cycle {cycle}")
-                break
-    return violations
-
-
-def _fast_accept(dag: Dag, starts: Mapping[int, int]) -> bool:
-    """True only when ``verify_schedule``'s message loop would report
-    nothing: every key a plain ``int`` node id, every node present, every
-    start a plain nonnegative ``int``, no node starting before its latest
-    predecessor finishes, and, per type, counting from 0, no j-th smallest
-    start before the (j - cap)-th smallest finish.  The last is the event
-    sweep's test, where a finish at cycle t frees its unit before a start at
-    t claims one.  False means "not proven valid", never "invalid"."""
-    n = len(dag)
+    # The type test comes first: it rejects an empty or mixed key set
+    # before min() and max() see it.
     if len(starts) != n or set(map(type, starts)) != {int} or min(starts) < 0 or max(starts) >= n:
-        return False
+        missing = [f"node {v} has no start time" for v in range(n) if v not in starts]
+        return missing + [f"unknown node {v!r} in starts" for v in starts if not (type(v) is int and 0 <= v < n)]
     values = starts.values()
     if set(map(type, values)) != {int} or min(values) < 0:
-        return False
+        # Only a message rejects: an int subclass other than bool is valid.
+        bad = [
+            f"node {v}: start {s!r} is not a nonnegative integer"
+            for v, s in starts.items()
+            if not isinstance(s, int) or isinstance(s, bool) or s < 0
+        ]
+        if bad:
+            return bad
     start = [0] * n
     for v, s in starts.items():
         start[v] = s
     nodes = dag.nodes
     finish = [s + rec.duration for s, rec in zip(start, nodes)]
+    violations: list[str] = []
     for v, preds in enumerate(dag.preds):
         if preds and max(map(finish.__getitem__, preds)) > start[v]:
-            return False
+            # A loop, because before Python 3.12 a comprehension here would make
+            # start and finish closure cells and slow every read of them.
+            for u, w in dag.edges:
+                if start[w] < finish[u]:
+                    violations.append(
+                        f"precedence violated on edge ({u}, {w}): {start[w]} < {start[u]} + {nodes[u].duration}"
+                    )
+            break
     by_type: dict[str, list[int]] = {t: [] for t in dag.capacities}
     for rec in nodes:
         by_type[rec.op_type].append(rec.id)
     for op, members in by_type.items():
-        cap = dag.capacities[op]
-        type_starts = sorted(map(start.__getitem__, members))
         type_finishes = sorted(map(finish.__getitem__, members))
-        if any(map(operator.gt, type_finishes, type_starts[cap:])):
-            return False
-    return True
+        later_starts = sorted(map(start.__getitem__, members))[dag.capacities[op]:]
+        if any(map(operator.gt, type_finishes, later_starts)):
+            j = list(map(operator.gt, type_finishes, later_starts)).index(True)
+            violations.append(f"capacity exceeded for type {op!r} at cycle {later_starts[j]}")
+    return violations
 
 
 def lower_bound_makespan(dag: Dag) -> int:

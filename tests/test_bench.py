@@ -39,6 +39,11 @@ class TestGenerators:
         in_suite = generate_suite(spec, 5)[3]
         assert dump_dag(alone) == dump_dag(in_suite)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_suite_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            generate_suite(GeneratorSpec(), count)
+
     def test_seed_and_label_change_output(self):
         base = GeneratorSpec(family="layered", seed=9, label="t")
         other_seed = GeneratorSpec(family="layered", seed=10, label="t")

@@ -78,6 +78,14 @@ class TestGen:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_count_below_one_exits_3_and_writes_nothing(self, count, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "gen", "--out", str(out), "--count", count)
+        assert code == 3
+        assert f"count must be a positive integer, got {count}" in err
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_feature_tables(self, graph_file, capsys):
@@ -360,6 +368,7 @@ class TestAblate:
             ({"loop": {"infeasibility_penalty": math.inf}}, "infeasibility_penalty must be finite and nonnegative"),
             ({"loop": {"infeasibility_penalty": -1.0}}, "infeasibility_penalty must be finite and nonnegative"),
             ({"modes": ["full", "no_retrieval", "full"]}, "ablation mode 'full' is listed twice"),
+            ({"modes": ["full", "nope"]}, "unknown ablation mode 'nope'"),
         ],
     )
     def test_bad_run_config_value_exits_3(self, section, message, tmp_path, capsys):

@@ -375,6 +375,21 @@ class TestAblation:
         with pytest.raises(ValueError):
             run_ablation(train, val, kernels, normalizer, vocab, cfg, modes=("nope",))
 
+    @pytest.mark.parametrize(
+        ("modes", "message"),
+        [
+            (("full", "full"), "^ablation mode 'full' is listed twice$"),
+            (("full", "nope"), "^unknown ablation mode 'nope'$"),
+        ],
+    )
+    def test_bad_mode_list_runs_no_mode(self, setup, monkeypatch, modes, message):
+        train, val, vocab, kernels, normalizer = setup
+        runs = []
+        monkeypatch.setattr(loop, "run_loop", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(), modes=modes)
+        assert runs == []
+
 
 class TestScheduleMemo:
     """One run schedules each (graph, expression) pair once and reuses the

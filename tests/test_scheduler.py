@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import random
@@ -20,7 +21,7 @@ from helpers import (
 )
 from priosynth.bench import GeneratorSpec, generate_graph, standard_battery
 from priosynth.dsl import eval_expr, parse_expr
-from priosynth.graph import load_dag
+from priosynth.graph import Dag, load_dag
 from priosynth.scheduler import (
     Schedule,
     baseline_expr_text,
@@ -297,6 +298,78 @@ class TestVerifyEquivalence:
         base = list_schedule(dag, seeded_priority(dag, seed), measure=False).starts
         starts = {v: max(0, s + rng.choice((0, 0, 0, -1, 1, -2))) for v, s in base.items()}
         assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts)
+
+
+@st.composite
+def dags_with_starts(draw):
+    """A graph and a start map that need not come from any scheduler: small
+    int starts that break edges and capacities freely, sometimes with node
+    ids dropped, keys outside the id range or float keys, and sometimes with
+    negative, float or bool start values.  Bool keys are left out: the
+    reference checker predates treating them as unknown nodes."""
+    dag = draw(dags())
+    n = len(dag)
+    starts: dict = {v: draw(st.integers(0, 2 * n)) for v in range(n)}
+    if draw(st.booleans()):
+        for v in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            del starts[v]
+        for key in draw(st.lists(st.integers(-2, n + 1) | st.sampled_from([0.0, 1.0, 2.5]), max_size=3)):
+            starts[key] = draw(st.integers(0, 2 * n))
+    if starts and draw(st.booleans()):
+        for key in draw(st.sets(st.sampled_from(sorted(starts, key=repr)), max_size=3)):
+            starts[key] = draw(st.integers(-2, -1) | st.sampled_from([0.0, 1.0, 2.5]) | st.booleans())
+    return dag, starts
+
+
+class TestVerifyArbitraryStarts:
+    """The checker against the reference on start maps that are not
+    perturbed list schedules."""
+
+    @given(dags_with_starts())
+    @settings(max_examples=300, deadline=None)
+    def test_messages_match_reference(self, dag_and_starts):
+        dag, starts = dag_and_starts
+        assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts)
+
+    def test_several_edges_and_types_at_once(self):
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "ab"[i % 2], "duration": 2} for i in range(6)],
+                "edges": [[0, 2], [1, 3], [2, 4]],
+                "capacities": {"a": 1, "b": 2},
+            }
+        )
+        starts = {v: 0 for v in range(6)}
+        expected = [
+            "precedence violated on edge (0, 2): 0 < 0 + 2",
+            "precedence violated on edge (1, 3): 0 < 0 + 2",
+            "precedence violated on edge (2, 4): 0 < 0 + 2",
+            "capacity exceeded for type 'a' at cycle 0",
+            "capacity exceeded for type 'b' at cycle 0",
+        ]
+        assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts) == expected
+
+    def test_int_subclass_starts_are_checked(self):
+        # They fail the plain-int type test but are valid start values, so
+        # the later checks still run on them.
+        cycle = enum.IntEnum("Cycle", {"ZERO": 0, "ONE": 1, "TWO": 2})
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 2} for i in range(2)],
+                "edges": [[0, 1]],
+                "capacities": {"a": 1},
+            }
+        )
+        assert verify_schedule(dag, {0: cycle.ZERO, 1: cycle.TWO}) == []
+        late = {0: cycle.ZERO, 1: cycle.ONE}
+        violations = verify_schedule(dag, late)
+        assert violations == reference_verify_schedule(dag, late)
+        assert [v.split(" ")[0] for v in violations] == ["precedence", "capacity"]
+
+    def test_empty_graph(self):
+        dag = Dag([], [], {})
+        assert verify_schedule(dag, {}) == []
+        assert verify_schedule(dag, {0: 0}) == ["unknown node 0 in starts"]
 
 
 class TestOptimal:
