@@ -14,6 +14,9 @@ The artifacts cover:
 - ``large``-shaped campaigns (four 60x64 and two 80x96 layered graphs through
   the standard battery) for input seeds 0-4: ``campaign.json``;
 - the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1;
+- per ablation, an ``outcomes`` digest of what it scheduled (see
+  :func:`ablation_outcomes`), so a change that rewrites only expression text
+  shows that no schedule moved;
 - the output of ``priosynth stats``, ``report --zero-runtime`` (text and csv)
   and ``schedule --zero-runtime --verify`` under three expressions, on a
   generated six-graph suite.
@@ -25,6 +28,7 @@ about a minute.
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +41,24 @@ import run_desk_ablation  # noqa: E402
 
 LARGE_SUITES = ((60, 64, 4), (80, 96, 2))
 CLI_EXPRESSIONS = ("1*level", "2*crit + 1*fanout - 1*level", "1*reconv - 0.5*slack + 0.25*pressure")
+
+
+def ablation_outcomes(report: dict) -> str:
+    """An ablation report without its expression text: per mode, every
+    record's (graph, makespan, feasible, score) rows and the winner's mean
+    validation makespan."""
+    return canonical_json(
+        {
+            mode: {
+                "mean_val_makespan": row["mean_val_makespan"],
+                "records": [
+                    [[e["graph"], e["makespan"], e["feasible"], e["score"]] for e in record["evals"]]
+                    for record in row["history"]["records"]
+                ],
+            }
+            for mode, row in report["modes"].items()
+        }
+    )
 
 
 def search_artifacts(seed: int) -> dict[str, str]:
@@ -52,6 +74,7 @@ def search_artifacts(seed: int) -> dict[str, str]:
         "library.json": kernels.dump_library(run.kernels),
         "normalizer.json": embedding.dump_normalizer(run.normalizer),
         "ablation.json": canonical_json(report),
+        "outcomes": ablation_outcomes(report),
     }
 
 
@@ -67,7 +90,9 @@ def large_artifacts(seed: int) -> dict[str, str]:
 def desk_artifacts(seed: int) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         run_desk_ablation.main(["--seed", str(seed), "--out", tmp])
-        return {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(tmp).iterdir())}
+        out = {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(tmp).iterdir())}
+    out["outcomes"] = ablation_outcomes(json.loads(out["ablation.json"]))
+    return out
 
 
 def run_cli(*argv: str) -> str:

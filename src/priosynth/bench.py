@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
 from .dsl import FEATURES, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
@@ -50,6 +50,11 @@ class GeneratorSpec:
         lo, hi = self.duration_range
         if lo < 1 or hi < lo:
             raise ValueError("duration_range must satisfy 1 <= lo <= hi")
+        weights = [weight for _, weight in self.type_weights]
+        if not (all(isfinite(w) and w >= 0 for w in weights) and sum(weights) > 0):
+            raise ValueError(
+                f"type_weights must be finite and nonnegative with a positive total, got {dict(self.type_weights)!r}"
+            )
 
 
 def _draw_node(rng: random.Random, spec: GeneratorSpec) -> tuple[str, int]:

@@ -64,6 +64,11 @@ def _parse_pairs(text: str, cast, what: str) -> dict:
     return out
 
 
+def _format_pairs(pairs) -> str:
+    """The ``name=value`` text that :func:`_parse_pairs` reads back to ``pairs``."""
+    return ",".join(f"{name}={value}" for name, value in pairs)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -275,15 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded graph suite")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--family", default="layered", choices=FAMILIES)
+    generator = GeneratorSpec()
+    p.add_argument("--family", default=generator.family, choices=FAMILIES)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--edge-prob", type=float, default=0.35)
-    p.add_argument("--durations", type=int, nargs=2, default=(1, 6), metavar=("LO", "HI"))
-    p.add_argument("--types", default="alu=3,mem=1,mul=1", help="comma list of type=weight")
-    p.add_argument("--capacities", default="alu=2,mem=1,mul=1", help="comma list of type=capacity")
+    p.add_argument("--seed", type=int, default=generator.seed)
+    p.add_argument("--layers", type=int, default=generator.layers)
+    p.add_argument("--width", type=int, default=generator.width)
+    p.add_argument("--edge-prob", type=float, default=generator.edge_prob)
+    p.add_argument("--durations", type=int, nargs=2, default=generator.duration_range, metavar=("LO", "HI"))
+    p.add_argument("--types", default=_format_pairs(generator.type_weights), help="comma list of type=weight")
+    p.add_argument("--capacities", default=_format_pairs(generator.capacities), help="comma list of type=capacity")
     p.add_argument("--label", default=None, help="random-stream label (default: family name)")
     p.set_defaults(func=cmd_gen)
 

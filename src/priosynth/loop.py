@@ -301,13 +301,16 @@ def parse_reply(text: str) -> PriorityExpr:
 
 # Fixed sign conventions for the deterministic synthesizer: pull work that
 # unlocks depth and parallelism forward, push slack and shallow level back.
+# These are the features it searches.  ``pressure`` and ``const`` are left
+# out: each takes one value per op type, and list_schedule ranks each type's
+# ready heap on its own (see the scheduler module docstring), so adding them
+# cannot change which node gets a unit.
 _FEATURE_SIGNS = {
     "crit": 1.0,
     "duration": 1.0,
     "fanin": 1.0,
     "fanout": 1.0,
     "level": -1.0,
-    "pressure": 1.0,
     "reconv": 1.0,
     "slack": -1.0,
 }
@@ -327,13 +330,13 @@ def fallback_synthesize(
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer.
 
-    The basis is the union of features named by the retrieved kernel
-    templates plus an always-present core (crit, fanout, level).  Coordinate
-    descent over a fixed magnitude grid maximizes the mean batch score, run
-    from three starts: the signed mean of template defaults, a hand-written
-    critical-path start, and that same start restricted to the core basis.
-    Each distinct candidate is scored once per call.  No randomness and no
-    wall-clock input anywhere.
+    The basis is the searchable features (the keys of ``_FEATURE_SIGNS``)
+    named by the retrieved kernel templates, plus an always-present core
+    (crit, fanout, level).  Coordinate descent over a fixed magnitude grid
+    maximizes the mean batch score, run from three starts: the signed mean
+    of template defaults, a hand-written critical-path start, and that same
+    start restricted to the core basis.  Each distinct candidate is scored
+    once per call.  No randomness and no wall-clock input anywhere.
     """
     if memo is None:
         memo = {}
@@ -342,7 +345,8 @@ def fallback_synthesize(
         for kern in kerns:
             defaults = dict(kern.template.defaults)
             for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
-                contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
+                if feature in _FEATURE_SIGNS:
+                    contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
     basis = sorted(set(contributions) | set(_CORE_FEATURES))
     # The descent revisits the same weights again and again; a candidate
     # scored earlier in this call returns its score without a memo lookup.

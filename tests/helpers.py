@@ -25,7 +25,6 @@ from priosynth.graph import Dag, load_dag
 from priosynth.kernels import TEMPLATE_FAMILIES, Kernel
 from priosynth.loop import (
     _CORE_FEATURES,
-    _FEATURE_SIGNS,
     _GRID,
     _MAX_PASSES,
     LoopConfig,
@@ -398,6 +397,19 @@ def reference_eval_expr(expr: PriorityExpr, dag: Dag) -> dict[int, float]:
     return out
 
 
+# The fallback's sign conventions while it still searched ``pressure``.
+_FEATURE_SIGNS = {
+    "crit": 1.0,
+    "duration": 1.0,
+    "fanin": 1.0,
+    "fanout": 1.0,
+    "level": -1.0,
+    "pressure": 1.0,
+    "reconv": 1.0,
+    "slack": -1.0,
+}
+
+
 def reference_fallback_synthesize(
     selections: Sequence[tuple[Dag, Sequence[Kernel]]],
     batch: Sequence[Dag],
@@ -405,7 +417,8 @@ def reference_fallback_synthesize(
     memo: ScheduleMemo | None = None,
 ) -> PriorityExpr:
     """The fallback synthesizer before it kept its own scores: every
-    candidate, repeated or not, is looked up in the schedule memo again.
+    candidate, repeated or not, is looked up in the schedule memo again.  It
+    also still searches ``pressure`` (see ``_FEATURE_SIGNS`` above).
 
     Deterministic template-merge synthesizer.
 

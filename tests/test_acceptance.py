@@ -7,8 +7,10 @@ fixture so the gain and ablation checks observe the same corpus.
 """
 
 import hashlib
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +73,12 @@ DESK_LIBRARY_SHA256 = "b8e4343727dce3cbf8d00d1ffcaeb3c156e538be5c75fc4758ed2c2f3
 DESK_NORMALIZER_SHA256 = "3ea8d5d66adb7c2010f1131c8ac9bf3ff24f3acc57e27b0ef010fa7d8ecf1a94"
 # sha256 of the seed-0 desk ablation.json: the fallback search's winners,
 # every recorded schedule length, and the JSON writer's bytes.
-DESK_ABLATION_SHA256 = "fbb7059144cc31c71a349f101ea5dd85ecdda6eda64df6ba1dd8762fc6431063"
+DESK_ABLATION_SHA256 = "fe4c1d08039c582ebcb9b16b43036c9ace92070fd19760eff2f4e8c79a8b9e4b"
+# sha256 of the same ablation's outcomes alone (``ablation_outcomes`` in
+# scripts/artifact_digests.py): every record's (graph, makespan, feasible,
+# score) rows and each mode's mean validation makespan.  A change that
+# rewrites only expression text leaves this pin as it is.
+DESK_OUTCOMES_SHA256 = "ca4ecab7671cc46a4bd96e12ab6713652f9c653a158ee08b72308471c85e2deb"
 
 
 def test_desk_library_bytes_are_pinned(desk_run):
@@ -83,6 +90,15 @@ def test_desk_library_bytes_are_pinned(desk_run):
 def test_desk_ablation_bytes_are_pinned(desk_run):
     ablation = hashlib.sha256(canonical_json(desk_run["report"]).encode("utf-8")).hexdigest()
     assert ablation == DESK_ABLATION_SHA256
+
+
+def test_desk_ablation_outcomes_are_pinned(desk_run):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    outcomes = hashlib.sha256(module.ablation_outcomes(desk_run["report"]).encode("utf-8")).hexdigest()
+    assert outcomes == DESK_OUTCOMES_SHA256
 
 
 class TestGate:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from priosynth.bench import GeneratorSpec
 from priosynth.cli import main
+from priosynth.config import _generator_to_document
 from priosynth.graph import canonical_json, load_dag
 
 
@@ -77,6 +79,21 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "x"), "--types", "alu")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("types", ["alu=-1,mem=3,mul=0", "alu=nan,mem=1", "alu=inf", "alu=0,mem=0"])
+    def test_bad_type_weights_exit_3_and_write_nothing(self, types, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "gen", "--out", str(out), "--count", "3", "--types", types)
+        assert code == 3
+        assert "type_weights must be finite and nonnegative with a positive total" in err
+        assert not out.exists()
+
+    def test_defaults_are_the_generator_defaults(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, *_ = run_cli(capsys, "gen", "--out", str(out), "--count", "1")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == _generator_to_document(GeneratorSpec(label="layered"), 1)
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_count_below_one_exits_3_and_writes_nothing(self, count, tmp_path, capsys):

@@ -35,6 +35,12 @@ def test_mistyped_value_is_rejected_by_name(path, value):
         load_run_config(nested(path, value))
 
 
+@pytest.mark.parametrize("types", [{"alu": -1, "mem": 3}, {"alu": 0, "mem": 0}, {"alu": float("inf")}])
+def test_bad_type_weights_are_rejected(types):
+    with pytest.raises(ConfigError, match=r"^bad train: type_weights must be finite and nonnegative"):
+        load_run_config({"train": {"types": types}})
+
+
 def test_int_widens_to_float():
     theta = load_run_config({"library": {"theta": 1}}).library.theta
     assert theta == 1.0 and type(theta) is float

@@ -7,7 +7,7 @@ import pytest
 from helpers import random_dag, reference_fallback_synthesize
 from priosynth import kernels as kernels_module
 from priosynth import loop
-from priosynth.dsl import ExprError, eval_expr, parse_expr
+from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import canonical_json
 from priosynth.kernels import build_kernel_library
@@ -212,7 +212,33 @@ class TestFallback:
             batch = sample_batch(train, cfg, iteration)
             selections = select_kernels(batch, kernels, normalizer, vocab, cfg, iteration)
             expected = reference_fallback_synthesize(selections, batch, cfg)
+            # The reference still searches pressure; its winner equals ours
+            # once the per-type terms are dropped.
+            expected = make_expr(
+                {name: weight for weight, name in expected.terms if name not in ("pressure", "const")}
+            )
             assert fallback_synthesize(selections, batch, cfg) == expected
+
+    def test_never_scores_per_type_features(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(top_m=3)
+        batch = train[:8]
+        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        families = {kern.template.family for _, kerns in selections for kern in kerns}
+        assert "resource_aware" in families
+        candidates = []
+        real_make_expr = loop.make_expr
+
+        def recording_make_expr(weights):
+            expr = real_make_expr(weights)
+            candidates.append(expr)
+            return expr
+
+        monkeypatch.setattr(loop, "make_expr", recording_make_expr)
+        fallback_synthesize(selections, batch, cfg)
+        assert candidates
+        for expr in candidates:
+            assert not {"pressure", "const"} & set(expr.features()), print_expr(expr)
 
     def test_repeated_candidate_skips_the_memo(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
