@@ -12,7 +12,9 @@ The artifacts cover:
   10 iterations, batches of 16) for input seeds 0-19: ``library.json``,
   ``normalizer.json`` and ``ablation.json``;
 - ``large``-shaped campaigns (four 60x64 and two 80x96 layered graphs through
-  the standard battery) for input seeds 0-4: ``campaign.json``;
+  the standard battery) for input seeds 0-4: ``campaign.json``, and each
+  generated graph as ``dump_dag`` writes it, so the generator's bytes are
+  compared directly and not only through the campaign;
 - the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1;
 - per ablation, an ``outcomes`` digest of what it scheduled (see
   :func:`ablation_outcomes`), so a change that rewrites only expression text
@@ -84,7 +86,10 @@ def large_artifacts(seed: int) -> dict[str, str]:
         spec = bench.GeneratorSpec("layered", layers=layers, width=width, seed=seed, label=f"large-{layers}x{width}")
         suites[f"layered-{layers}x{width}"] = [bench.generate_graph(spec, index) for index in range(graphs)]
     report = bench.run_campaign(suites, bench.standard_battery(seed), measure_runtime=False)
-    return {"campaign.json": canonical_json(report)}
+    out = {"campaign.json": canonical_json(report)}
+    for suite, dags in suites.items():
+        out.update((f"{suite}/{dag.name}.json", dump_dag(dag)) for dag in dags)
+    return out
 
 
 def desk_artifacts(seed: int) -> dict[str, str]:

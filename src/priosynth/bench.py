@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
@@ -57,32 +58,34 @@ class GeneratorSpec:
             )
 
 
-def _draw_node(rng: random.Random, spec: GeneratorSpec) -> tuple[str, int]:
-    names = [name for name, _ in spec.type_weights]
-    weights = [weight for _, weight in spec.type_weights]
-    op = rng.choices(names, weights=weights, k=1)[0]
-    lo, hi = spec.duration_range
-    return op, rng.randint(lo, hi)
-
-
 def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
-    """Deterministically generate graph ``index`` of a suite."""
+    """Deterministically generate graph ``index`` of a suite.
+
+    The layered and chain families, which reach thousands of nodes, emit
+    their edges sorted by ``(pred, succ)``, the order :class:`Dag` stores
+    them in, so the constructor's sort is one linear pass.  The layered
+    family draws each node's predecessors as the node ids ascend and files
+    each edge under its predecessor to get that order.
+    """
     rng = random.Random(f"{spec.seed}:{spec.label}:{index}")
     if spec.family == "layered":
         layer_sizes = [rng.randint(max(1, spec.width // 2), spec.width) for _ in range(spec.layers)]
-        edges: list[tuple[int, int]] = []
-        layers: list[list[int]] = []
+        layers: list[range] = []
         counter = 0
         for size in layer_sizes:
-            layers.append(list(range(counter, counter + size)))
+            layers.append(range(counter, counter + size))
             counter += size
-        for depth in range(1, len(layers)):
-            for v in layers[depth]:
-                preds = [u for u in layers[depth - 1] if rng.random() < spec.edge_prob]
-                if not preds:
-                    preds = [rng.choice(layers[depth - 1])]
-                edges.extend((u, v) for u in preds)
         total = counter
+        succs: list[list[int]] = [[] for _ in range(total)]
+        draw, edge_prob = rng.random, spec.edge_prob
+        for above, layer in zip(layers, layers[1:]):
+            for v in layer:
+                preds = [u for u in above if draw() < edge_prob]
+                if not preds:
+                    preds = [rng.choice(above)]
+                for u in preds:
+                    succs[u].append(v)
+        edges = [(u, v) for u, vs in enumerate(succs) for v in vs]
     elif spec.family == "chain":
         total = spec.layers
         edges = [(i, i + 1) for i in range(total - 1)]
@@ -113,10 +116,13 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
             split = merge
         total = counter
 
+    names = [name for name, _ in spec.type_weights]
+    cum_weights = list(accumulate(weight for _, weight in spec.type_weights))
+    lo, hi = spec.duration_range
     nodes = []
     for v in range(total):
-        op, duration = _draw_node(rng, spec)
-        nodes.append(NodeRecord(id=v, op_type=op, duration=duration))
+        op = rng.choices(names, cum_weights=cum_weights)[0]
+        nodes.append(NodeRecord(id=v, op_type=op, duration=rng.randint(lo, hi)))
     return Dag(nodes, edges, dict(spec.capacities), name=f"{spec.family}-{index:04d}")
 
 

@@ -55,9 +55,11 @@ class Dag:
     """Validated directed acyclic graph of operations.
 
     Node ids must be dense integers ``0..n-1``.  Every op type that appears on
-    a node must have a positive capacity entry.  Edges are deduplicated and
-    stored sorted; a topological order is computed on construction (which also
-    proves acyclicity).
+    a node must have a positive capacity entry.  Each edge must be a pair of
+    ``int`` node ids.  Edges are deduplicated and stored sorted; a
+    topological order is computed on construction (which also proves
+    acyclicity).  Given edges already sorted, as the layered generator in
+    :mod:`priosynth.bench` emits them, construction is linear in the edges.
     """
 
     __slots__ = ("nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats")
@@ -94,17 +96,25 @@ class Dag:
             if rec.op_type not in caps:
                 raise GraphFormatError(f"missing capacity entry for op type {rec.op_type!r}")
 
-        edge_set: set[tuple[int, int]] = set()
+        checked: list[tuple[int, int]] = []
         for edge in edges:
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError(f"edge {edge!r} is not a pair of node ids") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}): endpoints must be integer node ids")
-            if u not in seen or v not in seen:
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id")
-            edge_set.add((u, v))
+            # A tuple edge is kept, not copied: generated graphs hand over
+            # up to ~150k of them.
+            checked.append(edge if type(edge) is tuple else (u, v))
 
         self.nodes: tuple[NodeRecord, ...] = tuple(node_list)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
+        # Timsort is linear on input that is already sorted, as generated
+        # edges are; ``dict.fromkeys`` then drops the duplicates, which
+        # sorting made adjacent, and keeps the order.
+        self.edges: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(sorted(checked)))
         self.capacities: dict[str, int] = dict(sorted(caps.items()))
         self.name = name
 
@@ -113,8 +123,8 @@ class Dag:
         for u, v in self.edges:
             succs[u].append(v)
             preds[v].append(u)
-        self.preds: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in preds)
-        self.succs: tuple[tuple[int, ...], ...] = tuple(tuple(s) for s in succs)
+        self.preds: tuple[tuple[int, ...], ...] = tuple(map(tuple, preds))
+        self.succs: tuple[tuple[int, ...], ...] = tuple(map(tuple, succs))
         self.topo_order: tuple[int, ...] = self._toposort()
         self._stats: StatsTable | None = None
 

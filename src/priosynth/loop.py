@@ -304,7 +304,13 @@ def parse_reply(text: str) -> PriorityExpr:
 # These are the features it searches.  ``pressure`` and ``const`` are left
 # out: each takes one value per op type, and list_schedule ranks each type's
 # ready heap on its own (see the scheduler module docstring), so adding them
-# cannot change which node gets a unit.
+# cannot change which node gets a unit.  That is exact only up to rounding: a
+# ``pressure`` term changes how the float priority sum rounds, so two nodes of
+# one type whose priorities tie or nearly tie can compare the other way, and
+# a provider's or template's expression with that term can still schedule
+# differently.  On validation graph ``layered-0138`` of the ``search``
+# benchmark's input set 5, ``1*crit + 1*fanout - 1*level + 1*pressure +
+# 1*reconv`` gives makespan 34 and the same sum without ``pressure`` 32.
 _FEATURE_SIGNS = {
     "crit": 1.0,
     "duration": 1.0,

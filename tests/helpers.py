@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from priosynth.bench import GeneratorSpec
 from priosynth.dsl import PriorityExpr, eval_expr, make_expr, parse_expr
-from priosynth.graph import Dag, load_dag
+from priosynth.graph import Dag, GraphFormatError, NodeRecord, load_dag
 from priosynth.kernels import TEMPLATE_FAMILIES, Kernel
 from priosynth.loop import (
     _CORE_FEATURES,
@@ -491,3 +491,112 @@ def reference_fallback_synthesize(
         if value > best_value:
             best_weights, best_value = weights, value
     return make_expr(best_weights)
+
+
+def reference_dag_edges(n: int, edges) -> dict[str, tuple]:
+    """``Dag.__init__``'s edge handling before it sorted the edges in input
+    order, for a graph with dense node ids ``0..n-1``: a per-edge check loop
+    into a set, the set sorted, adjacency appended edge by edge, and the
+    min-heap Kahn order.  Returns ``edges``, ``preds``, ``succs`` and
+    ``topo_order``, or raises as that constructor did (including the bare
+    ``ValueError``/``TypeError`` of an edge that is not a pair)."""
+    seen = set(range(n))
+    edge_set: set[tuple[int, int]] = set()
+    for edge in edges:
+        u, v = edge
+        if type(u) is not int or type(v) is not int:
+            raise GraphFormatError(f"edge ({u!r}, {v!r}): endpoints must be integer node ids")
+        if u not in seen or v not in seen:
+            raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id")
+        edge_set.add((u, v))
+    sorted_edges = tuple(sorted(edge_set))
+    preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted_edges:
+        succs[u].append(v)
+        preds[v].append(u)
+    indeg = [len(preds[v]) for v in range(n)]
+    heap = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in succs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    if len(order) != n:
+        stuck = min(v for v in range(n) if indeg[v] > 0)
+        raise GraphFormatError(f"cycle detected involving node {stuck}")
+    return {
+        "edges": sorted_edges,
+        "preds": tuple(tuple(p) for p in preds),
+        "succs": tuple(tuple(s) for s in succs),
+        "topo_order": tuple(order),
+    }
+
+
+def _reference_draw_node(rng: random.Random, spec: GeneratorSpec) -> tuple[str, int]:
+    names = [name for name, _ in spec.type_weights]
+    weights = [weight for _, weight in spec.type_weights]
+    op = rng.choices(names, weights=weights, k=1)[0]
+    lo, hi = spec.duration_range
+    return op, rng.randint(lo, hi)
+
+
+def reference_generate_graph(spec: GeneratorSpec, index: int) -> Dag:
+    """``generate_graph`` before it emitted sorted edges and drew node types
+    from precomputed cumulative weights: the layered family emits its edges
+    grouped by successor, and every node rebuilds the weight lists."""
+    rng = random.Random(f"{spec.seed}:{spec.label}:{index}")
+    if spec.family == "layered":
+        layer_sizes = [rng.randint(max(1, spec.width // 2), spec.width) for _ in range(spec.layers)]
+        edges: list[tuple[int, int]] = []
+        layers: list[list[int]] = []
+        counter = 0
+        for size in layer_sizes:
+            layers.append(list(range(counter, counter + size)))
+            counter += size
+        for depth in range(1, len(layers)):
+            for v in layers[depth]:
+                preds = [u for u in layers[depth - 1] if rng.random() < spec.edge_prob]
+                if not preds:
+                    preds = [rng.choice(layers[depth - 1])]
+                edges.extend((u, v) for u in preds)
+        total = counter
+    elif spec.family == "chain":
+        total = spec.layers
+        edges = [(i, i + 1) for i in range(total - 1)]
+    elif spec.family == "fork_join":
+        # Root, `width` parallel chains of `layers` nodes, join.
+        total = 2 + spec.width * spec.layers
+        edges = []
+        join = total - 1
+        for branch in range(spec.width):
+            first = 1 + branch * spec.layers
+            edges.append((0, first))
+            for step in range(spec.layers - 1):
+                edges.append((first + step, first + step + 1))
+            edges.append((first + spec.layers - 1, join))
+    else:  # diamond_mesh: stacked split/middle/merge diamonds
+        edges = []
+        counter = 0
+        split = counter
+        counter += 1
+        for _ in range(spec.layers):
+            middles = list(range(counter, counter + spec.width))
+            counter += spec.width
+            merge = counter
+            counter += 1
+            for mid in middles:
+                edges.append((split, mid))
+                edges.append((mid, merge))
+            split = merge
+        total = counter
+
+    nodes = []
+    for v in range(total):
+        op, duration = _reference_draw_node(rng, spec)
+        nodes.append(NodeRecord(id=v, op_type=op, duration=duration))
+    return Dag(nodes, edges, dict(spec.capacities), name=f"{spec.family}-{index:04d}")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_generate_graph
+from priosynth import bench
 from priosynth.bench import (
     FAMILIES,
     GeneratorSpec,
@@ -18,7 +20,7 @@ from priosynth.bench import (
     summarize,
 )
 from priosynth.dsl import print_expr
-from priosynth.graph import canonical_json, dump_dag
+from priosynth.graph import Dag, canonical_json, dump_dag
 
 
 class TestGenerators:
@@ -69,6 +71,51 @@ class TestGenerators:
         stats = dag.stats()
         assert stats.fanout[0] == 3
         assert stats.reconv[0] == 3  # all middle pairs meet at the merge
+
+    @pytest.mark.parametrize(
+        "family, layers, width, edge_prob",
+        [
+            ("layered", 1, 4, 0.35),
+            ("layered", 5, 5, 0.35),
+            ("layered", 4, 7, 1.0),
+            ("layered", 6, 5, 0.0),
+            ("layered", 60, 64, 0.35),
+            ("layered", 60, 64, 0.02),
+            ("layered", 80, 96, 0.35),
+            ("layered", 80, 96, 0.0),
+            ("chain", 1, 1, 0.35),
+            ("chain", 9, 1, 0.35),
+            ("fork_join", 3, 4, 0.35),
+            ("fork_join", 1, 6, 0.35),
+            ("diamond_mesh", 2, 3, 0.35),
+            ("diamond_mesh", 5, 1, 0.35),
+        ],
+    )
+    def test_bytes_match_reference_generator(self, family, layers, width, edge_prob):
+        weights = GeneratorSpec().type_weights
+        cases = [(0, 0, weights), (1, 1, weights), (7, 0, (("alu", 0.5), ("mem", 0.0), ("mul", 2.5)))]
+        if layers * width > 1000:
+            cases = cases[:2]  # thousands of nodes: one graph per seed
+        else:
+            cases += [(seed, index, weights) for seed in (2, 3) for index in range(3)]
+        for seed, index, type_weights in cases:
+            spec = GeneratorSpec(family, layers=layers, width=width, edge_prob=edge_prob, seed=seed,
+                                 type_weights=type_weights, label=f"ref-{family}")
+            assert dump_dag(generate_graph(spec, index)) == dump_dag(reference_generate_graph(spec, index))
+
+    def test_layered_hands_dag_sorted_edges(self, monkeypatch):
+        seen = []
+
+        def recording_dag(nodes, edges, capacities, name=None):
+            seen.append(list(edges))
+            return Dag(nodes, edges, capacities, name=name)
+
+        monkeypatch.setattr(bench, "Dag", recording_dag)
+        for edge_prob in (0.0, 0.02, 0.35):
+            generate_graph(GeneratorSpec("layered", layers=12, width=20, edge_prob=edge_prob, seed=2), 0)
+        assert len(seen) == 3
+        for edges in seen:
+            assert edges and edges == sorted(set(edges))
 
     def test_layered_edges_span_adjacent_layers(self):
         spec = GeneratorSpec(family="layered", layers=5, width=4, seed=3)

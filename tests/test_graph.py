@@ -1,13 +1,23 @@
 import enum
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_crit, brute_level, brute_reconv, dags, reference_compute_reconv
+from helpers import (
+    brute_crit,
+    brute_level,
+    brute_reconv,
+    dag_documents,
+    dags,
+    reference_compute_reconv,
+    reference_dag_edges,
+)
 from priosynth.bench import GeneratorSpec, generate_graph
 from priosynth.graph import (
     Dag,
@@ -20,6 +30,7 @@ from priosynth.graph import (
     dump_dag,
     load_dag,
 )
+from priosynth.kernels import induced_subdag, mine_motifs
 
 
 _scalars = st.one_of(
@@ -314,6 +325,94 @@ class TestFeatures:
                 assert value == 0.0
             else:
                 assert value == pytest.approx(work[op] / (dag.capacities[op] * cp))
+
+
+def _structure(dag: Dag) -> dict[str, tuple]:
+    return {"edges": dag.edges, "preds": dag.preds, "succs": dag.succs, "topo_order": dag.topo_order}
+
+
+def _parent_error(n: int, edges) -> str:
+    with pytest.raises(GraphFormatError) as caught:
+        reference_dag_edges(n, edges)
+    return str(caught.value)
+
+
+class TestEdgeConstruction:
+    """``Dag`` against the per-edge constructor it replaced."""
+
+    @staticmethod
+    def _nodes(n: int) -> list[NodeRecord]:
+        return [NodeRecord(v, "a", 1 + v % 3) for v in range(n)]
+
+    def _check(self, n: int, edges) -> None:
+        dag = Dag(self._nodes(n), edges, {"a": 2})
+        assert _structure(dag) == reference_dag_edges(n, edges)
+
+    def test_sorted_shuffled_and_duplicated_input(self, scale_dags):
+        rng = random.Random(7)
+        for base in scale_dags:
+            n = len(base)
+            edges = list(base.edges)
+            self._check(n, edges)
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            self._check(n, shuffled)
+            repeated = edges + rng.sample(edges, len(edges) // 3)
+            rng.shuffle(repeated)
+            self._check(n, repeated)
+            self._check(n, [list(edge) for edge in shuffled])
+
+    def test_iterable_inputs(self):
+        edges = [(0, 2), (1, 2), (0, 1), (0, 2)]
+        expected = reference_dag_edges(3, edges)
+        for source in (tuple(edges), iter(edges), (edge for edge in edges), [iter(edge) for edge in edges]):
+            assert _structure(Dag(self._nodes(3), source, {"a": 2})) == expected
+
+    def test_induced_subdag_input(self):
+        spec = GeneratorSpec("layered", layers=6, width=6, seed=4, label="motifs")
+        dag = generate_graph(spec, 0)
+        for motif in mine_motifs(dag):
+            chosen = sorted(set(motif.nodes))
+            remap = {v: i for i, v in enumerate(chosen)}
+            edges = [(remap[u], remap[v]) for u, v in dag.edges if u in remap and v in remap]
+            assert _structure(induced_subdag(dag, motif.nodes)) == reference_dag_edges(len(chosen), edges)
+
+    @given(dag_documents(max_nodes=10), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_documents(self, document, rng):
+        n = len(document["nodes"])
+        edges = [tuple(edge) for edge in document["edges"]]
+        edges += rng.choices(edges, k=rng.randint(0, len(edges))) if edges else []
+        rng.shuffle(edges)
+        document = dict(document, edges=[list(edge) for edge in edges])
+        assert _structure(load_dag(document)) == reference_dag_edges(n, edges)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, True), (False, 1), (0.0, 1), (0, 1.5), ("0", 1), (0, "1"), ([0], 1), (0, [1]), (None, 1),
+         (-1, 2), (0, -3), (4, 1), (0, 4), (2, 10**30)],
+    )
+    def test_error_names_the_first_bad_edge(self, bad):
+        # Good edges on both sides, and a later bad edge of the other class,
+        # which must not be the one reported.
+        later = (0, 2.5) if type(bad[0]) is int and type(bad[1]) is int else (0, 99)
+        edges = [(0, 1), (1, 2), bad, (2, 3), later]
+        with pytest.raises(GraphFormatError) as caught:
+            Dag(self._nodes(4), edges, {"a": 1})
+        assert str(caught.value) == _parent_error(4, edges)
+        assert str(caught.value) != _parent_error(4, [later])
+
+    def test_edges_on_a_graph_without_nodes_rejected(self):
+        with pytest.raises(GraphFormatError, match="unknown node id"):
+            Dag([], [(0, 0)], {})
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), (), 5, None])
+    def test_edge_that_is_not_a_pair_rejected(self, bad):
+        edges = [(0, 1), bad, (1, 2)]
+        with pytest.raises((TypeError, ValueError)):
+            reference_dag_edges(3, edges)  # the old constructor leaked these
+        with pytest.raises(GraphFormatError, match=rf"^edge {re.escape(repr(bad))} is not a pair of node ids$"):
+            Dag(self._nodes(3), edges, {"a": 1})
 
 
 class TestSerialization:
