@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", required=True, help="library JSON path")
     pb.add_argument("--normalizer-out", default=None, help="normalizer JSON path")
     library = LibraryParams()
-    pb.add_argument("--k", type=int, default=library.k, help="neighborhood hop radius")
+    pb.add_argument("--k", type=int, default=library.k, help="reconvergence search depth in edges")
     pb.add_argument("--theta", type=float, default=library.theta, help="clustering similarity threshold")
     pb.add_argument("--budget", type=int, default=library.budget, help="maximum kernels kept")
     pb.add_argument("--chain-min-len", type=int, default=library.chain_min_len)

@@ -167,10 +167,10 @@ def load_normalizer(document) -> Normalizer:
         document = json.loads(document)
     if not isinstance(document, dict):
         raise ValueError("normalizer must be a JSON object")
-    if document.get("layout") != LAYOUT:
-        raise ValueError(f"unsupported normalizer layout {document.get('layout')!r}")
     if "mean" not in document or "std" not in document:
         raise ValueError("normalizer has no 'mean' or no 'std' array")
+    if document.get("layout") != LAYOUT:
+        raise ValueError(f"unsupported normalizer layout {document.get('layout')!r}")
     reject_unknown_keys(document, ("layout", "mean", "std", "vocab"), "normalizer")
     mean = number_list(document["mean"], "normalizer 'mean'")
     std = number_list(document["std"], "normalizer 'std'")

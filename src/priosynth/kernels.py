@@ -2,7 +2,7 @@
 
 A kernel is a reusable scheduling hint: a centroid signature in embedding
 space (for retrieval by similarity) plus a parameterized priority template
-(for synthesis).  Kernels are mined from a training corpus in four motif
+(for synthesis).  Kernels are mined from a training corpus in three motif
 categories and deduplicated by greedy leader clustering per category.
 """
 
@@ -32,7 +32,7 @@ from .embedding import (
 )
 from .graph import Dag, NodeRecord, canonical_json
 
-LIBRARY_LAYOUT = "v1"
+LIBRARY_LAYOUT = "v2"
 
 # Template families: feature -> sign.  Parameters are per-feature magnitudes;
 # the sign is fixed by the family.
@@ -40,28 +40,24 @@ TEMPLATE_FAMILIES: dict[str, tuple[tuple[str, float], ...]] = {
     "reconvergent_A": (("crit", 1.0), ("reconv", 1.0), ("fanout", 1.0)),
     "deep_chain_B": (("crit", 1.0), ("slack", -1.0)),
     "fanout_aware": (("fanout", 1.0), ("crit", 1.0)),
-    "resource_aware": (("crit", 1.0), ("pressure", 1.0)),
 }
 
 # Motif category -> template family attached to its kernels.
 CATEGORY_FAMILY: dict[str, str] = {
-    "neighborhood": "resource_aware",
     "hub": "fanout_aware",
     "reconvergent": "reconvergent_A",
     "chain": "deep_chain_B",
 }
 
 _DEFAULT_WEIGHT = 1.0
-_DEFAULT_RANGE = (0.0, 4.0)
 
 
 @dataclass(frozen=True)
 class TemplateSpec:
-    """A family name with per-parameter default magnitudes and search ranges."""
+    """A family name with a default magnitude for each of its features."""
 
     family: str
     defaults: tuple[tuple[str, float], ...]
-    ranges: tuple[tuple[str, tuple[float, float]], ...]
 
     def default_expr(self) -> PriorityExpr:
         return instantiate_template(self.family, dict(self.defaults))
@@ -71,11 +67,7 @@ def default_template(family: str) -> TemplateSpec:
     if family not in TEMPLATE_FAMILIES:
         raise ValueError(f"unknown template family {family!r}")
     features = sorted(feature for feature, _ in TEMPLATE_FAMILIES[family])
-    return TemplateSpec(
-        family=family,
-        defaults=tuple((feature, _DEFAULT_WEIGHT) for feature in features),
-        ranges=tuple((feature, _DEFAULT_RANGE) for feature in features),
-    )
+    return TemplateSpec(family=family, defaults=tuple((feature, _DEFAULT_WEIGHT) for feature in features))
 
 
 def instantiate_template(family: str, params: Mapping[str, float]) -> PriorityExpr:
@@ -151,12 +143,11 @@ def mine_motifs(
 ) -> list[Motif]:
     """All motifs of one graph, in a deterministic order.
 
-    - ``neighborhood``: k-hop forward plus backward ball around every node;
     - ``hub``: anchor with direct neighbors, for top-decile fanout and fanin
       anchors;
     - ``reconvergent``: for anchors with reconverging child pairs, the union
-      of short child-to-witness paths (connector nodes included so the motif
-      stays connected);
+      of child-to-witness paths of at most ``k`` edges (connector nodes
+      included so the motif stays connected);
     - ``chain``: maximal linear runs (fanin and fanout at most 1) of at least
       ``chain_min_len`` nodes.
 
@@ -177,10 +168,6 @@ def mine_motifs(
             return
         seen.add(key)
         motifs.append(Motif(category=category, anchor=anchor, nodes=subset))
-
-    for v in range(n):
-        ball = set(_bounded_bfs(dag.succs, v, k)) | set(_bounded_bfs(dag.preds, v, k))
-        push("neighborhood", v, ball)
 
     hub_anchors = sorted(set(_top_decile(stats.fanout, n)) | set(_top_decile(stats.fanin, n)))
     for v in hub_anchors:
@@ -355,7 +342,6 @@ def library_to_document(kernels: Sequence[Kernel]) -> dict:
                 "template": {
                     "family": kern.template.family,
                     "defaults": {name: value for name, value in kern.template.defaults},
-                    "ranges": {name: list(bounds) for name, bounds in kern.template.ranges},
                 },
                 "support": kern.support,
             }
@@ -373,10 +359,12 @@ def load_library(document) -> list[Kernel]:
         document = json.loads(document)
     if not isinstance(document, dict):
         raise ValueError("kernel library must be a JSON object")
-    if document.get("layout") != LIBRARY_LAYOUT:
-        raise ValueError(f"unsupported kernel library layout {document.get('layout')!r}")
+    # The kind of file is checked before its layout, so a normalizer passed
+    # as a library is named as such.
     if "kernels" not in document:
         raise ValueError("kernel library has no 'kernels' array")
+    if document.get("layout") != LIBRARY_LAYOUT:
+        raise ValueError(f"unsupported kernel library layout {document.get('layout')!r}")
     reject_unknown_keys(document, ("layout", "kernels"), "kernel library")
     entries = document["kernels"]
     if not isinstance(entries, list):
@@ -404,26 +392,21 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     template = entry.get("template")
     if not isinstance(template, dict):
         raise ValueError(f"{where}: 'template' must be an object")
-    reject_unknown_keys(template, ("family", "defaults", "ranges"), f"{where} 'template'")
+    reject_unknown_keys(template, ("family", "defaults"), f"{where} 'template'")
     family = template.get("family")
     if not isinstance(family, str) or family not in TEMPLATE_FAMILIES:
         raise ValueError(f"{where}: 'template.family' must be one of {sorted(TEMPLATE_FAMILIES)}")
-    defaults, ranges = template.get("defaults"), template.get("ranges")
+    defaults = template.get("defaults")
     if not isinstance(defaults, dict) or not all(is_number(v) for v in defaults.values()):
         raise ValueError(f"{where}: 'template.defaults' must map features to finite numbers")
-    if not isinstance(ranges, dict) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(is_number(x) for x in pair) for pair in ranges.values()
-    ):
-        raise ValueError(f"{where}: 'template.ranges' must map features to [lo, hi] number pairs")
+    features = sorted(feature for feature, _ in TEMPLATE_FAMILIES[family])
+    if sorted(defaults) != features:
+        raise ValueError(f"{where}: 'template.defaults' must name exactly the features {features} of {family!r}")
     return Kernel(
         id=entry["id"],
         category=entry["category"],
         signature=signature,
-        template=TemplateSpec(
-            family=family,
-            defaults=tuple(sorted((name, float(value)) for name, value in defaults.items())),
-            ranges=tuple(sorted((name, (float(lo), float(hi))) for name, (lo, hi) in ranges.items())),
-        ),
+        template=TemplateSpec(family=family, defaults=tuple((name, float(defaults[name])) for name in features)),
         support=support,
     )
 

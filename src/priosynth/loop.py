@@ -307,10 +307,11 @@ def parse_reply(text: str) -> PriorityExpr:
 # cannot change which node gets a unit.  That is exact only up to rounding: a
 # ``pressure`` term changes how the float priority sum rounds, so two nodes of
 # one type whose priorities tie or nearly tie can compare the other way, and
-# a provider's or template's expression with that term can still schedule
-# differently.  On validation graph ``layered-0138`` of the ``search``
-# benchmark's input set 5, ``1*crit + 1*fanout - 1*level + 1*pressure +
-# 1*reconv`` gives makespan 34 and the same sum without ``pressure`` 32.
+# a provider's expression with that term can still schedule differently.  On
+# validation graph ``layered-0138`` of the ``search`` benchmark's input set 5,
+# ``1*crit + 1*fanout - 1*level + 1*pressure + 1*reconv`` gives makespan 34
+# and the same sum without ``pressure`` 32.  No template family names
+# ``pressure`` or ``const``.
 _FEATURE_SIGNS = {
     "crit": 1.0,
     "duration": 1.0,
@@ -336,9 +337,9 @@ def fallback_synthesize(
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer.
 
-    The basis is the searchable features (the keys of ``_FEATURE_SIGNS``)
-    named by the retrieved kernel templates, plus an always-present core
-    (crit, fanout, level).  Coordinate descent over a fixed magnitude grid
+    The basis is the features named by the retrieved kernel templates (all
+    of them keys of ``_FEATURE_SIGNS``), plus an always-present core (crit,
+    fanout, level).  Coordinate descent over a fixed magnitude grid
     maximizes the mean batch score, run from three starts: the signed mean
     of template defaults, a hand-written critical-path start, and that same
     start restricted to the core basis.  Each distinct candidate is scored
@@ -351,8 +352,7 @@ def fallback_synthesize(
         for kern in kerns:
             defaults = dict(kern.template.defaults)
             for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
-                if feature in _FEATURE_SIGNS:
-                    contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
+                contributions.setdefault(feature, []).append(sign * defaults[feature])
     basis = sorted(set(contributions) | set(_CORE_FEATURES))
     # The descent revisits the same weights again and again; a candidate
     # scored earlier in this call returns its score without a memo lookup.

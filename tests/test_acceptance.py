@@ -69,16 +69,16 @@ def desk_run():
 # sha256 of the seed-0 desk library and normalizer files.  The similarity
 # kernel reduces in a fixed order, so a change to that order (or any other
 # drift in clustering) shows up here as changed bytes.
-DESK_LIBRARY_SHA256 = "b8e4343727dce3cbf8d00d1ffcaeb3c156e538be5c75fc4758ed2c2f3f3b8bab"
+DESK_LIBRARY_SHA256 = "e3aa35b93f2cb3ff14ad0e7bc0063abb62e110695d8bf6af77c3cf47641912cf"
 DESK_NORMALIZER_SHA256 = "3ea8d5d66adb7c2010f1131c8ac9bf3ff24f3acc57e27b0ef010fa7d8ecf1a94"
 # sha256 of the seed-0 desk ablation.json: the fallback search's winners,
 # every recorded schedule length, and the JSON writer's bytes.
-DESK_ABLATION_SHA256 = "fe4c1d08039c582ebcb9b16b43036c9ace92070fd19760eff2f4e8c79a8b9e4b"
+DESK_ABLATION_SHA256 = "5bb934f30e7ad4780c150e091226359f3a46df5c30bfa7049356d7839ecc3c24"
 # sha256 of the same ablation's outcomes alone (``ablation_outcomes`` in
 # scripts/artifact_digests.py): every record's (graph, makespan, feasible,
 # score) rows and each mode's mean validation makespan.  A change that
 # rewrites only expression text leaves this pin as it is.
-DESK_OUTCOMES_SHA256 = "ca4ecab7671cc46a4bd96e12ab6713652f9c653a158ee08b72308471c85e2deb"
+DESK_OUTCOMES_SHA256 = "10bbbe85dea2e973cf85ddd862e61d94c080395f72e422d7a4861a0c7a61f1df"
 
 
 def test_desk_library_bytes_are_pinned(desk_run):

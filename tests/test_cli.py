@@ -162,7 +162,7 @@ class TestKernelsAndRetrieve:
         assert code == 0
         assert "kernels" in stdout
         doc = json.loads(lib.read_text(encoding="utf-8"))
-        assert doc["layout"] == "v1"
+        assert doc["layout"] == "v2"
         assert 0 < len(doc["kernels"]) <= 12
         normalizer_path = tmp_path / "lib.normalizer.json"
         assert normalizer_path.exists()
@@ -194,6 +194,7 @@ class TestKernelsAndRetrieve:
             ("stray_entry_key", "normalizer", "kernel library entry 0: unknown key 'signatrue'"),
             ("stray_template_key", "normalizer", "kernel library entry 0 (x) 'template': unknown key 'rangez'"),
             ("library", "stray_normalizer_key", "normalizer: unknown key 'vocabulary'"),
+            ("v1_library", "normalizer", "unsupported kernel library layout 'v1'"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -205,21 +206,27 @@ class TestKernelsAndRetrieve:
         }
         run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(files["library"]), "--budget", "4")
         entry = {"id": "x", "category": "hub", "signature": [0.0], "support": 1}
+        # The built library as the v1 layout wrote it: a search range per template feature.
+        v1_library = json.loads(files["library"].read_text(encoding="utf-8"))
+        v1_library["layout"] = "v1"
+        for kern in v1_library["kernels"]:
+            kern["template"]["ranges"] = dict.fromkeys(kern["template"]["defaults"], [0, 4])
         written = {
             "empty": [],
-            "bare_entry": {"layout": "v1", "kernels": [{"id": "x"}]},
-            "text_signature": {"layout": "v1", "kernels": [{**entry, "signature": "12"}]},
-            "float_support": {"layout": "v1", "kernels": [{**entry, "support": 1.5}]},
-            "no_template": {"layout": "v1", "kernels": [entry]},
+            "bare_entry": {"layout": "v2", "kernels": [{"id": "x"}]},
+            "text_signature": {"layout": "v2", "kernels": [{**entry, "signature": "12"}]},
+            "float_support": {"layout": "v2", "kernels": [{**entry, "support": 1.5}]},
+            "no_template": {"layout": "v2", "kernels": [entry]},
             "text_mean": {"layout": "v1", "mean": "12", "std": "34"},
             "bool_std": {"layout": "v1", "mean": [0.0], "std": [True]},
-            "stray_top_key": {"layout": "v1", "kernels": [], "kernel": []},
-            "stray_entry_key": {"layout": "v1", "kernels": [{**entry, "signatrue": [0.0]}]},
+            "stray_top_key": {"layout": "v2", "kernels": [], "kernel": []},
+            "stray_entry_key": {"layout": "v2", "kernels": [{**entry, "signatrue": [0.0]}]},
             "stray_template_key": {
-                "layout": "v1",
-                "kernels": [{**entry, "template": {"family": "hub", "defaults": {}, "ranges": {}, "rangez": {}}}],
+                "layout": "v2",
+                "kernels": [{**entry, "template": {"family": "hub", "defaults": {}, "rangez": {}}}],
             },
             "stray_normalizer_key": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocabulary": ["a"]},
+            "v1_library": v1_library,
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"
@@ -398,24 +405,53 @@ class TestAblate:
         assert not (tmp_path / "ab").exists()
 
 
+@pytest.fixture(scope="module")
+def desk_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_ablation.py"
+    spec = importlib.util.spec_from_file_location("run_desk_ablation", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDeskAblationScript:
-    def test_writes_the_four_files_and_the_cli_report(self, tiny_config, tmp_path, capsys):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_ablation.py"
-        spec = importlib.util.spec_from_file_location("run_desk_ablation", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    def test_writes_the_four_files_and_the_cli_report(self, desk_script, tiny_config, tmp_path, capsys):
         out = tmp_path / "desk"
-        assert module.main(["--config", str(tiny_config), "--out", str(out)]) == 0
+        assert desk_script.main(["--config", str(tiny_config), "--out", str(out)]) == 0
         names = ["ablation.json", "library.json", "normalizer.json", "summary.json"]
         assert sorted(p.name for p in out.iterdir()) == names
         summary = (out / "summary.json").read_text(encoding="utf-8")
         assert summary == canonical_json(json.loads(summary))
-        assert set(json.loads(summary)["modes"]) == {"full", "no_retrieval"}
+        modes = json.loads(summary)["modes"]
+        assert set(modes) == {"full", "no_retrieval"}
+        assert modes["no_retrieval"]["paired"] == {}
+        counts = modes["full"]["paired"]["no_retrieval"]
+        assert counts["better"] + counts["worse"] + counts["tied"] == 4
+        assert counts["p"] == desk_script.sign_test_p(counts["better"], counts["worse"])
 
         cli_out = tmp_path / "ab"
         code, *_ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(cli_out))
         assert code == 0
         assert (out / "ablation.json").read_bytes() == (cli_out / "ablation.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        ("better", "worse", "p"),
+        [(14, 9, 0.4048728942871094), (9, 14, 0.4048728942871094), (0, 0, 1.0), (1, 0, 1.0), (6, 0, 0.03125)],
+    )
+    def test_sign_test_p(self, desk_script, better, worse, p):
+        assert desk_script.sign_test_p(better, worse) == pytest.approx(p, rel=1e-12)
+
+    def test_pooled_counts_sum_over_seeds(self, desk_script):
+        def summary(better, worse, tied):
+            return {"modes": {"full": {"paired": {"no_retrieval": {"better": better, "worse": worse, "tied": tied}}}}}
+
+        pooled = desk_script.pool([summary(14, 9, 27), summary(2, 5, 43), summary(0, 0, 50)])
+        counts = {"better": 16, "worse": 14, "tied": 120, "p": pytest.approx(0.8555, abs=1e-4)}
+        assert pooled == {"full": {"no_retrieval": counts}}
+
+    def test_seeds_and_config_are_exclusive(self, desk_script, tiny_config, tmp_path):
+        with pytest.raises(SystemExit):
+            desk_script.main(["--config", str(tiny_config), "--seeds", "0,1", "--out", str(tmp_path)])
 
 
 class TestReport:

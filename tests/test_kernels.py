@@ -23,6 +23,8 @@ from priosynth.kernels import (
     retrieve_kernels,
 )
 
+STRICT_DEFAULTS = r"entry 0 \(k\): 'template.defaults' must name exactly the features \['crit', 'fanout'\]"
+
 
 def corpus(seed=11, count=25, n_lo=6, n_hi=18):
     rng = random.Random(seed)
@@ -34,7 +36,6 @@ class TestTemplates:
         assert instantiate_template("reconvergent_A", {}) == parse_expr("1*crit + 1*fanout + 1*reconv")
         assert instantiate_template("deep_chain_B", {}) == parse_expr("1*crit - 1*slack")
         assert instantiate_template("fanout_aware", {}) == parse_expr("1*crit + 1*fanout")
-        assert instantiate_template("resource_aware", {}) == parse_expr("1*crit + 1*pressure")
 
     def test_magnitudes_scale_with_fixed_signs(self):
         expr = instantiate_template("deep_chain_B", {"crit": 2.0, "slack": 0.5})
@@ -50,11 +51,6 @@ class TestTemplates:
         spec = default_template("reconvergent_A")
         assert spec.family == "reconvergent_A"
         assert dict(spec.defaults) == {"crit": 1.0, "fanout": 1.0, "reconv": 1.0}
-        assert dict(spec.ranges) == {
-            "crit": (0.0, 4.0),
-            "fanout": (0.0, 4.0),
-            "reconv": (0.0, 4.0),
-        }
         assert print_expr(spec.default_expr()) == "1*crit + 1*fanout + 1*reconv"
 
     def test_every_category_has_a_family(self):
@@ -76,11 +72,12 @@ class TestInducedSubdag:
 
 
 class TestMining:
-    def test_neighborhood_contains_ball(self, diamond):
-        motifs = [m for m in mine_motifs(diamond, k=2) if m.category == "neighborhood"]
-        by_anchor = {m.anchor: set(m.nodes) for m in motifs}
-        # Node 0 reaches everything within 2 hops.
-        assert by_anchor[0] == {0, 1, 2, 3}
+    def test_only_library_categories(self, diamond, chain5):
+        rng = random.Random(5)
+        seen = set()
+        for dag in [diamond, chain5] + [random_dag(rng, rng.randint(6, 16), edge_prob=0.2) for _ in range(15)]:
+            seen.update(m.category for m in mine_motifs(dag))
+        assert seen == set(CATEGORY_FAMILY) == {"hub", "reconvergent", "chain"}
 
     def test_chain_motifs_have_min_length_and_unit_degrees(self):
         rng = random.Random(3)
@@ -307,10 +304,10 @@ class TestLibrary:
         kernels, _ = build_kernel_library(corpus(count=10))
         text = dump_library(kernels)
         doc = json.loads(text)
-        assert doc["layout"] == "v1"
+        assert doc["layout"] == "v2"
         for entry in doc["kernels"]:
             assert set(entry) == {"id", "category", "signature", "template", "support"}
-            assert set(entry["template"]) == {"family", "defaults", "ranges"}
+            assert set(entry["template"]) == {"family", "defaults"}
         again = load_library(text)
         assert again == kernels
         assert dump_library(again) == text
@@ -318,6 +315,20 @@ class TestLibrary:
     def test_bad_layout_rejected(self):
         with pytest.raises(ValueError, match="layout"):
             load_library({"layout": "v9", "kernels": []})
+        # A library as the v1 layout wrote it, with a search range per feature.
+        entry = {
+            "id": "hub-000",
+            "category": "hub",
+            "signature": [0.5],
+            "template": {
+                "family": "fanout_aware",
+                "defaults": {"crit": 1, "fanout": 1},
+                "ranges": {"crit": [0, 4], "fanout": [0, 4]},
+            },
+            "support": 2,
+        }
+        with pytest.raises(ValueError, match="unsupported kernel library layout 'v1'"):
+            load_library({"layout": "v1", "kernels": [entry]})
 
     @pytest.mark.parametrize(
         ("change", "message"),
@@ -329,24 +340,25 @@ class TestLibrary:
             ({"support": "3"}, "'support' must be an integer"),
             ({"support": True}, "'support' must be an integer"),
             ({"template": []}, "'template' must be an object"),
-            ({"template": {"family": "nope", "defaults": {}, "ranges": {}}}, "'template.family' must be one of"),
-            ({"template": {"family": "hub", "defaults": {}, "ranges": {}}}, "'template.family' must be one of"),
+            ({"template": {"family": "nope", "defaults": {}}}, "'template.family' must be one of"),
+            ({"template": {"family": "hub", "defaults": {}}}, "'template.family' must be one of"),
             (
-                {"template": {"family": "fanout_aware", "defaults": {"crit": "1"}, "ranges": {}}},
+                {"template": {"family": "fanout_aware", "defaults": {"crit": "1", "fanout": 1}}},
                 "'template.defaults' must map features to finite numbers",
             ),
             (
-                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {"crit": [0.0]}}},
-                r"'template.ranges' must map features to \[lo, hi\] number pairs",
+                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1, "pressur": 7}}},
+                STRICT_DEFAULTS,
             ),
-            (
-                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {"crit": "04"}}},
-                r"'template.ranges' must map features to \[lo, hi\] number pairs",
-            ),
+            ({"template": {"family": "fanout_aware", "defaults": {"crit": 1}}}, STRICT_DEFAULTS),
             ({"signatrue": [0.5]}, "entry 0: unknown key 'signatrue'"),
             (
-                {"template": {"family": "fanout_aware", "defaults": {}, "ranges": {}, "default": {}}},
+                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}, "default": {}}},
                 r"entry 0 \(k\) 'template': unknown key 'default'",
+            ),
+            (
+                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}, "ranges": {}}},
+                r"entry 0 \(k\) 'template': unknown key 'ranges'",
             ),
         ],
     )
@@ -355,13 +367,13 @@ class TestLibrary:
             "id": "k",
             "category": "hub",
             "signature": [0.5, -1],
-            "template": {"family": "fanout_aware", "defaults": {"crit": 1}, "ranges": {"crit": [0, 4]}},
+            "template": {"family": "fanout_aware", "defaults": {"fanout": 2, "crit": 1}},
             "support": 2,
         }
-        (kernel,) = load_library({"layout": "v1", "kernels": [entry]})
-        assert kernel.signature == (0.5, -1.0) and kernel.template.ranges == (("crit", (0.0, 4.0)),)
+        (kernel,) = load_library({"layout": "v2", "kernels": [entry]})
+        assert kernel.signature == (0.5, -1.0) and kernel.template.defaults == (("crit", 1.0), ("fanout", 2.0))
         with pytest.raises(ValueError, match=message):
-            load_library({"layout": "v1", "kernels": [{**entry, **change}]})
+            load_library({"layout": "v2", "kernels": [{**entry, **change}]})
 
     @pytest.mark.parametrize(
         ("entries", "message"),
@@ -369,11 +381,11 @@ class TestLibrary:
     )
     def test_kernels_must_be_an_array_of_objects(self, entries, message):
         with pytest.raises(ValueError, match=message):
-            load_library({"layout": "v1", "kernels": entries})
+            load_library({"layout": "v2", "kernels": entries})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="kernel library: unknown key 'version'"):
-            load_library({"layout": "v1", "kernels": [], "version": 2})
+            load_library({"layout": "v2", "kernels": [], "version": 2})
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
