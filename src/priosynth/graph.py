@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
@@ -62,7 +63,7 @@ class Dag:
     :mod:`priosynth.bench` emits them, construction is linear in the edges.
     """
 
-    __slots__ = ("nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats")
+    __slots__ = ("nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats", "_checks")
 
     def __init__(
         self,
@@ -127,6 +128,9 @@ class Dag:
         self.succs: tuple[tuple[int, ...], ...] = tuple(map(tuple, succs))
         self.topo_order: tuple[int, ...] = self._toposort()
         self._stats: StatsTable | None = None
+        # The arrays scheduler.verify_schedule tests schedules with, built
+        # by the first check of this graph.
+        self._checks: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -179,17 +183,25 @@ def compute_levels(dag: Dag) -> tuple[int, ...]:
     """Unconstrained ASAP start times: 0 for sources, else max over
     predecessors of ``level(u) + duration(u)``."""
     level = [0] * len(dag)
+    # Each node's ASAP finish: its duration until its level is added.
+    finish = [rec.duration for rec in dag.nodes]
+    preds = dag.preds
     for v in dag.topo_order:
-        level[v] = max((level[u] + dag.nodes[u].duration for u in dag.preds[v]), default=0)
+        if preds[v]:
+            level[v] = max(map(finish.__getitem__, preds[v]))
+            finish[v] += level[v]
     return tuple(level)
 
 
 def compute_crit(dag: Dag) -> tuple[int, ...]:
     """Remaining critical-path length: the largest duration sum over any
     directed path from ``v`` to a sink, including ``v`` itself."""
-    crit = [0] * len(dag)
+    # Starts as the duration column; a sink keeps its duration.
+    crit = [rec.duration for rec in dag.nodes]
+    succs = dag.succs
     for v in reversed(dag.topo_order):
-        crit[v] = dag.nodes[v].duration + max((crit[w] for w in dag.succs[v]), default=0)
+        if succs[v]:
+            crit[v] += max(map(crit.__getitem__, succs[v]))
     return tuple(crit)
 
 
@@ -311,6 +323,42 @@ def dump_dag(dag: Dag) -> str:
 # Subclasses (an ``IntEnum``, a NumPy float) are left to ``json.dumps``.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
+_SEQUENCES = frozenset((list, tuple))
+_DICT = frozenset((dict,))
+# Separators that no encoded value holds: the C encoder escapes every
+# control character inside a string.
+_ITEM_SEP, _KEY_SEP = "\x00", "\x01"
+_MARKED = json.JSONEncoder(sort_keys=True, separators=(_ITEM_SEP, _KEY_SEP))
+
+
+def _flat_items(value: list | tuple, depth: int) -> str | None:
+    """``value`` written at indent ``depth`` if its items are all non-empty
+    lists or tuples of scalars, or all non-empty dicts from ``str`` keys to
+    scalars; otherwise ``None``.
+
+    One C encoder call writes every item with control characters as
+    separators, which are then replaced by the indented ones.  No scalar
+    ends in ``]`` or ``}``, so an item separator right after one of them
+    is the one between two items."""
+    if _SEQUENCES.issuperset(map(type, value)):
+        open_, close = "[", "]"
+        scalars = chain.from_iterable(value)
+    elif _DICT.issuperset(map(type, value)) and _STR.issuperset(map(type, chain.from_iterable(value))):
+        open_, close = "{", "}"
+        scalars = chain.from_iterable(map(dict.values, value))
+    else:
+        return None
+    if not all(value) or not _SCALARS.issuperset(map(type, scalars)):
+        return None
+    outer = "\n" + "  " * (depth + 1)
+    inner = "\n" + "  " * (depth + 2)
+    body = (
+        _MARKED.encode(value)[2:-2]
+        .replace(close + _ITEM_SEP + open_, outer + close + "," + outer + open_ + inner)
+        .replace(_ITEM_SEP, "," + inner)
+        .replace(_KEY_SEP, ": ")
+    )
+    return "[" + outer + open_ + inner + body + outer + close + "\n" + "  " * depth + "]"
 
 
 class _Unproven(Exception):
@@ -325,9 +373,10 @@ def canonical_json(document) -> str:
     + "\\n"``.  ``indent`` forces ``json.dumps`` onto its pure-Python
     encoder, so nesting is written here and every container whose values
     are all scalars goes to the C encoder, whose item separator carries
-    that container's indent.  A document holding anything else (a non-``str``
-    key, a type outside :data:`_SCALARS`, a cycle) is written by
-    ``json.dumps`` whole.
+    that container's indent.  A list of such containers, such as a graph's
+    edges, goes to the C encoder in one call (:func:`_flat_items`).  A
+    document holding anything else (a non-``str`` key, a type outside
+    :data:`_SCALARS`, a cycle) is written by ``json.dumps`` whole.
     """
     encoders: list[json.JSONEncoder] = []  # index: indent depth of the items
     out: list[str] = []
@@ -364,6 +413,10 @@ def canonical_json(document) -> str:
             inner = "\n" + "  " * (depth + 1)
             if _SCALARS.issuperset(map(type, value)):
                 emit("[" + inner + flat(value, depth + 1)[1:-1] + "\n" + "  " * depth + "]")
+                return
+            items = _flat_items(value, depth)
+            if items is not None:
+                emit(items)
                 return
             sep = "[" + inner
             for item in value:

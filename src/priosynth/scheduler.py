@@ -18,6 +18,11 @@ whole ready list; the start times are those of the global ranked pass.
 schedules.  Restricting starts to event times is lossless: any feasible
 schedule can be left-shifted op by op, without increasing the makespan, until
 every start sits at cycle 0 or at some finish time.
+
+``verify_schedule`` tests precedence and capacity as numpy operations over
+arrays that a graph builds on its first check and keeps.  Only a check that
+fails walks the edges or the members of a type in Python, to write its
+messages.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .graph import Dag, canonical_json, compute_work
 
@@ -138,13 +146,16 @@ def _result(begin: float, measure: bool, starts: dict[int, int], makespan: int, 
     return Schedule(starts=starts, makespan=makespan, feasible=feasible, runtime_ms=elapsed)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
     """Return a list of violation messages; empty means valid.
 
     Checks completeness, integer nonnegative starts, every precedence edge,
-    and per-type capacity at every cycle, in that order.  Each check is one
-    pass over whole columns; only a check that fails walks its items to
-    write the messages.
+    and per-type capacity at every cycle, in that order.  Precedence and
+    capacity are tested as whole-array numpy operations; only a check that
+    fails walks its edges or members in Python to write the messages.
 
     Capacity: per type, counting from 0, the j-th smallest finish must not
     exceed the (j + cap)-th smallest start.  A finish at cycle t frees its
@@ -168,32 +179,57 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
         ]
         if bad:
             return bad
-    start = [0] * n
-    for v, s in starts.items():
-        start[v] = s
-    nodes = dag.nodes
-    finish = [s + rec.duration for s, rec in zip(start, nodes)]
+    src, dst, duration, max_duration, types = _check_columns(dag)
+    # Finishes past int64 are compared as exact Python ints.
+    dtype = np.int64 if max(values) + max_duration <= _INT64_MAX else object
+    start = np.empty(n, dtype)
+    start[np.fromiter(starts.keys(), np.intp, n)] = np.fromiter(values, dtype, n)
+    finish = start + duration
     violations: list[str] = []
-    for v, preds in enumerate(dag.preds):
-        if preds and max(map(finish.__getitem__, preds)) > start[v]:
-            # A loop, because before Python 3.12 a comprehension here would make
-            # start and finish closure cells and slow every read of them.
-            for u, w in dag.edges:
-                if start[w] < finish[u]:
-                    violations.append(
-                        f"precedence violated on edge ({u}, {w}): {start[w]} < {start[u]} + {nodes[u].duration}"
-                    )
-            break
-    by_type: dict[str, list[int]] = {t: [] for t in dag.capacities}
-    for rec in nodes:
-        by_type[rec.op_type].append(rec.id)
-    for op, members in by_type.items():
-        type_finishes = sorted(map(finish.__getitem__, members))
-        later_starts = sorted(map(start.__getitem__, members))[dag.capacities[op]:]
-        if any(map(operator.gt, type_finishes, later_starts)):
-            j = list(map(operator.gt, type_finishes, later_starts)).index(True)
-            violations.append(f"capacity exceeded for type {op!r} at cycle {later_starts[j]}")
+    if (finish[src] > start[dst]).any():
+        violations += _precedence_messages(dag, starts)
+    for op, cap, members in types:
+        later_starts = np.sort(start[members])[cap:]
+        if (np.sort(finish[members])[: len(later_starts)] > later_starts).any():
+            violations.append(_capacity_message(dag, starts, op, cap, members.tolist()))
     return violations
+
+
+def _check_columns(dag: Dag) -> tuple:
+    """``(src, dst, duration, max_duration, types)`` for the vector checks,
+    built on a graph's first check and cached in its ``_checks`` slot: the
+    int32 edge endpoints, the durations (int64 unless one overflows it),
+    and ``(op type, capacity, member ids)`` in capacity order."""
+    if dag._checks is None:
+        n = len(dag)
+        # The edges are sorted, so they are each node's successors in turn.
+        src = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, dag.succs), np.intp, n))
+        dst = np.fromiter(chain.from_iterable(dag.succs), np.int32, len(dag.edges))
+        durations = [rec.duration for rec in dag.nodes]
+        max_duration = max(durations)
+        duration = np.array(durations, np.int64 if max_duration <= _INT64_MAX else object)
+        code = {op: i for i, op in enumerate(dag.capacities)}
+        op_of = np.fromiter((code[rec.op_type] for rec in dag.nodes), np.intp, n)
+        types = [(op, cap, np.flatnonzero(op_of == code[op])) for op, cap in dag.capacities.items()]
+        dag._checks = (src, dst, duration, max_duration, types)
+    return dag._checks
+
+
+def _precedence_messages(dag: Dag, starts: Mapping[int, int]) -> list[str]:
+    nodes = dag.nodes
+    messages = []
+    for u, w in dag.edges:
+        if starts[w] < starts[u] + nodes[u].duration:
+            messages.append(f"precedence violated on edge ({u}, {w}): {starts[w]} < {starts[u]} + {nodes[u].duration}")
+    return messages
+
+
+def _capacity_message(dag: Dag, starts: Mapping[int, int], op: str, cap: int, members: list[int]) -> str:
+    nodes = dag.nodes
+    type_finishes = sorted([starts[v] + nodes[v].duration for v in members])
+    later_starts = sorted([starts[v] for v in members])[cap:]
+    j = list(map(operator.gt, type_finishes, later_starts)).index(True)
+    return f"capacity exceeded for type {op!r} at cycle {later_starts[j]}"
 
 
 def lower_bound_makespan(dag: Dag) -> int:

@@ -226,6 +226,60 @@ def scale_priorities(dag: Dag, seed: int = 0) -> list[Sequence[float] | Mapping[
     ]
 
 
+def schedule_mutants(dag: Dag, starts: Mapping[int, int]) -> dict[str, dict]:
+    """Invalid variants of a valid schedule, one per kind of violation."""
+    n = len(dag)
+    durations = [rec.duration for rec in dag.nodes]
+    edges = [(u, v) for u, v in dag.edges if starts[v] > starts[u]]
+    mutants = {}
+    dropped = dict(starts)
+    del dropped[n // 2]
+    mutants["dropped"] = dropped
+    mutants["unknown"] = {**starts, n: 0}
+    mutants["negative"] = {**starts, n // 3: -1}
+    mutants["bool"] = {**starts, n // 3: True}
+    mutants["float_key"] = {(1.0 if v == 1 else v): s for v, s in starts.items()}
+    u, v = edges[len(edges) // 2]
+    mutants["one_edge"] = {**starts, v: starts[u] + durations[u] - 1}
+    several = dict(starts)
+    for u, v in edges[:: max(1, len(edges) // 5)]:
+        several[v] = starts[u]
+    mutants["several_edges"] = several
+    # A node that waited for a unit after its inputs were ready: every unit
+    # of its type was busy the cycle before it started, so starting it then
+    # exceeds the capacity by one without breaking any edge.
+    ready = [max((starts[u] + durations[u] for u in dag.preds[v]), default=0) for v in range(n)]
+    waited = [v for v in range(n) if starts[v] > ready[v]]
+    if waited:
+        v = min(waited, key=starts.__getitem__)
+        mutants["capacity_by_one"] = {**starts, v: starts[v] - 1}
+    return mutants
+
+
+def reference_compute_levels(dag: Dag) -> tuple[int, ...]:
+    """Levels as a generator over the predecessors that looks up each
+    one's duration, before the finish column.
+
+    Unconstrained ASAP start times: 0 for sources, else max over
+    predecessors of ``level(u) + duration(u)``."""
+    level = [0] * len(dag)
+    for v in dag.topo_order:
+        level[v] = max((level[u] + dag.nodes[u].duration for u in dag.preds[v]), default=0)
+    return tuple(level)
+
+
+def reference_compute_crit(dag: Dag) -> tuple[int, ...]:
+    """Crit as a generator over the successors, before it started from the
+    duration column.
+
+    Remaining critical-path length: the largest duration sum over any
+    directed path from ``v`` to a sink, including ``v`` itself."""
+    crit = [0] * len(dag)
+    for v in reversed(dag.topo_order):
+        crit[v] = dag.nodes[v].duration + max((crit[w] for w in dag.succs[v]), default=0)
+    return tuple(crit)
+
+
 def reference_compute_reconv(dag: Dag) -> dict[int, int]:
     """Reconvergence with one reach bit per node, before the sink bitsets
     and child grouping.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_generate_graph
+from helpers import reference_generate_graph, schedule_mutants
 from priosynth import bench
 from priosynth.bench import (
     FAMILIES,
@@ -21,6 +21,7 @@ from priosynth.bench import (
 )
 from priosynth.dsl import print_expr
 from priosynth.graph import Dag, canonical_json, dump_dag
+from priosynth.scheduler import Schedule
 
 
 class TestGenerators:
@@ -218,6 +219,31 @@ class TestCampaign:
             assert name in csv_text
         assert csv_text.splitlines()[0].startswith("suite,heuristic,")
         assert len(csv_text.splitlines()) == 1 + 6
+
+    def test_broken_schedules_are_not_counted_feasible(self, monkeypatch):
+        # The scheduler's own feasible flag stays set: only verify_schedule
+        # can reject these.
+        suites = self._suites()
+        dags = suites["layered_small"]
+        battery = standard_battery(0)
+        real = bench.list_schedule
+        calls = []
+
+        def broken(dag, priority, measure=True):
+            schedule = real(dag, priority, measure=measure)
+            mutants = schedule_mutants(dag, schedule.starts)
+            kind = {(0, 1): "one_edge", (1, 2): "capacity_by_one"}.get(divmod(len(calls), len(dags)))
+            calls.append(kind)
+            if kind is not None:
+                schedule = Schedule(mutants[kind], schedule.makespan, True, schedule.runtime_ms)
+            return schedule
+
+        monkeypatch.setattr(bench, "list_schedule", broken)
+        report = run_campaign(suites, battery, measure_runtime=False)
+        assert calls.count("one_edge") == calls.count("capacity_by_one") == 1
+        rows = report["suites"]["layered_small"]["heuristics"]
+        feasible = [rows[name]["feasible"] for name, _ in battery]
+        assert feasible == [len(dags) - 1, len(dags) - 1] + [len(dags)] * (len(battery) - 2)
 
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ from helpers import (
     brute_reconv,
     dag_documents,
     dags,
+    reference_compute_crit,
+    reference_compute_levels,
     reference_compute_reconv,
     reference_dag_edges,
 )
@@ -27,6 +29,7 @@ from priosynth.graph import (
     compute_crit,
     compute_levels,
     compute_reconv,
+    dag_to_document,
     dump_dag,
     load_dag,
 )
@@ -294,6 +297,17 @@ class TestFeatures:
         for v in range(len(dag)):
             assert crit[v] == brute_crit(dag, v)
 
+    def test_levels_and_crit_match_reference_at_scale(self, scale_dags):
+        for dag in scale_dags:
+            assert compute_levels(dag) == reference_compute_levels(dag)
+            assert compute_crit(dag) == reference_compute_crit(dag)
+
+    @given(dags())
+    @settings(max_examples=120, deadline=None)
+    def test_levels_and_crit_match_reference(self, dag):
+        assert compute_levels(dag) == reference_compute_levels(dag)
+        assert compute_crit(dag) == reference_compute_crit(dag)
+
     @given(dags())
     @settings(max_examples=120, deadline=None)
     def test_reconv_matches_reachability_sets(self, dag):
@@ -450,6 +464,40 @@ class TestSerialization:
     )
     def test_canonical_json_examples(self, document):
         assert canonical_json(document) == _stdlib_json(document)
+
+    @given(
+        st.one_of(
+            st.lists(st.lists(_scalars, min_size=1, max_size=3) | st.tuples(_scalars, _scalars), max_size=6),
+            st.lists(st.dictionaries(st.text(), _scalars, min_size=1, max_size=3), max_size=6),
+        ),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lists_of_flat_containers_match_the_stdlib_writer(self, items, depth):
+        # Written by one C encoder call with control characters as
+        # separators, at any nesting depth.
+        document = items
+        for _ in range(depth):
+            document = {"k": [document, 0]}
+        assert canonical_json(document) == _stdlib_json(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [["]", "[\x00"], ["}\x00{", "\x01"], ["]\x00[", "\\"]],
+            [{"]": "}", "\x00": "{\x00"}, {"}\x00{": "]\x00[", "a": None}],
+            [[1, 2], [], [3]],
+            [{"a": 1}, {}],
+            [[1], {"a": 1}],
+            ([0.5, math.nan], (math.inf, -math.inf, True, False)),
+        ],
+    )
+    def test_lists_of_flat_containers_examples(self, document):
+        assert canonical_json(document) == _stdlib_json(document)
+
+    def test_dump_dag_matches_the_stdlib_writer_at_scale(self, scale_dags):
+        for dag in scale_dags:
+            assert dump_dag(dag) == _stdlib_json(dag_to_document(dag))
 
     def test_canonical_json_rejects_a_cycle_like_the_stdlib(self):
         document: list = [1]

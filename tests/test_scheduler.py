@@ -17,11 +17,12 @@ from helpers import (
     reference_list_schedule,
     reference_verify_schedule,
     scale_priorities,
+    schedule_mutants,
     unit_step_schedule,
 )
 from priosynth.bench import GeneratorSpec, generate_graph, standard_battery
 from priosynth.dsl import eval_expr, parse_expr
-from priosynth.graph import Dag, load_dag
+from priosynth.graph import Dag, NodeRecord, load_dag
 from priosynth.scheduler import (
     Schedule,
     baseline_expr_text,
@@ -223,39 +224,9 @@ class TestVerify:
         assert verify_schedule(chain5, starts) == []
 
 
-def schedule_mutants(dag, starts):
-    """Invalid variants of a valid schedule, one per kind of violation."""
-    n = len(dag)
-    durations = [rec.duration for rec in dag.nodes]
-    edges = [(u, v) for u, v in dag.edges if starts[v] > starts[u]]
-    mutants = {}
-    dropped = dict(starts)
-    del dropped[n // 2]
-    mutants["dropped"] = dropped
-    mutants["unknown"] = {**starts, n: 0}
-    mutants["negative"] = {**starts, n // 3: -1}
-    mutants["bool"] = {**starts, n // 3: True}
-    mutants["float_key"] = {(1.0 if v == 1 else v): s for v, s in starts.items()}
-    u, v = edges[len(edges) // 2]
-    mutants["one_edge"] = {**starts, v: starts[u] + durations[u] - 1}
-    several = dict(starts)
-    for u, v in edges[:: max(1, len(edges) // 5)]:
-        several[v] = starts[u]
-    mutants["several_edges"] = several
-    # A node that waited for a unit after its inputs were ready: every unit
-    # of its type was busy the cycle before it started, so starting it then
-    # exceeds the capacity by one without breaking any edge.
-    ready = [max((starts[u] + durations[u] for u in dag.preds[v]), default=0) for v in range(n)]
-    waited = [v for v in range(n) if starts[v] > ready[v]]
-    if waited:
-        v = min(waited, key=starts.__getitem__)
-        mutants["capacity_by_one"] = {**starts, v: starts[v] - 1}
-    return mutants
-
-
 class TestVerifyEquivalence:
-    """The one-pass acceptance test must accept exactly what the message loop
-    accepts, and every rejected schedule must get the message loop's exact
+    """The vector checks must accept exactly what the message loop accepts,
+    and every rejected schedule must get the message loop's exact
     messages."""
 
     @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
@@ -370,6 +341,66 @@ class TestVerifyArbitraryStarts:
         dag = Dag([], [], {})
         assert verify_schedule(dag, {}) == []
         assert verify_schedule(dag, {0: 0}) == ["unknown node 0 in starts"]
+
+
+def shifted(starts, offset):
+    """Every nonnegative int start moved by ``offset``; other values kept,
+    so each mutant keeps its kind of violation."""
+    return {v: s + offset if type(s) is int and s >= 0 else s for v, s in starts.items()}
+
+
+class TestVectorChecks:
+    """The whole-array precedence and capacity tests against the reference
+    message loop, at the edges of what the arrays hold."""
+
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
+    def test_starts_past_int64(self, scale_dags, index):
+        dag = scale_dags[index]
+        starts = list_schedule(dag, scale_priorities(dag, index)[3], measure=False).starts
+        assert verify_schedule(dag, shifted(starts, 2**70)) == []
+        for kind, mutant in schedule_mutants(dag, starts).items():
+            mutant = shifted(mutant, 2**70)
+            expected = reference_verify_schedule(dag, mutant)
+            assert expected, kind
+            assert verify_schedule(dag, mutant) == expected, kind
+
+    def test_int_enum_starts_at_scale(self, scale_dags):
+        dag = scale_dags[5]
+        starts = list_schedule(dag, scale_priorities(dag, 5)[3], measure=False).starts
+        cycle = enum.IntEnum("Cycle", {f"C{t}": t for t in range(max(starts.values()) + 1)})
+        assert verify_schedule(dag, {v: cycle(s) for v, s in starts.items()}) == []
+        mutants = schedule_mutants(dag, starts)
+        for kind in ("one_edge", "several_edges", "capacity_by_one"):
+            mutant = {v: cycle(s) for v, s in mutants[kind].items()}
+            expected = reference_verify_schedule(dag, mutant)
+            assert expected, kind
+            assert verify_schedule(dag, mutant) == expected, kind
+
+    def test_graph_without_edges(self):
+        dag = Dag([NodeRecord(v, "a", 2) for v in range(5)], [], {"a": 2})
+        assert verify_schedule(dag, {0: 0, 1: 0, 2: 2, 3: 2, 4: 4}) == []
+        late = {0: 0, 1: 0, 2: 1, 3: 2, 4: 4}
+        assert verify_schedule(dag, late) == reference_verify_schedule(dag, late)
+        assert verify_schedule(dag, late) == ["capacity exceeded for type 'a' at cycle 1"]
+
+    def test_capacity_type_without_nodes(self):
+        dag = Dag([NodeRecord(0, "b", 1), NodeRecord(1, "b", 1)], [(0, 1)], {"a": 1, "b": 1, "c": 3})
+        assert verify_schedule(dag, {0: 0, 1: 1}) == []
+        broken = {0: 0, 1: 0}
+        assert verify_schedule(dag, broken) == reference_verify_schedule(dag, broken)
+        assert [v.split(" ")[0] for v in verify_schedule(dag, broken)] == ["precedence", "capacity"]
+
+    def test_second_check_reuses_the_cached_arrays(self, scale_dags):
+        dag = Dag(scale_dags[1].nodes, scale_dags[1].edges, scale_dags[1].capacities)
+        starts = list_schedule(dag, scale_priorities(dag, 1)[2], measure=False).starts
+        mutant = schedule_mutants(dag, starts)["several_edges"]
+        assert dag._checks is None
+        assert verify_schedule(dag, starts) == []
+        cached = dag._checks
+        assert cached is not None
+        assert verify_schedule(dag, mutant) == reference_verify_schedule(dag, mutant)
+        assert verify_schedule(dag, starts) == []
+        assert dag._checks is cached
 
 
 class TestOptimal:
