@@ -132,31 +132,17 @@ def generate_suite(spec: GeneratorSpec, count: int) -> list[Dag]:
     return [generate_graph(spec, index) for index in range(count)]
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    """n, mean, sample standard deviation (ddof=1, zero when n < 2), and the
-    normal-approximation 95 percent confidence half-width."""
-
-    n: int
-    mean: float
-    std: float
-    ci95: float
-
-
-def summarize(values: Sequence[float]) -> StatsSummary:
+def summarize(values: Sequence[float]) -> dict:
+    """``n``, ``mean``, sample standard deviation ``std`` (ddof=1, zero when
+    n < 2), and ``ci95``, the normal-approximation 95 percent confidence
+    half-width, as the campaign report writes them."""
     n = len(values)
-    if n == 0:
-        return StatsSummary(n=0, mean=0.0, std=0.0, ci95=0.0)
-    mean = sum(values) / n
-    if n < 2:
-        return StatsSummary(n=n, mean=mean, std=0.0, ci95=0.0)
-    var = sum((x - mean) ** 2 for x in values) / (n - 1)
-    std = sqrt(var)
-    return StatsSummary(n=n, mean=mean, std=std, ci95=1.96 * std / sqrt(n))
-
-
-def summary_to_document(summary: StatsSummary) -> dict:
-    return {"n": summary.n, "mean": summary.mean, "std": summary.std, "ci95": summary.ci95}
+    mean = sum(values) / n if n else 0.0
+    std = ci95 = 0.0
+    if n >= 2:
+        std = sqrt(sum((x - mean) ** 2 for x in values) / (n - 1))
+        ci95 = 1.96 * std / sqrt(n)
+    return {"n": n, "mean": mean, "std": std, "ci95": ci95}
 
 
 def standard_battery(seed: int = 0) -> list[tuple[str, PriorityExpr]]:
@@ -206,16 +192,16 @@ def run_campaign(
                 runtimes.append(schedule.runtime_ms)
             makespan_summary = summarize(makespans)
             if baseline_mean is None:
-                baseline_mean = makespan_summary.mean
+                baseline_mean = makespan_summary["mean"]
             improvement = 0.0
             if baseline_mean > 0:
-                improvement = 100.0 * (baseline_mean - makespan_summary.mean) / baseline_mean
+                improvement = 100.0 * (baseline_mean - makespan_summary["mean"]) / baseline_mean
             rows[heuristic_name] = {
                 "expr": print_expr(expr),
                 "graphs": len(dags),
                 "feasible": feasible,
-                "makespan": summary_to_document(makespan_summary),
-                "runtime_ms": summary_to_document(summarize(runtimes)),
+                "makespan": makespan_summary,
+                "runtime_ms": summarize(runtimes),
                 "improvement_pct": improvement,
             }
         report["suites"][suite_name] = {"heuristics": rows}

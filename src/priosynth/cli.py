@@ -175,6 +175,11 @@ def cmd_retrieve(args) -> int:
     normalizer = load_normalizer(Path(args.normalizer).read_text(encoding="utf-8"))
     if not normalizer.vocab:
         raise ConfigError("normalizer file does not record a vocabulary; rebuild the library")
+    if kernels and len(kernels[0].signature) != len(normalizer.mean):
+        raise ConfigError(
+            f"kernel library signatures have {len(kernels[0].signature)} entries "
+            f"but the normalizer has {len(normalizer.mean)}"
+        )
     dag = load_dag_file(args.graph)
     matches = retrieve_kernels(dag, kernels, normalizer, normalizer.vocab, args.m)
     doc = {

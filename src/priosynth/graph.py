@@ -72,12 +72,15 @@ class Dag:
         capacities: Mapping[str, int],
         name: str | None = None,
     ):
-        node_list = sorted(nodes, key=lambda r: r.id)
-        n = len(node_list)
-        seen: set[int] = set()
+        node_list = list(nodes)
+        # Every id is checked before the sort compares any two of them.
         for rec in node_list:
             if not isinstance(rec.id, int) or isinstance(rec.id, bool):
                 raise GraphFormatError(f"node id {rec.id!r} is not an integer")
+        node_list.sort(key=lambda r: r.id)
+        n = len(node_list)
+        seen: set[int] = set()
+        for rec in node_list:
             if rec.id in seen:
                 raise GraphFormatError(f"duplicate node id {rec.id}")
             seen.add(rec.id)
@@ -309,7 +312,8 @@ def load_dag(document: Mapping | str, name: str | None = None) -> Dag:
 def dag_to_document(dag: Dag) -> dict:
     return {
         "nodes": [{"id": r.id, "type": r.op_type, "duration": r.duration} for r in dag.nodes],
-        "edges": [[u, v] for u, v in dag.edges],
+        # Stored as tuples, which canonical_json writes as arrays.
+        "edges": dag.edges,
         "capacities": dict(dag.capacities),
     }
 

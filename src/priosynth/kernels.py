@@ -370,6 +370,18 @@ def load_library(document) -> list[Kernel]:
     if not isinstance(entries, list):
         raise ValueError("kernel library 'kernels' must be an array")
     kernels = [_kernel_from_document(entry, index) for index, entry in enumerate(entries)]
+    # Retrieval maps ids back to kernels and stacks signatures as matrix rows,
+    # so ids must be unique and signatures of one length.
+    first: dict[str, int] = {}
+    for index, kern in enumerate(kernels):
+        where = f"kernel library entry {index} ({kern.id})"
+        if kern.id in first:
+            raise ValueError(f"{where}: id {kern.id!r} repeats entry {first[kern.id]}")
+        first[kern.id] = index
+        if len(kern.signature) != len(kernels[0].signature):
+            raise ValueError(
+                f"{where}: 'signature' has {len(kern.signature)} entries but entry 0 has {len(kernels[0].signature)}"
+            )
     kernels.sort(key=lambda kern: kern.id)
     return kernels
 

@@ -8,6 +8,12 @@ regressions against the level baseline is folded into the next prompt.  The
 loop returns the best-scoring candidate across iterations (earliest wins on
 ties).
 
+Each evaluation is built once, as the row ``history.json`` writes: a graph's
+row holds its ``graph``, ``makespan``, ``feasible`` and ``score``, and an
+iteration's record holds its ``iteration``, ``source``, ``expr``,
+``mean_score``, ``evals`` rows and ``feedback``.  The loop reads its feedback,
+its scores and its winner from those same dicts.
+
 A candidate is scored by the schedule lengths it gives, never by a clock, so
 a whole run is a pure function of (corpus, library, config) and its history
 serializes to identical bytes on every execution.  That also lets one run
@@ -92,24 +98,6 @@ def loop_config_to_document(cfg: LoopConfig) -> dict:
 
 
 @dataclass(frozen=True)
-class GraphEval:
-    graph: str
-    makespan: int
-    feasible: bool
-    score: float
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    iteration: int
-    source: str
-    expr: str
-    mean_score: float
-    evals: tuple[GraphEval, ...]
-    feedback: str
-
-
-@dataclass(frozen=True)
 class RunResult:
     best_expr: PriorityExpr
     best_iteration: int
@@ -145,27 +133,25 @@ def evaluate_heuristic(
     dags: Sequence[Dag],
     cfg: LoopConfig,
     memo: ScheduleMemo | None = None,
-) -> list[GraphEval]:
-    """Schedule every graph under ``expr``, in the order of ``dags``."""
+) -> list[dict]:
+    """Schedule every graph under ``expr``, in the order of ``dags``, and
+    return one history row per graph: ``graph``, ``makespan``, ``feasible``
+    and ``score``."""
     if memo is None:
         memo = {}
 
-    def one(dag: Dag) -> GraphEval:
+    def one(dag: Dag) -> dict:
         makespan, feasible = _schedule(expr, dag, memo)
-        return GraphEval(
-            graph=dag.name or "",
-            makespan=makespan,
-            feasible=feasible,
-            score=score_schedule(cfg, makespan, feasible),
-        )
+        score = score_schedule(cfg, makespan, feasible)
+        return {"graph": dag.name or "", "makespan": makespan, "feasible": feasible, "score": score}
 
     return [one(dag) for dag in dags]
 
 
-def mean_score(evals: Sequence[GraphEval]) -> float:
+def mean_score(evals: Sequence[dict]) -> float:
     if not evals:
         return 0.0
-    return sum(e.score for e in evals) / len(evals)
+    return sum(e["score"] for e in evals) / len(evals)
 
 
 def whole_graph_kernels(
@@ -301,10 +287,11 @@ def parse_reply(text: str) -> PriorityExpr:
 
 # Fixed sign conventions for the deterministic synthesizer: pull work that
 # unlocks depth and parallelism forward, push slack and shallow level back.
-# These are the features it searches.  ``pressure`` and ``const`` are left
-# out: each takes one value per op type, and list_schedule ranks each type's
-# ready heap on its own (see the scheduler module docstring), so adding them
-# cannot change which node gets a unit.  That is exact only up to rounding: a
+# These are the features it searches: the core features and those the
+# template families name.  ``pressure`` and ``const`` are left out: each
+# takes one value per op type, and list_schedule ranks each type's ready heap
+# on its own (see the scheduler module docstring), so adding them cannot
+# change which node gets a unit.  That is exact only up to rounding: a
 # ``pressure`` term changes how the float priority sum rounds, so two nodes of
 # one type whose priorities tie or nearly tie can compare the other way, and
 # a provider's expression with that term can still schedule differently.  On
@@ -314,8 +301,6 @@ def parse_reply(text: str) -> PriorityExpr:
 # ``pressure`` or ``const``.
 _FEATURE_SIGNS = {
     "crit": 1.0,
-    "duration": 1.0,
-    "fanin": 1.0,
     "fanout": 1.0,
     "level": -1.0,
     "reconv": 1.0,
@@ -416,20 +401,20 @@ def fallback_synthesize(
 
 
 def make_feedback(
-    evals: Sequence[GraphEval],
-    baseline_evals: Sequence[GraphEval],
+    evals: Sequence[dict],
+    baseline_evals: Sequence[dict],
     dags: Sequence[Dag],
 ) -> str:
     """Summarize where the candidate lost to the baseline: up to five worst
     makespan regressions with a structural profile, plus infeasible graphs."""
     lines: list[str] = []
-    infeasible = sorted(e.graph for e in evals if not e.feasible)
+    infeasible = sorted(e["graph"] for e in evals if not e["feasible"])
     if infeasible:
         lines.append("infeasible on: " + ", ".join(infeasible))
     regressions = []
     for dag, cand, base in zip(dags, evals, baseline_evals):
-        if cand.feasible and base.feasible and cand.makespan > base.makespan:
-            regressions.append((cand.makespan - base.makespan, cand.graph, dag, cand, base))
+        if cand["feasible"] and base["feasible"] and cand["makespan"] > base["makespan"]:
+            regressions.append((cand["makespan"] - base["makespan"], cand["graph"], dag, cand, base))
     regressions.sort(key=lambda row: (-row[0], row[1]))
     if regressions:
         lines.append("worst regressions vs the level baseline:")
@@ -437,7 +422,7 @@ def make_feedback(
             stats = dag.stats()
             hot = max(stats.pressure, key=lambda op: (stats.pressure[op], op))
             lines.append(
-                f"- {name}: makespan {base.makespan} -> {cand.makespan} (+{delta}); "
+                f"- {name}: makespan {base['makespan']} -> {cand['makespan']} (+{delta}); "
                 f"|V|={len(dag)}, cp={stats.cp_length}, hottest type {hot}={stats.pressure[hot]:.3f}"
             )
     if not lines:
@@ -454,15 +439,6 @@ def sample_batch(train: Sequence[Dag], cfg: LoopConfig, iteration: int) -> list[
     rng = random.Random(f"{cfg.seed}:batch:{iteration}")
     picked = sorted(rng.sample(range(len(train)), cfg.batch_size))
     return [train[i] for i in picked]
-
-
-def _eval_to_document(e: GraphEval) -> dict:
-    return {
-        "graph": e.graph,
-        "makespan": e.makespan,
-        "feasible": e.feasible,
-        "score": e.score,
-    }
 
 
 def run_loop(
@@ -500,7 +476,7 @@ def run_loop(
     baseline_evals = evaluate_heuristic(baseline, val, cfg, memo)
 
     feedback_history: list[str] = []
-    records: list[RunRecord] = []
+    records: list[dict] = []
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
         selections = select_kernels(batch, index, normalizer, vocab, cfg, iteration, vectors)
@@ -527,42 +503,28 @@ def run_loop(
         feedback = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
-            RunRecord(
-                iteration=iteration,
-                source=source,
-                expr=print_expr(expr),
-                mean_score=mean_score(evals),
-                evals=tuple(evals),
-                feedback=feedback,
-            )
+            {
+                "iteration": iteration,
+                "source": source,
+                "expr": print_expr(expr),
+                "mean_score": mean_score(evals),
+                "evals": evals,
+                "feedback": feedback,
+            }
         )
 
-    best = max(records, key=lambda record: (record.mean_score, -record.iteration))
+    best = max(records, key=lambda record: (record["mean_score"], -record["iteration"]))
     history = {
         "config": loop_config_to_document(cfg),
         "baseline": {
             "expr": print_expr(baseline),
             "mean_score": mean_score(baseline_evals),
-            "evals": [_eval_to_document(e) for e in baseline_evals],
+            "evals": baseline_evals,
         },
-        "records": [
-            {
-                "iteration": record.iteration,
-                "source": record.source,
-                "expr": record.expr,
-                "mean_score": record.mean_score,
-                "evals": [_eval_to_document(e) for e in record.evals],
-                "feedback": record.feedback,
-            }
-            for record in records
-        ],
-        "best": {
-            "iteration": best.iteration,
-            "expr": best.expr,
-            "mean_score": best.mean_score,
-        },
+        "records": records,
+        "best": {key: best[key] for key in ("iteration", "expr", "mean_score")},
     }
-    return RunResult(best_expr=parse_expr(best.expr), best_iteration=best.iteration, history=history)
+    return RunResult(best_expr=parse_expr(best["expr"]), best_iteration=best["iteration"], history=history)
 
 
 def check_modes(modes: Sequence[str]) -> None:

@@ -194,11 +194,11 @@ class TestGate:
 
     def test_5_summary_statistics(self):
         stats = summarize([52.0, 98.8, 95.2, 71.8])
-        ok = abs(stats.mean - 79.45) <= 0.01 and abs(stats.std - 21.87) <= 0.01
+        ok = abs(stats["mean"] - 79.45) <= 0.01 and abs(stats["std"] - 21.87) <= 0.01
         gate(
             "5 summary-statistics",
             ok,
-            f"mean {stats.mean:.4f} (target 79.45 +/- 0.01), std {stats.std:.4f} (target 21.87 +/- 0.01)",
+            f"mean {stats['mean']:.4f} (target 79.45 +/- 0.01), std {stats['std']:.4f} (target 21.87 +/- 0.01)",
         )
 
     def test_6_desk_scale_gain(self, desk_run):

@@ -139,6 +139,17 @@ class TestStats:
         assert code == 3
 
 
+    def test_mixed_type_node_ids_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "mixed.json"
+        bad.write_text(
+            '{"nodes": [{"id": 0, "type": "a", "duration": 1}, {"id": "a", "type": "a", "duration": 1}],'
+            ' "edges": [], "capacities": {"a": 1}}',
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "stats", str(bad))
+        assert code == 3
+        assert "node id 'a' is not an integer" in err
+
     def test_non_integer_edge_endpoint_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "coerced.json"
         bad.write_text(
@@ -195,6 +206,9 @@ class TestKernelsAndRetrieve:
             ("stray_template_key", "normalizer", "kernel library entry 0 (x) 'template': unknown key 'rangez'"),
             ("library", "stray_normalizer_key", "normalizer: unknown key 'vocabulary'"),
             ("v1_library", "normalizer", "unsupported kernel library layout 'v1'"),
+            ("repeated_id", "normalizer", "kernel library entry 1 (x): id 'x' repeats entry 0"),
+            ("ragged_signatures", "normalizer", "entry 1 (y): 'signature' has 2 entries but entry 0 has 1"),
+            ("library", "short_normalizer", "but the normalizer has 1"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -206,6 +220,7 @@ class TestKernelsAndRetrieve:
         }
         run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(files["library"]), "--budget", "4")
         entry = {"id": "x", "category": "hub", "signature": [0.0], "support": 1}
+        hub = {**entry, "template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}}
         # The built library as the v1 layout wrote it: a search range per template feature.
         v1_library = json.loads(files["library"].read_text(encoding="utf-8"))
         v1_library["layout"] = "v1"
@@ -227,6 +242,9 @@ class TestKernelsAndRetrieve:
             },
             "stray_normalizer_key": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocabulary": ["a"]},
             "v1_library": v1_library,
+            "repeated_id": {"layout": "v2", "kernels": [hub, hub]},
+            "ragged_signatures": {"layout": "v2", "kernels": [hub, {**hub, "id": "y", "signature": [0.0, 1.0]}]},
+            "short_normalizer": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocab": ["a"]},
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"

@@ -154,6 +154,21 @@ class TestValidation:
                 }
             )
 
+    @pytest.mark.parametrize("other", ["a", None])
+    def test_mixed_type_ids_rejected(self, other):
+        # A sort by id would compare 0 with the other id and raise TypeError.
+        with pytest.raises(GraphFormatError, match=f"node id {other!r} is not an integer"):
+            load_dag(
+                {
+                    "nodes": [
+                        {"id": 0, "type": "a", "duration": 1},
+                        {"id": other, "type": "a", "duration": 1},
+                    ],
+                    "edges": [],
+                    "capacities": {"a": 1},
+                }
+            )
+
     def test_cycle_rejected(self):
         with pytest.raises(GraphFormatError, match="cycle"):
             load_dag(

@@ -383,6 +383,25 @@ class TestLibrary:
         with pytest.raises(ValueError, match=message):
             load_library({"layout": "v2", "kernels": entries})
 
+    @pytest.mark.parametrize(
+        ("second", "message"),
+        [
+            ({}, r"entry 1 \(hub-000\): id 'hub-000' repeats entry 0"),
+            ({"id": "hub-001", "signature": [0.5]}, r"entry 1 \(hub-001\): 'signature' has 1 entries but entry 0 has 2"),
+        ],
+    )
+    def test_library_is_checked_as_a_whole(self, second, message):
+        # Retrieval maps ids back to kernels and stacks signatures as rows.
+        entry = {
+            "id": "hub-000",
+            "category": "hub",
+            "signature": [0.5, -1],
+            "template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}},
+            "support": 2,
+        }
+        with pytest.raises(ValueError, match=message):
+            load_library({"layout": "v2", "kernels": [entry, {**entry, **second}]})
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="kernel library: unknown key 'version'"):
             load_library({"layout": "v2", "kernels": [], "version": 2})

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -41,6 +42,11 @@ def corpus(seed=11, count=20, n_lo=6, n_hi=16):
     return dags
 
 
+# sha256 of canonical_json of the provider-sourced history in
+# ``test_provider_history_bytes_are_pinned``.
+PROVIDER_HISTORY_SHA256 = "b35c66875463dbaaa88fc9eabc6a3485e5dad32389c8642e879e751a537b4f96"
+
+
 @pytest.fixture(scope="module")
 def setup():
     train = corpus(seed=1, count=20)
@@ -59,13 +65,13 @@ class TestScoring:
     def test_evaluate_follows_input_order(self, setup):
         train, val, vocab, kernels, normalizer = setup
         evals = evaluate_heuristic(parse_expr("1*crit"), val, LoopConfig())
-        assert [e.graph for e in evals] == [dag.name for dag in val]
+        assert [e["graph"] for e in evals] == [dag.name for dag in val]
 
     def test_mean_score(self):
         cfg = LoopConfig()
         dag = corpus(count=1)[0]
         evals = evaluate_heuristic(parse_expr("1*crit"), [dag], cfg)
-        assert mean_score(evals) == evals[0].score
+        assert mean_score(evals) == evals[0]["score"]
         assert mean_score([]) == 0.0
 
 
@@ -280,7 +286,7 @@ class TestFeedback:
         base = evaluate_heuristic(parse_expr("1*level"), val, cfg)
         cand = evaluate_heuristic(parse_expr("-1*crit"), val, cfg)
         text = make_feedback(cand, base, val)
-        if any(c.makespan > b.makespan for c, b in zip(cand, base)):
+        if any(c["makespan"] > b["makespan"] for c, b in zip(cand, base)):
             assert "regressions" in text
             assert "->" in text
 
@@ -296,7 +302,7 @@ class TestFeedback:
         cfg = LoopConfig()
         base = evaluate_heuristic(parse_expr("1*crit + 1*fanout - 1*level"), train, cfg)
         cand = evaluate_heuristic(parse_expr("-1*crit - 1*fanout + 1*level"), train, cfg)
-        regressed = sum(1 for c, b in zip(cand, base) if c.makespan > b.makespan)
+        regressed = sum(1 for c, b in zip(cand, base) if c["makespan"] > b["makespan"])
         assert regressed > 5  # the scenario really has many regressions
         text = make_feedback(cand, base, train)
         assert sum(1 for line in text.splitlines() if line.startswith("- ")) == 5
@@ -330,6 +336,19 @@ class TestRunLoop:
         a = run_loop(train, val, kernels, normalizer, vocab, cfg)
         b = run_loop(train, val, kernels, normalizer, vocab, cfg)
         assert canonical_json(a.history) == canonical_json(b.history)
+
+    def test_provider_history_bytes_are_pinned(self, setup):
+        # A valid reply, then an unparseable one followed by a valid retry,
+        # then an exhausted script: provider and fallback records, each with
+        # feedback, the first of it on regressions.
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=3, iterations=3)
+        provider = ScriptedProvider(["-2*crit", "garbage", "2*crit - 1*level"])
+        history = run_loop(train, val, kernels, normalizer, vocab, cfg, provider=provider).history
+        assert [r["source"] for r in history["records"]] == ["provider", "provider", "fallback"]
+        assert "worst regressions" in history["records"][0]["feedback"]
+        digest = hashlib.sha256(canonical_json(history).encode("utf-8")).hexdigest()
+        assert digest == PROVIDER_HISTORY_SHA256
 
     def test_scripted_provider_wins(self, setup):
         train, val, vocab, kernels, normalizer = setup
