@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .dsl import FEATURES, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
 from .graph import Dag, NodeRecord
-from .kernels import default_template
+from .kernels import family_expr
 from .scheduler import baseline_expr_text, list_schedule, verify_schedule
 
 FAMILIES = ("layered", "chain", "fork_join", "diamond_mesh")
@@ -147,7 +147,7 @@ def summarize(values: Sequence[float]) -> dict:
 
 def standard_battery(seed: int = 0) -> list[tuple[str, PriorityExpr]]:
     """Six reference heuristics: the level baseline, a hand-written
-    critical-path form, both structural template defaults, a deliberately
+    critical-path form, both structural template families, a deliberately
     myopic fanout-only rule, and one seeded random linear expression."""
     rng = random.Random(f"{seed}:battery-random")
     random_weights = {
@@ -156,8 +156,8 @@ def standard_battery(seed: int = 0) -> list[tuple[str, PriorityExpr]]:
     return [
         ("baseline_level", parse_expr(baseline_expr_text())),
         ("crit_fanout_level", parse_expr("1*crit + 1*fanout - 1*level")),
-        ("reconvergent_defaults", default_template("reconvergent_A").default_expr()),
-        ("deep_chain_defaults", default_template("deep_chain_B").default_expr()),
+        ("reconvergent_defaults", family_expr("reconvergent_A")),
+        ("deep_chain_defaults", family_expr("deep_chain_B")),
         ("fanout_only", parse_expr("1*fanout")),
         ("random_linear", make_expr(random_weights)),
     ]

@@ -55,8 +55,11 @@ def _parse_pairs(text: str, cast, what: str) -> dict:
         if "=" not in chunk:
             raise ConfigError(f"bad {what} entry {chunk!r}; expected name=value")
         name, _, value = chunk.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ConfigError(f"{what} names {name!r} more than once")
         try:
-            out[name.strip()] = cast(value.strip())
+            out[name] = cast(value.strip())
         except ValueError:
             raise ConfigError(f"bad {what} value {value!r}") from None
     if not out:
@@ -88,6 +91,13 @@ def _write_manifest(out_dir: Path, command: str, config_doc, seed: int, inputs: 
         "output_dir": str(out_dir),
     }
     _write(out_dir / "manifest.json", canonical_json(manifest))
+
+
+def _write_run_manifest(out_dir: Path, command: str, config_arg: str, cfg) -> None:
+    """The manifest of a run read from ``--config``, hashing the file it names."""
+    config_path = Path(config_arg)
+    inputs = {str(config_path): _sha256(config_path)} if config_path.is_file() else {}
+    _write_manifest(out_dir, command, run_config_to_document(cfg), cfg.seed, inputs)
 
 
 def _load_graph_inputs(items: list[str]) -> list[Dag]:
@@ -227,11 +237,7 @@ def cmd_synthesize(args) -> int:
         f"(mean validation score {result.history['best']['mean_score']:.6f})"
     )
     _write(out_dir / "best.txt", dump_heuristic(result.best_expr, comment))
-    inputs = {}
-    config_path = Path(args.config)
-    if config_path.is_file():
-        inputs[str(config_path)] = _sha256(config_path)
-    _write_manifest(out_dir, "synthesize", run_config_to_document(cfg), cfg.seed, inputs)
+    _write_run_manifest(out_dir, "synthesize", args.config, cfg)
     print(f"best: {print_expr(result.best_expr)} (iteration {result.best_iteration})")
     return EXIT_OK
 
@@ -242,11 +248,7 @@ def cmd_ablate(args) -> int:
     report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
     out_dir = Path(args.out)
     _write(out_dir / "ablation.json", canonical_json(report))
-    inputs = {}
-    config_path = Path(args.config)
-    if config_path.is_file():
-        inputs[str(config_path)] = _sha256(config_path)
-    _write_manifest(out_dir, "ablate", run_config_to_document(cfg), cfg.seed, inputs)
+    _write_run_manifest(out_dir, "ablate", args.config, cfg)
     width = max(len(mode) for mode in report["modes"])
     for mode in cfg.modes:
         row = report["modes"][mode]

@@ -92,7 +92,6 @@ class Normalizer:
 
     mean: tuple[float, ...]
     std: tuple[float, ...]
-    layout: str = LAYOUT
     vocab: tuple[str, ...] = ()
 
 
@@ -128,7 +127,7 @@ def normalizer_to_document(normalizer: Normalizer) -> dict:
     doc = {
         "mean": list(normalizer.mean),
         "std": list(normalizer.std),
-        "layout": normalizer.layout,
+        "layout": LAYOUT,
     }
     if normalizer.vocab:
         doc["vocab"] = list(normalizer.vocab)
@@ -179,7 +178,7 @@ def load_normalizer(document) -> Normalizer:
     vocab = document.get("vocab", [])
     if not isinstance(vocab, list) or not all(isinstance(op, str) for op in vocab):
         raise ValueError("normalizer 'vocab' must be a list of strings")
-    return Normalizer(mean=mean, std=std, layout=LAYOUT, vocab=tuple(vocab))
+    return Normalizer(mean=mean, std=std, vocab=tuple(vocab))
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Structural motif mining and the clustered kernel library.
 
 A kernel is a reusable scheduling hint: a centroid signature in embedding
-space (for retrieval by similarity) plus a parameterized priority template
-(for synthesis).  Kernels are mined from a training corpus in three motif
-categories and deduplicated by greedy leader clustering per category.
+space (for retrieval by similarity) for one motif category, whose template
+family (for synthesis) is the category's.  Kernels are mined from a training
+corpus in three motif categories and deduplicated by greedy leader
+clustering per category.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .embedding import (
     cosine_rows,
     embed,
     fit_normalizer,
-    is_number,
     number_list,
     reject_unknown_keys,
     row_norms,
@@ -32,53 +32,32 @@ from .embedding import (
 )
 from .graph import Dag, NodeRecord, canonical_json
 
-LIBRARY_LAYOUT = "v2"
+LIBRARY_LAYOUT = "v3"
 
-# Template families: feature -> sign.  Parameters are per-feature magnitudes;
-# the sign is fixed by the family.
+# Template families: feature -> sign.  A family names the features the
+# fallback search starts from and the sign each takes; the search picks the
+# magnitudes.
 TEMPLATE_FAMILIES: dict[str, tuple[tuple[str, float], ...]] = {
     "reconvergent_A": (("crit", 1.0), ("reconv", 1.0), ("fanout", 1.0)),
     "deep_chain_B": (("crit", 1.0), ("slack", -1.0)),
     "fanout_aware": (("fanout", 1.0), ("crit", 1.0)),
 }
 
-# Motif category -> template family attached to its kernels.
+# Kernel category -> the template family of its kernels.  ``whole_graph`` is
+# the no_motif ablation's one kernel per training graph.
 CATEGORY_FAMILY: dict[str, str] = {
     "hub": "fanout_aware",
     "reconvergent": "reconvergent_A",
     "chain": "deep_chain_B",
+    "whole_graph": "fanout_aware",
 }
 
-_DEFAULT_WEIGHT = 1.0
 
-
-@dataclass(frozen=True)
-class TemplateSpec:
-    """A family name with a default magnitude for each of its features."""
-
-    family: str
-    defaults: tuple[tuple[str, float], ...]
-
-    def default_expr(self) -> PriorityExpr:
-        return instantiate_template(self.family, dict(self.defaults))
-
-
-def default_template(family: str) -> TemplateSpec:
+def family_expr(family: str) -> PriorityExpr:
+    """The family's features, each at magnitude 1 with the family's sign."""
     if family not in TEMPLATE_FAMILIES:
         raise ValueError(f"unknown template family {family!r}")
-    features = sorted(feature for feature, _ in TEMPLATE_FAMILIES[family])
-    return TemplateSpec(family=family, defaults=tuple((feature, _DEFAULT_WEIGHT) for feature in features))
-
-
-def instantiate_template(family: str, params: Mapping[str, float]) -> PriorityExpr:
-    """Bind per-feature magnitudes; the family fixes each term's sign."""
-    if family not in TEMPLATE_FAMILIES:
-        raise ValueError(f"unknown template family {family!r}")
-    weights: dict[str, float] = {}
-    for feature, sign in TEMPLATE_FAMILIES[family]:
-        magnitude = float(params.get(feature, _DEFAULT_WEIGHT))
-        weights[feature] = weights.get(feature, 0.0) + sign * magnitude
-    return make_expr(weights)
+    return make_expr(dict(TEMPLATE_FAMILIES[family]))
 
 
 @dataclass(frozen=True)
@@ -95,7 +74,6 @@ class Kernel:
     id: str
     category: str
     signature: tuple[float, ...]
-    template: TemplateSpec
     support: int
 
 
@@ -323,7 +301,6 @@ def build_kernel_library(
                 id=f"{motif.category}-{seq:03d}",
                 category=motif.category,
                 signature=tuple(float(x) for x in centroid),
-                template=default_template(CATEGORY_FAMILY[motif.category]),
                 support=support,
             )
         )
@@ -339,10 +316,6 @@ def library_to_document(kernels: Sequence[Kernel]) -> dict:
                 "id": kern.id,
                 "category": kern.category,
                 "signature": list(kern.signature),
-                "template": {
-                    "family": kern.template.family,
-                    "defaults": {name: value for name, value in kern.template.defaults},
-                },
                 "support": kern.support,
             }
             for kern in sorted(kernels, key=lambda kern: kern.id)
@@ -392,35 +365,18 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     where = f"kernel library entry {index}"
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be an object")
-    reject_unknown_keys(entry, ("id", "category", "signature", "template", "support"), where)
+    reject_unknown_keys(entry, ("id", "category", "signature", "support"), where)
     for name in ("id", "category"):
         if not isinstance(entry.get(name), str):
             raise ValueError(f"{where}: '{name}' must be a string")
     where = f"kernel library entry {index} ({entry['id']})"
+    if entry["category"] not in CATEGORY_FAMILY:
+        raise ValueError(f"{where}: 'category' must be one of {sorted(CATEGORY_FAMILY)}")
     signature = number_list(entry.get("signature"), f"{where}: 'signature'")
     support = entry.get("support")
     if not isinstance(support, int) or isinstance(support, bool):
         raise ValueError(f"{where}: 'support' must be an integer")
-    template = entry.get("template")
-    if not isinstance(template, dict):
-        raise ValueError(f"{where}: 'template' must be an object")
-    reject_unknown_keys(template, ("family", "defaults"), f"{where} 'template'")
-    family = template.get("family")
-    if not isinstance(family, str) or family not in TEMPLATE_FAMILIES:
-        raise ValueError(f"{where}: 'template.family' must be one of {sorted(TEMPLATE_FAMILIES)}")
-    defaults = template.get("defaults")
-    if not isinstance(defaults, dict) or not all(is_number(v) for v in defaults.values()):
-        raise ValueError(f"{where}: 'template.defaults' must map features to finite numbers")
-    features = sorted(feature for feature, _ in TEMPLATE_FAMILIES[family])
-    if sorted(defaults) != features:
-        raise ValueError(f"{where}: 'template.defaults' must name exactly the features {features} of {family!r}")
-    return Kernel(
-        id=entry["id"],
-        category=entry["category"],
-        signature=signature,
-        template=TemplateSpec(family=family, defaults=tuple((name, float(defaults[name])) for name in features)),
-        support=support,
-    )
+    return Kernel(id=entry["id"], category=entry["category"], signature=signature, support=support)
 
 
 # Dag -> its embedding in one normalizer's z-space, keyed on the graph object

@@ -37,11 +37,12 @@ from .dsl import ExprError, PriorityExpr, eval_expr, make_expr, parse_expr, prin
 from .embedding import Normalizer
 from .graph import Dag
 from .kernels import (
+    CATEGORY_FAMILY,
     TEMPLATE_FAMILIES,
     Kernel,
     KernelIndex,
     QueryVectors,
-    default_template,
+    family_expr,
     query_vector,
     retrieve_kernels,
 )
@@ -173,7 +174,6 @@ def whole_graph_kernels(
                 id=f"whole_graph-{index:04d}",
                 category="whole_graph",
                 signature=tuple(float(x) for x in vec),
-                template=default_template("fanout_aware"),
                 support=1,
             )
         )
@@ -259,7 +259,7 @@ def build_prompt(
             kern = by_id[kern_id]
             parts.append(
                 f"- {kern.id} (category {kern.category}, matched {tally[kern_id]} graphs, "
-                f"support {kern.support}): suggested form {print_expr(kern.template.default_expr())}"
+                f"support {kern.support}): suggested form {print_expr(family_expr(CATEGORY_FAMILY[kern.category]))}"
             )
 
     parts.extend(["", "# Grammar", _GRAMMAR_TEXT])
@@ -322,23 +322,24 @@ def fallback_synthesize(
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer.
 
-    The basis is the features named by the retrieved kernel templates (all
-    of them keys of ``_FEATURE_SIGNS``), plus an always-present core (crit,
-    fanout, level).  Coordinate descent over a fixed magnitude grid
-    maximizes the mean batch score, run from three starts: the signed mean
-    of template defaults, a hand-written critical-path start, and that same
+    All it reads of ``selections`` is the set of features that the selected
+    kernels' template families name (all of them keys of
+    ``_FEATURE_SIGNS``).  The basis is that set plus an always-present core
+    (crit, fanout, level).  Coordinate descent over a fixed magnitude grid
+    maximizes the mean batch score, run from three starts: every basis
+    feature at its sign, a hand-written critical-path start, and that same
     start restricted to the core basis.  Each distinct candidate is scored
     once per call.  No randomness and no wall-clock input anywhere.
     """
     if memo is None:
         memo = {}
-    contributions: dict[str, list[float]] = {}
-    for _, kerns in selections:
-        for kern in kerns:
-            defaults = dict(kern.template.defaults)
-            for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
-                contributions.setdefault(feature, []).append(sign * defaults[feature])
-    basis = sorted(set(contributions) | set(_CORE_FEATURES))
+    named = {
+        feature
+        for _, kerns in selections
+        for kern in kerns
+        for feature, _ in TEMPLATE_FAMILIES[CATEGORY_FAMILY[kern.category]]
+    }
+    basis = sorted(named | set(_CORE_FEATURES))
     # The descent revisits the same weights again and again; a candidate
     # scored earlier in this call returns its score without a memo lookup.
     scores: dict[tuple[tuple[float, str], ...], float] = {}
@@ -377,13 +378,7 @@ def fallback_synthesize(
                 break
         return weights, best
 
-    template_start = {}
-    for feature in basis:
-        if feature in contributions:
-            values = contributions[feature]
-            template_start[feature] = sum(values) / len(values)
-        else:
-            template_start[feature] = _FEATURE_SIGNS[feature]
+    template_start = {feature: _FEATURE_SIGNS[feature] for feature in basis}
     core_start_full = {feature: 0.0 for feature in basis}
     for feature in _CORE_FEATURES:
         core_start_full[feature] = _FEATURE_SIGNS[feature]

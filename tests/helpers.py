@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from priosynth.bench import GeneratorSpec
 from priosynth.dsl import PriorityExpr, eval_expr, make_expr, parse_expr
 from priosynth.graph import Dag, GraphFormatError, NodeRecord, load_dag
-from priosynth.kernels import TEMPLATE_FAMILIES, Kernel
+from priosynth.kernels import CATEGORY_FAMILY, TEMPLATE_FAMILIES, Kernel
 from priosynth.loop import (
     _CORE_FEATURES,
     _GRID,
@@ -476,21 +476,21 @@ def reference_fallback_synthesize(
 
     Deterministic template-merge synthesizer.
 
-    The basis is the union of features named by the retrieved kernel
-    templates plus an always-present core (crit, fanout, level).  Coordinate
-    descent over a fixed magnitude grid maximizes the mean batch score, run
-    from three starts: the signed mean of template defaults, a hand-written
-    critical-path start, and that same start restricted to the core basis.
-    No randomness and no wall-clock input anywhere.
+    The basis is the union of features named by the retrieved kernels'
+    template families plus an always-present core (crit, fanout, level).
+    Coordinate descent over a fixed magnitude grid maximizes the mean batch
+    score, run from three starts: the signed mean of the families'
+    magnitudes (each 1.0), a hand-written critical-path start, and that same
+    start restricted to the core basis.  No randomness and no wall-clock
+    input anywhere.
     """
     if memo is None:
         memo = {}
     contributions: dict[str, list[float]] = {}
     for _, kerns in selections:
         for kern in kerns:
-            defaults = dict(kern.template.defaults)
-            for feature, sign in TEMPLATE_FAMILIES[kern.template.family]:
-                contributions.setdefault(feature, []).append(sign * defaults.get(feature, 1.0))
+            for feature, sign in TEMPLATE_FAMILIES[CATEGORY_FAMILY[kern.category]]:
+                contributions.setdefault(feature, []).append(sign * 1.0)
     basis = sorted(set(contributions) | set(_CORE_FEATURES))
 
     def objective(weights: dict[str, float]) -> float:

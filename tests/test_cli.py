@@ -12,6 +12,7 @@ from priosynth.bench import GeneratorSpec
 from priosynth.cli import main
 from priosynth.config import _generator_to_document
 from priosynth.graph import canonical_json, load_dag
+from priosynth.kernels import CATEGORY_FAMILY, TEMPLATE_FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,17 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"] == _generator_to_document(GeneratorSpec(label="layered"), 1)
 
+    @pytest.mark.parametrize(
+        ("flag", "pairs", "name"),
+        [("--capacities", "alu=2,alu=3,mem=1,mul=1", "alu"), ("--types", "alu=1,mem=3, mem=1", "mem")],
+    )
+    def test_repeated_name_exits_3_and_writes_nothing(self, flag, pairs, name, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "gen", "--out", str(out), "--count", "1", flag, pairs)
+        assert code == 3
+        assert f"{flag} names {name!r} more than once" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_count_below_one_exits_3_and_writes_nothing(self, count, tmp_path, capsys):
         out = tmp_path / "x"
@@ -173,7 +185,7 @@ class TestKernelsAndRetrieve:
         assert code == 0
         assert "kernels" in stdout
         doc = json.loads(lib.read_text(encoding="utf-8"))
-        assert doc["layout"] == "v2"
+        assert doc["layout"] == "v3"
         assert 0 < len(doc["kernels"]) <= 12
         normalizer_path = tmp_path / "lib.normalizer.json"
         assert normalizer_path.exists()
@@ -198,14 +210,15 @@ class TestKernelsAndRetrieve:
             ("bare_entry", "normalizer", "kernel library entry 0: 'category' must be a string"),
             ("text_signature", "normalizer", "entry 0 (x): 'signature' must be a list of finite numbers"),
             ("float_support", "normalizer", "kernel library entry 0 (x): 'support' must be an integer"),
-            ("no_template", "normalizer", "kernel library entry 0 (x): 'template' must be an object"),
+            ("unknown_category", "normalizer", "kernel library entry 0 (x): 'category' must be one of"),
             ("library", "text_mean", "normalizer 'mean' must be a list of finite numbers"),
             ("library", "bool_std", "normalizer 'std' must be a list of finite numbers"),
             ("stray_top_key", "normalizer", "kernel library: unknown key 'kernel'"),
             ("stray_entry_key", "normalizer", "kernel library entry 0: unknown key 'signatrue'"),
-            ("stray_template_key", "normalizer", "kernel library entry 0 (x) 'template': unknown key 'rangez'"),
+            ("stray_template_key", "normalizer", "kernel library entry 0: unknown key 'template'"),
             ("library", "stray_normalizer_key", "normalizer: unknown key 'vocabulary'"),
             ("v1_library", "normalizer", "unsupported kernel library layout 'v1'"),
+            ("v2_library", "normalizer", "unsupported kernel library layout 'v2'"),
             ("repeated_id", "normalizer", "kernel library entry 1 (x): id 'x' repeats entry 0"),
             ("ragged_signatures", "normalizer", "entry 1 (y): 'signature' has 2 entries but entry 0 has 1"),
             ("library", "short_normalizer", "but the normalizer has 1"),
@@ -220,30 +233,36 @@ class TestKernelsAndRetrieve:
         }
         run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(files["library"]), "--budget", "4")
         entry = {"id": "x", "category": "hub", "signature": [0.0], "support": 1}
-        hub = {**entry, "template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}}
-        # The built library as the v1 layout wrote it: a search range per template feature.
-        v1_library = json.loads(files["library"].read_text(encoding="utf-8"))
-        v1_library["layout"] = "v1"
-        for kern in v1_library["kernels"]:
-            kern["template"]["ranges"] = dict.fromkeys(kern["template"]["defaults"], [0, 4])
+        template = {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}
+        # The built library as the v2 layout wrote it, a template of default
+        # magnitudes per kernel, and as the v1 layout wrote it, which added a
+        # search range per template feature.
+        libraries = {}
+        for layout in ("v1", "v2"):
+            libraries[layout] = json.loads(files["library"].read_text(encoding="utf-8"))
+            libraries[layout]["layout"] = layout
+            for kern in libraries[layout]["kernels"]:
+                family = CATEGORY_FAMILY[kern["category"]]
+                features = [feature for feature, _ in TEMPLATE_FAMILIES[family]]
+                kern["template"] = {"family": family, "defaults": dict.fromkeys(features, 1.0)}
+                if layout == "v1":
+                    kern["template"]["ranges"] = dict.fromkeys(features, [0, 4])
         written = {
             "empty": [],
-            "bare_entry": {"layout": "v2", "kernels": [{"id": "x"}]},
-            "text_signature": {"layout": "v2", "kernels": [{**entry, "signature": "12"}]},
-            "float_support": {"layout": "v2", "kernels": [{**entry, "support": 1.5}]},
-            "no_template": {"layout": "v2", "kernels": [entry]},
+            "bare_entry": {"layout": "v3", "kernels": [{"id": "x"}]},
+            "text_signature": {"layout": "v3", "kernels": [{**entry, "signature": "12"}]},
+            "float_support": {"layout": "v3", "kernels": [{**entry, "support": 1.5}]},
+            "unknown_category": {"layout": "v3", "kernels": [{**entry, "category": "fanout_aware"}]},
             "text_mean": {"layout": "v1", "mean": "12", "std": "34"},
             "bool_std": {"layout": "v1", "mean": [0.0], "std": [True]},
-            "stray_top_key": {"layout": "v2", "kernels": [], "kernel": []},
-            "stray_entry_key": {"layout": "v2", "kernels": [{**entry, "signatrue": [0.0]}]},
-            "stray_template_key": {
-                "layout": "v2",
-                "kernels": [{**entry, "template": {"family": "hub", "defaults": {}, "rangez": {}}}],
-            },
+            "stray_top_key": {"layout": "v3", "kernels": [], "kernel": []},
+            "stray_entry_key": {"layout": "v3", "kernels": [{**entry, "signatrue": [0.0]}]},
+            "stray_template_key": {"layout": "v3", "kernels": [{**entry, "template": template}]},
             "stray_normalizer_key": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocabulary": ["a"]},
-            "v1_library": v1_library,
-            "repeated_id": {"layout": "v2", "kernels": [hub, hub]},
-            "ragged_signatures": {"layout": "v2", "kernels": [hub, {**hub, "id": "y", "signature": [0.0, 1.0]}]},
+            "v1_library": libraries["v1"],
+            "v2_library": libraries["v2"],
+            "repeated_id": {"layout": "v3", "kernels": [entry, entry]},
+            "ragged_signatures": {"layout": "v3", "kernels": [entry, {**entry, "id": "y", "signature": [0.0, 1.0]}]},
             "short_normalizer": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocab": ["a"]},
         }
         for name, document in written.items():

@@ -11,20 +11,17 @@ from priosynth.graph import load_dag
 from priosynth.kernels import (
     CATEGORY_FAMILY,
     TEMPLATE_FAMILIES,
+    Kernel,
     build_kernel_library,
     cluster_motifs,
-    default_template,
     dump_library,
+    family_expr,
     induced_subdag,
-    instantiate_template,
     Motif,
     load_library,
     mine_motifs,
     retrieve_kernels,
 )
-
-STRICT_DEFAULTS = r"entry 0 \(k\): 'template.defaults' must name exactly the features \['crit', 'fanout'\]"
-
 
 def corpus(seed=11, count=25, n_lo=6, n_hi=18):
     rng = random.Random(seed)
@@ -33,25 +30,17 @@ def corpus(seed=11, count=25, n_lo=6, n_hi=18):
 
 class TestTemplates:
     def test_known_family_terms(self):
-        assert instantiate_template("reconvergent_A", {}) == parse_expr("1*crit + 1*fanout + 1*reconv")
-        assert instantiate_template("deep_chain_B", {}) == parse_expr("1*crit - 1*slack")
-        assert instantiate_template("fanout_aware", {}) == parse_expr("1*crit + 1*fanout")
-
-    def test_magnitudes_scale_with_fixed_signs(self):
-        expr = instantiate_template("deep_chain_B", {"crit": 2.0, "slack": 0.5})
-        assert expr == parse_expr("2*crit - 0.5*slack")
+        assert family_expr("reconvergent_A") == parse_expr("1*crit + 1*fanout + 1*reconv")
+        assert family_expr("deep_chain_B") == parse_expr("1*crit - 1*slack")
+        assert family_expr("fanout_aware") == parse_expr("1*crit + 1*fanout")
+        assert print_expr(family_expr("reconvergent_A")) == "1*crit + 1*fanout + 1*reconv"
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            instantiate_template("nope", {})
-        with pytest.raises(ValueError):
-            default_template("nope")
-
-    def test_default_template_round_trip(self):
-        spec = default_template("reconvergent_A")
-        assert spec.family == "reconvergent_A"
-        assert dict(spec.defaults) == {"crit": 1.0, "fanout": 1.0, "reconv": 1.0}
-        assert print_expr(spec.default_expr()) == "1*crit + 1*fanout + 1*reconv"
+        with pytest.raises(ValueError, match="unknown template family 'nope'"):
+            family_expr("nope")
+        # A category is not a family.
+        with pytest.raises(ValueError, match="unknown template family 'hub'"):
+            family_expr("hub")
 
     def test_every_category_has_a_family(self):
         for family in CATEGORY_FAMILY.values():
@@ -77,7 +66,7 @@ class TestMining:
         seen = set()
         for dag in [diamond, chain5] + [random_dag(rng, rng.randint(6, 16), edge_prob=0.2) for _ in range(15)]:
             seen.update(m.category for m in mine_motifs(dag))
-        assert seen == set(CATEGORY_FAMILY) == {"hub", "reconvergent", "chain"}
+        assert seen == set(CATEGORY_FAMILY) - {"whole_graph"} == {"hub", "reconvergent", "chain"}
 
     def test_chain_motifs_have_min_length_and_unit_degrees(self):
         rng = random.Random(3)
@@ -293,7 +282,7 @@ class TestLibrary:
         for kern in kernels:
             assert len(kern.signature) == dim
             assert kern.support >= 1
-            assert kern.template.family == CATEGORY_FAMILY[kern.category]
+            assert kern.category in CATEGORY_FAMILY
 
     def test_build_deterministic_bytes(self):
         a, _ = build_kernel_library(corpus())
@@ -304,10 +293,9 @@ class TestLibrary:
         kernels, _ = build_kernel_library(corpus(count=10))
         text = dump_library(kernels)
         doc = json.loads(text)
-        assert doc["layout"] == "v2"
+        assert doc["layout"] == "v3"
         for entry in doc["kernels"]:
-            assert set(entry) == {"id", "category", "signature", "template", "support"}
-            assert set(entry["template"]) == {"family", "defaults"}
+            assert set(entry) == {"id", "category", "signature", "support"}
         again = load_library(text)
         assert again == kernels
         assert dump_library(again) == text
@@ -315,20 +303,16 @@ class TestLibrary:
     def test_bad_layout_rejected(self):
         with pytest.raises(ValueError, match="layout"):
             load_library({"layout": "v9", "kernels": []})
-        # A library as the v1 layout wrote it, with a search range per feature.
-        entry = {
-            "id": "hub-000",
-            "category": "hub",
-            "signature": [0.5],
-            "template": {
-                "family": "fanout_aware",
-                "defaults": {"crit": 1, "fanout": 1},
-                "ranges": {"crit": [0, 4], "fanout": [0, 4]},
-            },
-            "support": 2,
-        }
+        # A library as the v2 layout wrote it, with a template of default
+        # magnitudes per kernel, and as the v1 layout wrote it, which added a
+        # search range per template feature.
+        template = {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}
+        entry = {"id": "hub-000", "category": "hub", "signature": [0.5], "template": template, "support": 2}
+        with pytest.raises(ValueError, match="unsupported kernel library layout 'v2'"):
+            load_library({"layout": "v2", "kernels": [entry]})
+        ranges = {"crit": [0, 4], "fanout": [0, 4]}
         with pytest.raises(ValueError, match="unsupported kernel library layout 'v1'"):
-            load_library({"layout": "v1", "kernels": [entry]})
+            load_library({"layout": "v1", "kernels": [{**entry, "template": {**template, "ranges": ranges}}]})
 
     @pytest.mark.parametrize(
         ("change", "message"),
@@ -339,41 +323,25 @@ class TestLibrary:
             ({"signature": [1.0, True]}, "'signature' must be a list of finite numbers"),
             ({"support": "3"}, "'support' must be an integer"),
             ({"support": True}, "'support' must be an integer"),
-            ({"template": []}, "'template' must be an object"),
-            ({"template": {"family": "nope", "defaults": {}}}, "'template.family' must be one of"),
-            ({"template": {"family": "hub", "defaults": {}}}, "'template.family' must be one of"),
             (
-                {"template": {"family": "fanout_aware", "defaults": {"crit": "1", "fanout": 1}}},
-                "'template.defaults' must map features to finite numbers",
+                {"category": "nope"},
+                r"entry 0 \(k\): 'category' must be one of \['chain', 'hub', 'reconvergent', 'whole_graph'\]",
             ),
-            (
-                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1, "pressur": 7}}},
-                STRICT_DEFAULTS,
-            ),
-            ({"template": {"family": "fanout_aware", "defaults": {"crit": 1}}}, STRICT_DEFAULTS),
+            # A family is not a category.
+            ({"category": "fanout_aware"}, r"entry 0 \(k\): 'category' must be one of"),
             ({"signatrue": [0.5]}, "entry 0: unknown key 'signatrue'"),
             (
-                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}, "default": {}}},
-                r"entry 0 \(k\) 'template': unknown key 'default'",
-            ),
-            (
-                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}, "ranges": {}}},
-                r"entry 0 \(k\) 'template': unknown key 'ranges'",
+                {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}},
+                "entry 0: unknown key 'template'",
             ),
         ],
     )
     def test_entries_are_checked_not_coerced(self, change, message):
-        entry = {
-            "id": "k",
-            "category": "hub",
-            "signature": [0.5, -1],
-            "template": {"family": "fanout_aware", "defaults": {"fanout": 2, "crit": 1}},
-            "support": 2,
-        }
-        (kernel,) = load_library({"layout": "v2", "kernels": [entry]})
-        assert kernel.signature == (0.5, -1.0) and kernel.template.defaults == (("crit", 1.0), ("fanout", 2.0))
+        entry = {"id": "k", "category": "hub", "signature": [0.5, -1], "support": 2}
+        (kernel,) = load_library({"layout": "v3", "kernels": [entry]})
+        assert kernel == Kernel(id="k", category="hub", signature=(0.5, -1.0), support=2)
         with pytest.raises(ValueError, match=message):
-            load_library({"layout": "v2", "kernels": [{**entry, **change}]})
+            load_library({"layout": "v3", "kernels": [{**entry, **change}]})
 
     @pytest.mark.parametrize(
         ("entries", "message"),
@@ -381,7 +349,7 @@ class TestLibrary:
     )
     def test_kernels_must_be_an_array_of_objects(self, entries, message):
         with pytest.raises(ValueError, match=message):
-            load_library({"layout": "v2", "kernels": entries})
+            load_library({"layout": "v3", "kernels": entries})
 
     @pytest.mark.parametrize(
         ("second", "message"),
@@ -392,19 +360,13 @@ class TestLibrary:
     )
     def test_library_is_checked_as_a_whole(self, second, message):
         # Retrieval maps ids back to kernels and stacks signatures as rows.
-        entry = {
-            "id": "hub-000",
-            "category": "hub",
-            "signature": [0.5, -1],
-            "template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}},
-            "support": 2,
-        }
+        entry = {"id": "hub-000", "category": "hub", "signature": [0.5, -1], "support": 2}
         with pytest.raises(ValueError, match=message):
-            load_library({"layout": "v2", "kernels": [entry, {**entry, **second}]})
+            load_library({"layout": "v3", "kernels": [entry, {**entry, **second}]})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="kernel library: unknown key 'version'"):
-            load_library({"layout": "v2", "kernels": [], "version": 2})
+            load_library({"layout": "v3", "kernels": [], "version": 2})
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from priosynth import loop
 from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import canonical_json
-from priosynth.kernels import build_kernel_library
+from priosynth.kernels import CATEGORY_FAMILY, Kernel, build_kernel_library
 from priosynth.loop import (
     ABLATIONS,
     LoopConfig,
@@ -128,7 +128,7 @@ class TestSelection:
         whole = whole_graph_kernels(train, normalizer, vocab)
         assert len(whole) == len(train)
         assert all(k.category == "whole_graph" for k in whole)
-        assert all(k.template.family == "fanout_aware" for k in whole)
+        assert all(CATEGORY_FAMILY[k.category] == "fanout_aware" for k in whole)
 
 
 class TestPrompt:
@@ -224,6 +224,22 @@ class TestFallback:
                 {name: weight for weight, name in expected.terms if name not in ("pressure", "const")}
             )
             assert fallback_synthesize(selections, batch, cfg) == expected
+
+    def test_reads_only_the_families_of_the_selection(self, setup):
+        # hub and whole_graph kernels share the fanout_aware family, so these
+        # selections differ in kernel ids, categories, signatures (hence
+        # similarities) and counts, but name the same families.
+        train, *_ = setup
+        cfg = LoopConfig()
+        batch = train[:6]
+        hub = Kernel(id="hub-000", category="hub", signature=(1.0, 0.0), support=5)
+        whole = Kernel(id="whole_graph-0003", category="whole_graph", signature=(-1.0, 2.0), support=1)
+        chains = [
+            Kernel(id=f"chain-{i:03d}", category="chain", signature=(float(i), 1.0), support=i + 1) for i in range(3)
+        ]
+        first = [(dag, [hub, chains[0]]) for dag in batch]
+        second = [(dag, [chains[1 + index % 2], whole, whole]) for index, dag in enumerate(batch)]
+        assert fallback_synthesize(first, batch, cfg) == fallback_synthesize(second, batch, cfg)
 
     def test_every_template_feature_is_searchable(self):
         # A family naming a per-type feature such as pressure would hand the
