@@ -33,7 +33,6 @@ class TestTemplates:
         assert family_expr("reconvergent_A") == parse_expr("1*crit + 1*fanout + 1*reconv")
         assert family_expr("deep_chain_B") == parse_expr("1*crit - 1*slack")
         assert family_expr("fanout_aware") == parse_expr("1*crit + 1*fanout")
-        assert print_expr(family_expr("reconvergent_A")) == "1*crit + 1*fanout + 1*reconv"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown template family 'nope'"):
@@ -41,6 +40,12 @@ class TestTemplates:
         # A category is not a family.
         with pytest.raises(ValueError, match="unknown template family 'hub'"):
             family_expr("hub")
+
+    def test_default_template_round_trip(self):
+        assert print_expr(family_expr("reconvergent_A")) == "1*crit + 1*fanout + 1*reconv"
+        for family in TEMPLATE_FAMILIES:
+            expr = family_expr(family)
+            assert parse_expr(print_expr(expr)) == expr
 
     def test_every_category_has_a_family(self):
         for family in CATEGORY_FAMILY.values():
