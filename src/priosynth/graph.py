@@ -63,7 +63,9 @@ class Dag:
     :mod:`priosynth.bench` emits them, construction is linear in the edges.
     """
 
-    __slots__ = ("nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats", "_checks")
+    __slots__ = (
+        "nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats", "_checks", "_members"
+    )
 
     def __init__(
         self,
@@ -134,6 +136,9 @@ class Dag:
         # The arrays scheduler.verify_schedule tests schedules with, built
         # by the first check of this graph.
         self._checks: tuple | None = None
+        # Each op type's member ids, built by the first
+        # scheduler.type_members call on this graph.
+        self._members: list[list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -376,6 +376,9 @@ def _kernel_from_document(entry, index: int) -> Kernel:
     support = entry.get("support")
     if not isinstance(support, int) or isinstance(support, bool):
         raise ValueError(f"{where}: 'support' must be an integer")
+    # A support counts the motifs of a cluster, so a built kernel has one.
+    if support < 1:
+        raise ValueError(f"{where}: 'support' must be at least 1, got {support}")
     return Kernel(id=entry["id"], category=entry["category"], signature=signature, support=support)
 
 

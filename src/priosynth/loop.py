@@ -17,8 +17,13 @@ its scores and its winner from those same dicts.
 A candidate is scored by the schedule lengths it gives, never by a clock, so
 a whole run is a pure function of (corpus, library, config) and its history
 serializes to identical bytes on every execution.  That also lets one run
-schedule each (graph, expression) pair once: a memo from the ``Dag`` object
-and the expression's terms to (makespan, feasible) serves the fallback search
+memoize (makespan, feasible) per graph, on two keys.  The first is the
+expression's terms, so a repeated expression costs one lookup.  The second is
+the order in which list scheduling pops each op type's ready heap under the
+expression's priorities (see :mod:`priosynth.scheduler`): that order decides
+the whole schedule, so two expressions that give a graph the same order share
+one schedule, and expressions that give different orders never do.  Each
+(graph, order) pair is scheduled once.  The memo serves the fallback search
 and the validation scoring alike.  It lives for one :func:`run_loop` call, or
 for one :func:`run_ablation` call, whose modes share the same graphs.
 Retrieval works the same way: a run embeds each query graph once and scores
@@ -47,7 +52,7 @@ from .kernels import (
     retrieve_kernels,
 )
 from .providers import ProviderError, ProviderSpec, make_provider, provider_spec_to_document
-from .scheduler import baseline_expr_text, list_schedule
+from .scheduler import baseline_expr_text, list_schedule, type_order
 
 ABLATIONS = ("full", "no_retrieval", "no_motif", "random_kernel")
 
@@ -114,18 +119,31 @@ def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
     return value
 
 
-# (graph, expression terms) -> (makespan, feasible).  Keyed on the ``Dag``
-# object itself, which hashes by identity, so a graph stays alive while the
-# memo does and two graphs that share a name never share an entry.
-ScheduleMemo = dict[tuple[Dag, tuple[tuple[float, str], ...]], tuple[int, bool]]
+# (graph, expression terms) -> (makespan, feasible), and (graph, type order)
+# -> (makespan, feasible), in one dict.  The type order is what
+# ``scheduler.type_order`` returns: the schedule depends on the priorities only
+# through it, so expressions that rank every type's members alike share one
+# entry.  The two kinds of key never meet: terms are (float, str) pairs and an
+# order holds ints.  Keyed on the ``Dag`` object itself, which hashes by
+# identity, so a graph stays alive while the memo does and two graphs that
+# share a name never share an entry.
+ScheduleMemo = dict[tuple[Dag, tuple], tuple[int, bool]]
 
 
 def _schedule(expr: PriorityExpr, dag: Dag, memo: ScheduleMemo) -> tuple[int, bool]:
     key = (dag, expr.terms)
     found = memo.get(key)
     if found is None:
-        schedule = list_schedule(dag, eval_expr(expr, dag), measure=False)
-        found = memo[key] = (schedule.makespan, schedule.feasible)
+        priority = eval_expr(expr, dag)
+        order = type_order(dag, priority)
+        if order is not None:
+            found = memo.get((dag, order))
+        if found is None:
+            schedule = list_schedule(dag, priority, measure=False)
+            found = (schedule.makespan, schedule.feasible)
+            if order is not None:
+                memo[dag, order] = found
+        memo[key] = found
     return found
 
 

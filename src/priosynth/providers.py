@@ -106,9 +106,12 @@ class HttpProvider:
             raise ProviderError(f"provider returned HTTP {status}")
         try:
             body = json.loads(raw)
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from None
+        if not isinstance(content, str):
+            raise ProviderError(f"malformed provider response: content is {json.dumps(content)}, not a string")
+        return content
 
 
 def make_provider(spec: ProviderSpec):

@@ -14,6 +14,14 @@ out.  So the scheduler keeps one ready heap per type, keyed
 (-priority, id), pops each until its type is full, and never re-sorts the
 whole ready list; the start times are those of the global ranked pass.
 
+The schedule therefore depends on the priorities only through the order in
+which each type's heap pops its members: per type, the member ids sorted by
+(priority descending, id ascending).  Two priority vectors that give every
+type the same such order give identical starts, makespan and feasibility.
+``type_order`` returns that order as one tuple, so a caller can memoize
+schedules on it; a vector with a NaN or an infinity has no order, because
+``list_schedule`` rejects it.
+
 ``optimal_makespan`` is a memoized branch-and-bound over event-aligned
 schedules.  Restricting starts to event times is lossless: any feasible
 schedule can be left-shifted op by op, without increasing the makespan, until
@@ -141,6 +149,33 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     return _result(begin, measure, starts, makespan, True)
 
 
+def type_order(dag: Dag, priority: Sequence[float]) -> tuple[int, ...] | None:
+    """The order ``list_schedule`` pops each type's ready heap in under
+    ``priority``, a sequence indexed by node id: every type's member ids
+    sorted by (priority descending, id ascending), the types in capacity
+    order, concatenated.  ``None`` when a priority is not finite."""
+    if not math.isfinite(sum(priority)) and not all(map(math.isfinite, priority)):
+        return None
+    key = priority.__getitem__
+    order: list[int] = []
+    for members in type_members(dag):
+        # A stable sort keeps ascending ids among equal priorities, also
+        # when reversed.
+        order += sorted(members, key=key, reverse=True)
+    return tuple(order)
+
+
+def type_members(dag: Dag) -> list[list[int]]:
+    """The ascending member ids of each op type, in capacity order, built on
+    a graph's first call and cached in its ``_members`` slot."""
+    if dag._members is None:
+        members: dict[str, list[int]] = {op: [] for op in dag.capacities}
+        for v, rec in enumerate(dag.nodes):
+            members[rec.op_type].append(v)
+        dag._members = list(members.values())
+    return dag._members
+
+
 def _result(begin: float, measure: bool, starts: dict[int, int], makespan: int, feasible: bool) -> Schedule:
     elapsed = (time.perf_counter() - begin) * 1000.0 if measure else 0.0
     return Schedule(starts=starts, makespan=makespan, feasible=feasible, runtime_ms=elapsed)
@@ -208,9 +243,10 @@ def _check_columns(dag: Dag) -> tuple:
         durations = [rec.duration for rec in dag.nodes]
         max_duration = max(durations)
         duration = np.array(durations, np.int64 if max_duration <= _INT64_MAX else object)
-        code = {op: i for i, op in enumerate(dag.capacities)}
-        op_of = np.fromiter((code[rec.op_type] for rec in dag.nodes), np.intp, n)
-        types = [(op, cap, np.flatnonzero(op_of == code[op])) for op, cap in dag.capacities.items()]
+        types = [
+            (op, cap, np.array(members, np.intp))
+            for (op, cap), members in zip(dag.capacities.items(), type_members(dag))
+        ]
         dag._checks = (src, dst, duration, max_duration, types)
     return dag._checks
 

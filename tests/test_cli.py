@@ -211,6 +211,8 @@ class TestKernelsAndRetrieve:
             ("text_signature", "normalizer", "entry 0 (x): 'signature' must be a list of finite numbers"),
             ("float_support", "normalizer", "kernel library entry 0 (x): 'support' must be an integer"),
             ("unknown_category", "normalizer", "kernel library entry 0 (x): 'category' must be one of"),
+            ("negative_support", "normalizer", "kernel library entry 0 (x): 'support' must be at least 1, got -5"),
+            ("zero_support", "normalizer", "kernel library entry 0 (x): 'support' must be at least 1, got 0"),
             ("library", "text_mean", "normalizer 'mean' must be a list of finite numbers"),
             ("library", "bool_std", "normalizer 'std' must be a list of finite numbers"),
             ("stray_top_key", "normalizer", "kernel library: unknown key 'kernel'"),
@@ -253,6 +255,8 @@ class TestKernelsAndRetrieve:
             "text_signature": {"layout": "v3", "kernels": [{**entry, "signature": "12"}]},
             "float_support": {"layout": "v3", "kernels": [{**entry, "support": 1.5}]},
             "unknown_category": {"layout": "v3", "kernels": [{**entry, "category": "fanout_aware"}]},
+            "negative_support": {"layout": "v3", "kernels": [{**entry, "support": -5}]},
+            "zero_support": {"layout": "v3", "kernels": [{**entry, "support": 0}]},
             "text_mean": {"layout": "v1", "mean": "12", "std": "34"},
             "bool_std": {"layout": "v1", "mean": [0.0], "std": [True]},
             "stray_top_key": {"layout": "v3", "kernels": [], "kernel": []},

@@ -339,6 +339,8 @@ class TestLibrary:
                 {"template": {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}},
                 "entry 0: unknown key 'template'",
             ),
+            ({"support": 0}, r"entry 0 \(k\): 'support' must be at least 1, got 0"),
+            ({"support": -5}, r"entry 0 \(k\): 'support' must be at least 1, got -5"),
         ],
     )
     def test_entries_are_checked_not_coerced(self, change, message):

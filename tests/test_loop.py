@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 from collections import Counter
 from dataclasses import replace
@@ -7,10 +8,10 @@ import pytest
 
 from helpers import random_dag, reference_fallback_synthesize
 from priosynth import kernels as kernels_module
-from priosynth import loop
+from priosynth import config, loop
 from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
-from priosynth.graph import canonical_json
+from priosynth.graph import canonical_json, load_dag
 from priosynth.kernels import CATEGORY_FAMILY, Kernel, build_kernel_library
 from priosynth.loop import (
     ABLATIONS,
@@ -28,8 +29,8 @@ from priosynth.loop import (
     select_kernels,
     whole_graph_kernels,
 )
-from priosynth.providers import ProviderError, ProviderSpec, ScriptedProvider
-from priosynth.scheduler import list_schedule
+from priosynth.providers import HttpProvider, ProviderError, ProviderSpec, ScriptedProvider
+from priosynth.scheduler import list_schedule, type_order
 
 
 def corpus(seed=11, count=20, n_lo=6, n_hi=16):
@@ -282,17 +283,25 @@ class TestFallback:
             return expr
 
         class CountingMemo(dict):
-            lookups = 0
+            def __init__(self):
+                super().__init__()
+                self.lookups = Counter()
 
             def get(self, key, default=None):
-                self.lookups += 1
+                self.lookups[key] += 1
                 return super().get(key, default)
 
         monkeypatch.setattr(loop, "make_expr", recording_make_expr)
         memo = CountingMemo()
         fallback_synthesize(selections, batch, cfg, memo)
-        assert len(set(candidates)) < len(candidates)
-        assert memo.lookups == len(set(candidates)) * len(batch)
+        distinct = set(candidates)
+        assert len(distinct) < len(candidates)
+        # Each distinct candidate is looked up by its terms once per graph,
+        # and a repeat is not looked up at all.  The memo starts empty, so
+        # every terms lookup misses and makes exactly one type-order lookup.
+        by_terms = Counter({key: n for key, n in memo.lookups.items() if key[1] in distinct})
+        assert by_terms == Counter({(dag, terms): 1 for terms in distinct for dag in batch})
+        assert memo.lookups.total() == 2 * len(distinct) * len(batch)
 
 
 class TestFeedback:
@@ -391,6 +400,28 @@ class TestRunLoop:
         assert result.history["records"][0]["source"] == "provider"
         assert result.history["records"][0]["expr"] == "2*crit - 1*level"
 
+    def test_non_string_http_content_retries_then_fallback(self, setup, monkeypatch):
+        import urllib.request
+
+        class NullReply(io.BytesIO):
+            status = 200
+
+        requests = []
+
+        def fake_urlopen(request, timeout):
+            requests.append(request)
+            return NullReply(b'{"choices": [{"message": {"content": null}}]}')
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=3, iterations=1)
+        provider = HttpProvider("http://provider.invalid/v1/chat/completions")
+        result = run_loop(train, val, kernels, normalizer, vocab, cfg, provider=provider)
+        assert result.history["records"][0]["source"] == "fallback"
+        assert len(requests) == 3
+        with pytest.raises(ProviderError, match="provider failed after 3 attempts: malformed provider response"):
+            run_loop(train, val, kernels, normalizer, vocab, replace(cfg, fallback_on_error=False), provider=provider)
+
     def test_fallback_on_error_false_raises(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(seed=3, iterations=1, fallback_on_error=False)
@@ -459,28 +490,72 @@ class TestAblation:
 
 
 class TestScheduleMemo:
-    """One run schedules each (graph, expression) pair once and reuses the
-    result; the train and val corpora share graph names, so a memo keyed by
-    name would mix them up."""
+    """One run evaluates each (graph, expression) pair once and schedules
+    each (graph, per-type priority order) once, and reuses the results; the
+    train and val corpora share graph names, so a memo keyed by name would
+    mix them up."""
 
     def test_ablation_schedules_each_pair_once(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
-        evaluated, scheduled = [], []
+        evaluated, orders, scheduled = [], set(), []
         real_eval, real_schedule = loop.eval_expr, loop.list_schedule
 
         def counting_eval(expr, dag):
             evaluated.append((dag, expr.terms))
-            return real_eval(expr, dag)
+            priority = real_eval(expr, dag)
+            orders.add((dag, type_order(dag, priority)))
+            return priority
 
         def counting_schedule(dag, priority, measure=True):
-            scheduled.append(dag)
+            scheduled.append((dag, type_order(dag, priority)))
             return real_schedule(dag, priority, measure=measure)
 
         monkeypatch.setattr(loop, "eval_expr", counting_eval)
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
         run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(seed=4))
-        assert len(scheduled) == len(evaluated) > 0
-        assert len(set(evaluated)) == len(evaluated)
+        assert len(set(evaluated)) == len(evaluated) > 0
+        assert all(order is not None for _, order in orders)
+        # Once per distinct (graph, order), and no schedule for anything else.
+        assert Counter(scheduled) == Counter(orders)
+        assert len(scheduled) < len(evaluated)
+
+    def test_graphs_with_one_order_stay_apart(self):
+        # Two graphs with the same ids and types give the same type order;
+        # only the graph in the key keeps their schedules apart.
+        def chain(durations):
+            return load_dag(
+                {
+                    "nodes": [{"id": v, "type": "a", "duration": d} for v, d in enumerate(durations)],
+                    "edges": [[0, 1]],
+                    "capacities": {"a": 1},
+                }
+            )
+
+        short, long = chain([1, 5]), chain([2, 5])
+        expr = parse_expr("1*crit")
+        assert type_order(short, eval_expr(expr, short)) == type_order(long, eval_expr(expr, long))
+        memo = {}
+        assert loop._schedule(expr, short, memo) == (6, True)
+        assert loop._schedule(expr, long, memo) == (7, True)
+
+    def test_orders_that_differ_by_rounding_stay_apart(self):
+        # The rounding case of the ``_FEATURE_SIGNS`` comment: on this graph
+        # a pressure term, constant per type, still reorders two nodes of one
+        # type, so the two sums must not share a memo entry.
+        doc = config.default_run_config_document(5)
+        doc["train"]["count"] = 24
+        doc["val"]["count"] = 200
+        _, val = config.build_corpora(config.load_run_config(doc))
+        (dag,) = [dag for dag in val if dag.name == "layered-0138"]
+        with_pressure = parse_expr("1*crit + 1*fanout - 1*level + 1*pressure + 1*reconv")
+        without = parse_expr("1*crit + 1*fanout - 1*level + 1*reconv")
+        assert type_order(dag, eval_expr(with_pressure, dag)) != type_order(dag, eval_expr(without, dag))
+        for first, second in ((with_pressure, without), (without, with_pressure)):
+            memo = {}
+            loop._schedule(first, dag, memo)
+            loop._schedule(second, dag, memo)
+            assert loop._schedule(with_pressure, dag, memo) == (34, True)
+            assert loop._schedule(without, dag, memo) == (32, True)
 
     def test_shared_memo_leaks_nothing_between_modes(self, setup):
         train, val, vocab, kernels, normalizer = setup

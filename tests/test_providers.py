@@ -5,7 +5,9 @@ test sets the status, body and delay of its reply and reads back the request
 the provider sent.
 """
 
+import io
 import json
+import re
 import socket
 import threading
 import time
@@ -128,3 +130,29 @@ class TestHttpProvider:
     def test_non_http_endpoint(self, tmp_path):
         with pytest.raises(ProviderError, match="request failed"):
             HttpProvider((tmp_path / "reply.json").as_uri()).complete("p")
+
+
+class CannedResponse(io.BytesIO):
+    """What ``urlopen`` returns: a 200 reply with a fixed body."""
+
+    status = 200
+
+
+@pytest.mark.parametrize("content", [None, 7, ["1*crit"], {"text": "1*crit"}])
+def test_non_string_content_is_a_provider_error(content, monkeypatch):
+    import urllib.request
+
+    opened = []
+
+    def fake_urlopen(request, timeout):
+        opened.append(request.full_url)
+        return CannedResponse(json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    provider = HttpProvider("http://provider.invalid/v1/chat/completions")
+    message = f"malformed provider response: content is {json.dumps(content)}, not a string"
+    with pytest.raises(ProviderError, match=f"^{re.escape(message)}$"):
+        provider.complete("p")
+    assert opened == ["http://provider.invalid/v1/chat/completions"]
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: CannedResponse(reply_body("1*crit")))
+    assert provider.complete("p") == "1*crit"

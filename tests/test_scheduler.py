@@ -20,6 +20,7 @@ from helpers import (
     schedule_mutants,
     unit_step_schedule,
 )
+from priosynth import loop
 from priosynth.bench import GeneratorSpec, generate_graph, standard_battery
 from priosynth.dsl import eval_expr, parse_expr
 from priosynth.graph import Dag, NodeRecord, load_dag
@@ -30,6 +31,8 @@ from priosynth.scheduler import (
     list_schedule,
     lower_bound_makespan,
     optimal_makespan,
+    type_members,
+    type_order,
     verify_schedule,
 )
 
@@ -179,6 +182,92 @@ class TestScaleEquivalence:
         for priority in scale_priorities(dag, index):
             schedule = list_schedule(dag, priority, measure=False)
             assert schedule.makespan == max(t + dag.nodes[v].duration for v, t in schedule.starts.items())
+
+
+def heap_order(dag, priority):
+    """Each type's members in the order its ready heap pops them, by the
+    heap's own (-priority, id) key, the types in capacity order."""
+    order = []
+    for op in dag.capacities:
+        members = [v for v, rec in enumerate(dag.nodes) if rec.op_type == op]
+        order += sorted(members, key=lambda v: (-priority[v], v))
+    return tuple(order)
+
+
+class TestTypeOrder:
+    """``type_order`` is a memo key for ``list_schedule``: any two priority
+    vectors that order each type's members alike schedule alike."""
+
+    @given(dags(), priorities_strategy, st.lists(st.integers(-50, 50), min_size=4, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_per_type_ranks_schedule_alike(self, dag, seed, offsets):
+        # Few distinct values, so ties within a type are common.
+        rng = random.Random(seed)
+        values = [rng.uniform(-10, 10) for _ in range(3)] + [0.0, -0.0]
+        priority = [rng.choice(values) for _ in range(len(dag))]
+        # Each member's rank within its type, plus an offset per type: an
+        # order-preserving map per type that reorders the types against
+        # each other freely and breaks every tie as the id does.
+        ranked = [0.0] * len(dag)
+        for index, op in enumerate(dag.capacities):
+            members = [v for v, rec in enumerate(dag.nodes) if rec.op_type == op]
+            ordered = sorted(members, key=lambda v: (-priority[v], v))
+            for rank, v in enumerate(ordered):
+                ranked[v] = float(len(ordered) - rank + 1000 * offsets[index % len(offsets)])
+        key = type_order(dag, priority)
+        assert key == heap_order(dag, priority)
+        assert type_order(dag, ranked) == key
+        schedule = list_schedule(dag, priority, measure=False)
+        again = list_schedule(dag, ranked, measure=False)
+        assert schedule.feasible and again.feasible
+        assert schedule.starts == again.starts
+        assert schedule.makespan == again.makespan
+
+    def test_members_are_cached_per_graph(self, diamond):
+        assert type_order(diamond, [0.0, 1.0, 5.0, 2.0]) == (3, 1, 0, 2)
+        assert type_members(diamond) is type_members(diamond) == [[0, 1, 3], [2]]
+
+    def test_empty_graph(self):
+        dag = load_dag({"nodes": [], "edges": [], "capacities": {"a": 1}})
+        assert type_order(dag, []) == ()
+
+    @pytest.mark.parametrize(
+        "priority",
+        [
+            [math.nan, 0.0, 0.0, 0.0],
+            (0.0, 0.0, 0.0, math.inf),
+            [1e308, 1e308, 1e308, -math.inf],
+            [math.inf, -math.inf, 0.0, 0.0],
+            [1e308, 1e308, 1e308, math.nan],
+        ],
+    )
+    def test_non_finite_priority_has_no_order(self, diamond, priority):
+        assert type_order(diamond, priority) is None
+
+    def test_finite_priorities_whose_sum_overflows_have_an_order(self, diamond):
+        priority = [1e308, 1e308, 1e308, -1e308]
+        assert type_order(diamond, priority) == heap_order(diamond, priority) == (0, 1, 3, 2)
+
+    @pytest.mark.parametrize("text", ["1e308*crit", "-1e308*crit", "1e308*crit - 1e308*level"])
+    def test_non_finite_expression_is_infeasible_through_the_loop_memo(self, diamond, text, monkeypatch):
+        expr = parse_expr(text)
+        priority = eval_expr(expr, diamond)
+        assert not all(map(math.isfinite, priority))
+        calls = []
+        real_schedule = loop.list_schedule
+
+        def counting_schedule(dag, priority, measure=True):
+            calls.append(dag)
+            return real_schedule(dag, priority, measure=measure)
+
+        monkeypatch.setattr(loop, "list_schedule", counting_schedule)
+        memo = {}
+        assert loop._schedule(expr, diamond, memo) == (0, False)
+        assert loop._schedule(expr, diamond, memo) == (0, False)
+        # Scheduled once, and stored under the expression's terms only.
+        assert calls == [diamond]
+        assert memo == {(diamond, expr.terms): (0, False)}
+        assert loop._schedule(parse_expr("1*crit"), diamond, memo) == (7, True)
 
 
 class TestVerify:
