@@ -61,11 +61,14 @@ class GeneratorSpec:
 def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
     """Deterministically generate graph ``index`` of a suite.
 
-    The layered and chain families, which reach thousands of nodes, emit
-    their edges sorted by ``(pred, succ)``, the order :class:`Dag` stores
-    them in, so the constructor's sort is one linear pass.  The layered
-    family draws each node's predecessors as the node ids ascend and files
-    each edge under its predecessor to get that order.
+    Every family's edges ascend (``pred < succ``), so :class:`Dag` takes the
+    ids in order as the topological order.  The layered and chain families,
+    which reach thousands of nodes, also hand their edges over strictly
+    increasing in ``(pred, succ)`` and one at a time, from a generator: the
+    constructor then files each straight into its adjacency lists, with no
+    sort and no edge tuple kept.  The layered family draws each node's
+    predecessors as the node ids ascend and files each edge under its
+    predecessor to get that order.
     """
     rng = random.Random(f"{spec.seed}:{spec.label}:{index}")
     if spec.family == "layered":
@@ -85,10 +88,10 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
                     preds = [rng.choice(above)]
                 for u in preds:
                     succs[u].append(v)
-        edges = [(u, v) for u, vs in enumerate(succs) for v in vs]
+        edges = ((u, v) for u, vs in enumerate(succs) for v in vs)
     elif spec.family == "chain":
         total = spec.layers
-        edges = [(i, i + 1) for i in range(total - 1)]
+        edges = ((i, i + 1) for i in range(total - 1))
     elif spec.family == "fork_join":
         # Root, `width` parallel chains of `layers` nodes, join.
         total = 2 + spec.width * spec.layers

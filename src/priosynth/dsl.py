@@ -71,10 +71,6 @@ def make_expr(weights: Mapping[str, float]) -> PriorityExpr:
     return PriorityExpr(terms=tuple(terms))
 
 
-def scale_expr(expr: PriorityExpr, factor: float) -> PriorityExpr:
-    return make_expr({name: weight * factor for weight, name in expr.terms})
-
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"

@@ -1,10 +1,12 @@
 """Operation-DAG data model and deterministic structural analyses.
 
 A :class:`Dag` holds typed, multi-cycle operations with precedence edges and
-per-type resource capacities.  All structural features used by priority
-expressions (level, remaining critical path, slack, degrees, reconvergence,
-resource pressure) are computed here, in one pass that :meth:`Dag.stats`
-caches.  Instances are immutable after construction.
+per-type resource capacities.  Construction validates each edge and files it
+in the adjacency lists in one pass; the sorted edge tuple is built from them
+only when something reads :attr:`Dag.edges`.  All structural features used by
+priority expressions (level, remaining critical path, slack, degrees,
+reconvergence, resource pressure) are computed here, in one pass that
+:meth:`Dag.stats` caches.  Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -57,14 +59,18 @@ class Dag:
 
     Node ids must be dense integers ``0..n-1``.  Every op type that appears on
     a node must have a positive capacity entry.  Each edge must be a pair of
-    ``int`` node ids.  Edges are deduplicated and stored sorted; a
-    topological order is computed on construction (which also proves
-    acyclicity).  Given edges already sorted, as the layered generator in
-    :mod:`priosynth.bench` emits them, construction is linear in the edges.
+    ``int`` node ids.  One pass over the edges checks each in input order and
+    appends it to ``succs`` and ``preds``; only input that is not strictly
+    increasing in ``(u, v)`` is then sorted and deduplicated node by node.
+    ``edges`` is the sorted, deduplicated edge tuple, built from ``succs`` on
+    its first read.  ``topo_order`` is the min-heap Kahn order, which also
+    proves acyclicity; when every edge ascends (``u < v``), as the generators
+    in :mod:`priosynth.bench` emit them, it is the ids in order and costs no
+    search.
     """
 
     __slots__ = (
-        "nodes", "edges", "capacities", "name", "preds", "succs", "topo_order", "_stats", "_checks", "_members"
+        "nodes", "capacities", "name", "preds", "succs", "topo_order", "_edges", "_stats", "_checks", "_members"
     )
 
     def __init__(
@@ -102,7 +108,11 @@ class Dag:
             if rec.op_type not in caps:
                 raise GraphFormatError(f"missing capacity entry for op type {rec.op_type!r}")
 
-        checked: list[tuple[int, int]] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        succs: list[list[int]] = [[] for _ in range(n)]
+        # ``u * n + v`` ascends exactly when ``(u, v)`` does.
+        last = -1
+        ordered = True
         for edge in edges:
             try:
                 u, v = edge
@@ -112,26 +122,34 @@ class Dag:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}): endpoints must be integer node ids")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id")
-            # A tuple edge is kept, not copied: generated graphs hand over
-            # up to ~150k of them.
-            checked.append(edge if type(edge) is tuple else (u, v))
-
-        self.nodes: tuple[NodeRecord, ...] = tuple(node_list)
-        # Timsort is linear on input that is already sorted, as generated
-        # edges are; ``dict.fromkeys`` then drops the duplicates, which
-        # sorting made adjacent, and keeps the order.
-        self.edges: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(sorted(checked)))
-        self.capacities: dict[str, int] = dict(sorted(caps.items()))
-        self.name = name
-
-        preds: list[list[int]] = [[] for _ in range(n)]
-        succs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
             succs[u].append(v)
             preds[v].append(u)
+            key = u * n + v
+            if key <= last:
+                ordered = False
+            last = key
+        if not ordered:
+            # Strictly increasing input leaves every list sorted and free of
+            # repeats; anything else is put in that form here.
+            succs = [sorted(set(vs)) for vs in succs]
+            preds = [[] for _ in range(n)]
+            for u, vs in enumerate(succs):
+                for v in vs:
+                    preds[v].append(u)
+
+        self.nodes: tuple[NodeRecord, ...] = tuple(node_list)
+        self.capacities: dict[str, int] = dict(sorted(caps.items()))
+        self.name = name
         self.preds: tuple[tuple[int, ...], ...] = tuple(map(tuple, preds))
         self.succs: tuple[tuple[int, ...], ...] = tuple(map(tuple, succs))
-        self.topo_order: tuple[int, ...] = self._toposort()
+        # With every edge ascending, node ``i`` is the smallest ready node
+        # once ``0..i-1`` are done, so the ids in order are exactly the
+        # min-heap Kahn order, and the graph is acyclic.
+        if all(vs[0] > u for u, vs in enumerate(succs) if vs):
+            self.topo_order: tuple[int, ...] = tuple(range(n))
+        else:
+            self.topo_order = self._toposort()
+        self._edges: tuple[tuple[int, int], ...] | None = None
         self._stats: StatsTable | None = None
         # The arrays scheduler.verify_schedule tests schedules with, built
         # by the first check of this graph.
@@ -140,12 +158,20 @@ class Dag:
         # scheduler.type_members call on this graph.
         self._members: list[list[int]] | None = None
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge ``(u, v)`` once, sorted; built from ``succs`` on the
+        first read."""
+        if self._edges is None:
+            self._edges = tuple([(u, v) for u, vs in enumerate(self.succs) for v in vs])
+        return self._edges
+
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
-        return f"<Dag{tag} |V|={len(self.nodes)} |E|={len(self.edges)}>"
+        return f"<Dag{tag} |V|={len(self.nodes)} |E|={sum(map(len, self.succs))}>"
 
     def _toposort(self) -> tuple[int, ...]:
         # Kahn's algorithm with a min-heap so the order is id-deterministic.

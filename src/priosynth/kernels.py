@@ -86,7 +86,8 @@ def induced_subdag(dag: Dag, nodes: Iterable[int]) -> Dag:
         NodeRecord(id=remap[v], op_type=dag.nodes[v].op_type, duration=dag.nodes[v].duration)
         for v in chosen
     ]
-    edges = [(remap[u], remap[v]) for u, v in dag.edges if u in remap and v in remap]
+    # The remap keeps the order, so these come out sorted.
+    edges = [(remap[u], remap[v]) for u in chosen for v in dag.succs[u] if v in remap]
     used = {dag.nodes[v].op_type for v in chosen}
     caps = {t: dag.capacities[t] for t in used}
     return Dag(records, edges, caps)

@@ -261,7 +261,7 @@ def build_prompt(
         types_text = ", ".join(f"{op}:{counts[op]}" for op in vocab if counts.get(op))
         pressure_text = ", ".join(f"{op}={stats.pressure[op]:.3f}" for op in sorted(stats.pressure))
         parts.append(
-            f"- {dag.name}: |V|={len(dag)}, |E|={len(dag.edges)}, cp={stats.cp_length}, "
+            f"- {dag.name}: |V|={len(dag)}, |E|={sum(map(len, dag.succs))}, cp={stats.cp_length}, "
             f"types[{types_text}], pressure[{pressure_text}]"
         )
 

@@ -237,9 +237,9 @@ def _check_columns(dag: Dag) -> tuple:
     and ``(op type, capacity, member ids)`` in capacity order."""
     if dag._checks is None:
         n = len(dag)
-        # The edges are sorted, so they are each node's successors in turn.
+        # Each node's successors in turn: the edges in sorted order.
         src = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, dag.succs), np.intp, n))
-        dst = np.fromiter(chain.from_iterable(dag.succs), np.int32, len(dag.edges))
+        dst = np.fromiter(chain.from_iterable(dag.succs), np.int32, sum(map(len, dag.succs)))
         durations = [rec.duration for rec in dag.nodes]
         max_duration = max(durations)
         duration = np.array(durations, np.int64 if max_duration <= _INT64_MAX else object)

@@ -213,6 +213,11 @@ SCALE_SPECS = (
 )
 
 
+def scale_expr(expr: PriorityExpr, factor: float) -> PriorityExpr:
+    """``expr`` with every weight multiplied by ``factor``."""
+    return make_expr({name: weight * factor for weight, name in expr.terms})
+
+
 def scale_priorities(dag: Dag, seed: int = 0) -> list[Sequence[float] | Mapping[int, float]]:
     """Priorities from heavily tied to tie-free: ``1*fanout`` (a sequence
     indexed by node id, as ``eval_expr`` returns), then maps holding a

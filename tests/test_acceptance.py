@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brute_crit, brute_reconv, random_dag
+from helpers import brute_crit, brute_reconv, random_dag, scale_expr
 from priosynth.bench import (
     GeneratorSpec,
     generate_graph,
@@ -24,7 +24,7 @@ from priosynth.bench import (
     summarize,
 )
 from priosynth.config import default_run_config_document, load_run_config, prepare_run
-from priosynth.dsl import FEATURES, eval_expr, make_expr, parse_expr, print_expr, scale_expr
+from priosynth.dsl import FEATURES, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab, cosine_sim, dump_normalizer, retrieve_top_m
 from priosynth.graph import canonical_json, compute_crit, compute_reconv, dump_dag
 from priosynth.kernels import build_kernel_library, dump_library

@@ -209,6 +209,13 @@ class TestCampaign:
         for row in report["suites"]["layered_small"]["heuristics"].values():
             assert row["feasible"] == row["graphs"]
 
+    def test_campaign_leaves_edge_tuples_unbuilt(self):
+        # The report path reads adjacency only.  On a graph of 100k edges
+        # the first read of ``Dag.edges`` builds as many tuples.
+        suites = self._suites()
+        run_campaign(suites, standard_battery(0), measure_runtime=False)
+        assert all(dag._edges is None for dag in suites["layered_small"])
+
     def test_renderers_cover_every_row(self):
         report = run_campaign(self._suites(), standard_battery(0), measure_runtime=False)
         text = render_report_text(report)

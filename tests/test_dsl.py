@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dags, reference_eval_expr
+from helpers import dags, reference_eval_expr, scale_expr
 from priosynth.bench import standard_battery
 from priosynth.dsl import (
     FEATURES,
@@ -16,7 +16,6 @@ from priosynth.dsl import (
     make_expr,
     parse_expr,
     print_expr,
-    scale_expr,
 )
 
 weights_strategy = st.dictionaries(

@@ -375,7 +375,9 @@ class TestEdgeConstruction:
 
     def _check(self, n: int, edges) -> None:
         dag = Dag(self._nodes(n), edges, {"a": 2})
+        assert dag._edges is None  # built on the first read
         assert _structure(dag) == reference_dag_edges(n, edges)
+        assert dag.edges is dag.edges
 
     def test_sorted_shuffled_and_duplicated_input(self, scale_dags):
         rng = random.Random(7)
@@ -400,11 +402,42 @@ class TestEdgeConstruction:
     def test_induced_subdag_input(self):
         spec = GeneratorSpec("layered", layers=6, width=6, seed=4, label="motifs")
         dag = generate_graph(spec, 0)
-        for motif in mine_motifs(dag):
+        motifs = mine_motifs(dag)
+        subdags = [induced_subdag(dag, motif.nodes) for motif in motifs]
+        assert dag._edges is None
+        for motif, sub in zip(motifs, subdags):
             chosen = sorted(set(motif.nodes))
             remap = {v: i for i, v in enumerate(chosen)}
             edges = [(remap[u], remap[v]) for u, v in dag.edges if u in remap and v in remap]
-            assert _structure(induced_subdag(dag, motif.nodes)) == reference_dag_edges(len(chosen), edges)
+            assert _structure(sub) == reference_dag_edges(len(chosen), edges)
+
+    @given(dag_documents(max_nodes=12), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ascending_edges_give_the_identity_order(self, document, rng):
+        n = len(document["nodes"])
+        edges = [tuple(edge) for edge in document["edges"]]
+        for source in (sorted(edges), edges, rng.sample(edges, len(edges))):
+            dag = Dag(self._nodes(n), source, {"a": 2})
+            assert dag.topo_order == tuple(range(n)) == reference_dag_edges(n, source)["topo_order"]
+
+    def test_descending_edge_gets_the_kahn_order(self):
+        edges = [(0, 3), (3, 1), (1, 2)]
+        dag = Dag(self._nodes(4), edges, {"a": 2})
+        assert dag.topo_order == (0, 3, 1, 2) == reference_dag_edges(4, edges)["topo_order"]
+
+    @pytest.mark.parametrize(
+        "n, edges, node",
+        [
+            (1, [(0, 0)], 0),
+            (3, [(0, 1), (1, 1), (1, 2)], 1),
+            (3, [(0, 1), (1, 2), (2, 1)], 1),
+            (2, [(1, 0), (0, 1)], 0),
+        ],
+    )
+    def test_cycles_are_still_detected(self, n, edges, node):
+        with pytest.raises(GraphFormatError, match=rf"^cycle detected involving node {node}$") as caught:
+            Dag(self._nodes(n), edges, {"a": 2})
+        assert str(caught.value) == _parent_error(n, edges)
 
     @given(dag_documents(max_nodes=10), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
