@@ -10,7 +10,8 @@ Two checkouts that should write the same bytes are compared with one diff:
 The artifacts cover:
 - ``search``-shaped ablations (24 training and 200 validation desk graphs,
   10 iterations, batches of 16) for input seeds 0-19: ``library.json``,
-  ``normalizer.json`` and ``ablation.json``;
+  ``normalizer.json`` and ``ablation.json``, and a ``prompts`` digest of the
+  provider prompts of every mode and iteration (see :func:`search_prompts`);
 - ``large``-shaped campaigns (four 60x64 and two 80x96 layered graphs through
   the standard battery) for input seeds 0-4: ``campaign.json``, and each
   generated graph as ``dump_dag`` writes it, so the generator's bytes are
@@ -33,6 +34,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from priosynth import bench, cli, config, embedding, kernels, loop
@@ -63,6 +65,26 @@ def ablation_outcomes(report: dict) -> str:
     )
 
 
+def search_prompts(run: config.PreparedRun, cfg: config.RunConfig) -> str:
+    """The prompt each mode's provider would get in each iteration, from that
+    iteration's batch and kernel selection (the whole-graph kernels for
+    ``no_motif``) with no feedback.  A run without a provider never renders a
+    prompt, so its kernel section is covered only here."""
+    vectors: kernels.QueryVectors = {}
+    prompts = []
+    for mode in cfg.modes:
+        mode_cfg = replace(cfg.loop, ablation=mode)
+        library = run.kernels
+        if mode == "no_motif":
+            library = loop.whole_graph_kernels(run.train, run.normalizer, run.vocab, vectors)
+        index = kernels.KernelIndex(library)
+        for iteration in range(mode_cfg.iterations):
+            batch = loop.sample_batch(run.train, mode_cfg, iteration)
+            selections = loop.select_kernels(batch, index, run.normalizer, run.vocab, mode_cfg, iteration, vectors)
+            prompts.append(loop.build_prompt(batch, selections, [], run.vocab))
+    return "".join(prompts)
+
+
 def search_artifacts(seed: int) -> dict[str, str]:
     doc = config.default_run_config_document(seed)
     doc["train"]["count"] = 24
@@ -77,6 +99,7 @@ def search_artifacts(seed: int) -> dict[str, str]:
         "normalizer.json": embedding.dump_normalizer(run.normalizer),
         "ablation.json": canonical_json(report),
         "outcomes": ablation_outcomes(report),
+        "prompts": search_prompts(run, cfg),
     }
 
 

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .dsl import FEATURES, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
 from .graph import Dag, NodeRecord
-from .kernels import family_expr
+from .kernels import template_expr
 from .scheduler import baseline_expr_text, list_schedule, verify_schedule
 
 FAMILIES = ("layered", "chain", "fork_join", "diamond_mesh")
@@ -150,8 +150,9 @@ def summarize(values: Sequence[float]) -> dict:
 
 def standard_battery(seed: int = 0) -> list[tuple[str, PriorityExpr]]:
     """Six reference heuristics: the level baseline, a hand-written
-    critical-path form, both structural template families, a deliberately
-    myopic fanout-only rule, and one seeded random linear expression."""
+    critical-path form, the reconvergent and chain kernel templates, a
+    deliberately myopic fanout-only rule, and one seeded random linear
+    expression."""
     rng = random.Random(f"{seed}:battery-random")
     random_weights = {
         name: round(rng.uniform(-2.0, 2.0), 3) for name in FEATURES if name != "const"
@@ -159,8 +160,8 @@ def standard_battery(seed: int = 0) -> list[tuple[str, PriorityExpr]]:
     return [
         ("baseline_level", parse_expr(baseline_expr_text())),
         ("crit_fanout_level", parse_expr("1*crit + 1*fanout - 1*level")),
-        ("reconvergent_defaults", family_expr("reconvergent_A")),
-        ("deep_chain_defaults", family_expr("deep_chain_B")),
+        ("reconvergent_defaults", template_expr("reconvergent")),
+        ("deep_chain_defaults", template_expr("chain")),
         ("fanout_only", parse_expr("1*fanout")),
         ("random_linear", make_expr(random_weights)),
     ]

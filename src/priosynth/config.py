@@ -155,20 +155,15 @@ def load_run_config(document) -> RunConfig:
 
 
 def default_run_config_document(seed: int = 0) -> dict:
-    """Desk-scale defaults: 200 training and 50 validation layered graphs."""
+    """Desk-scale defaults: 200 training and 50 validation layered graphs.
+    The library, loop and modes take their defaults from ``LibraryParams``,
+    ``LoopConfig`` and ``ABLATIONS``; ``loop`` is present but empty so that
+    callers can set loop fields in place."""
     return {
         "seed": seed,
         "train": {"family": "layered", "count": 200, "layers": 5, "width": 5, "label": "train"},
         "val": {"family": "layered", "count": 50, "layers": 5, "width": 5, "label": "val"},
-        "library": {"k": 2, "theta": 0.95, "budget": 50, "chain_min_len": 4},
-        "loop": {
-            "iterations": 3,
-            "top_m": 5,
-            "batch_size": 8,
-            "infeasibility_penalty": 5000.0,
-            "provider": {"kind": "fallback"},
-        },
-        "modes": list(ABLATIONS),
+        "loop": {},
     }
 
 

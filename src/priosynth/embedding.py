@@ -74,9 +74,11 @@ def embed(dag: Dag, vocab: Sequence[str]) -> np.ndarray:
         vec[11 + bin_index] += 1.0 / n
 
     type_index = {op: i for i, op in enumerate(vocab)}
+    # Every node's type has a capacity entry, so this covers the nodes too.
+    for op in dag.capacities:
+        if op not in type_index:
+            raise ValueError(f"op type {op!r} is not in the embedding vocabulary")
     for rec in dag.nodes:
-        if rec.op_type not in type_index:
-            raise ValueError(f"op type {rec.op_type!r} is not in the embedding vocabulary")
         vec[19 + type_index[rec.op_type]] += 1.0 / n
     for op, value in stats.pressure.items():
         vec[19 + len(vocab) + type_index[op]] = value

@@ -2,8 +2,9 @@
 
 A kernel is a reusable scheduling hint: a centroid signature in embedding
 space (for retrieval by similarity) for one motif category, whose template
-family (for synthesis) is the category's.  Kernels are mined from a training
-corpus in three motif categories and deduplicated by greedy leader
+(for synthesis) is the category's: the features of ``CATEGORY_FEATURES``,
+each with its sign from ``FEATURE_SIGNS``.  Kernels are mined from a
+training corpus in three motif categories and deduplicated by greedy leader
 clustering per category.
 """
 
@@ -34,30 +35,32 @@ from .graph import Dag, NodeRecord, canonical_json
 
 LIBRARY_LAYOUT = "v3"
 
-# Template families: feature -> sign.  A family names the features the
-# fallback search starts from and the sign each takes; the search picks the
-# magnitudes.
-TEMPLATE_FAMILIES: dict[str, tuple[tuple[str, float], ...]] = {
-    "reconvergent_A": (("crit", 1.0), ("reconv", 1.0), ("fanout", 1.0)),
-    "deep_chain_B": (("crit", 1.0), ("slack", -1.0)),
-    "fanout_aware": (("fanout", 1.0), ("crit", 1.0)),
+# The sign each template feature takes: pull work that unlocks depth and
+# parallelism forward, push slack and shallow level back.  The fallback
+# search picks the magnitudes.
+FEATURE_SIGNS: dict[str, float] = {
+    "crit": 1.0,
+    "fanout": 1.0,
+    "level": -1.0,
+    "reconv": 1.0,
+    "slack": -1.0,
 }
 
-# Kernel category -> the template family of its kernels.  ``whole_graph`` is
-# the no_motif ablation's one kernel per training graph.
-CATEGORY_FAMILY: dict[str, str] = {
-    "hub": "fanout_aware",
-    "reconvergent": "reconvergent_A",
-    "chain": "deep_chain_B",
-    "whole_graph": "fanout_aware",
+# Kernel category -> the features of its template.  ``whole_graph`` is the
+# no_motif ablation's one kernel per training graph.
+CATEGORY_FEATURES: dict[str, tuple[str, ...]] = {
+    "hub": ("crit", "fanout"),
+    "reconvergent": ("crit", "fanout", "reconv"),
+    "chain": ("crit", "slack"),
+    "whole_graph": ("crit", "fanout"),
 }
 
 
-def family_expr(family: str) -> PriorityExpr:
-    """The family's features, each at magnitude 1 with the family's sign."""
-    if family not in TEMPLATE_FAMILIES:
-        raise ValueError(f"unknown template family {family!r}")
-    return make_expr(dict(TEMPLATE_FAMILIES[family]))
+def template_expr(category: str) -> PriorityExpr:
+    """The category's template: its features, each at magnitude 1 with its sign."""
+    if category not in CATEGORY_FEATURES:
+        raise ValueError(f"unknown kernel category {category!r}")
+    return make_expr({feature: FEATURE_SIGNS[feature] for feature in CATEGORY_FEATURES[category]})
 
 
 @dataclass(frozen=True)
@@ -371,8 +374,8 @@ def _kernel_from_document(entry, index: int) -> Kernel:
         if not isinstance(entry.get(name), str):
             raise ValueError(f"{where}: '{name}' must be a string")
     where = f"kernel library entry {index} ({entry['id']})"
-    if entry["category"] not in CATEGORY_FAMILY:
-        raise ValueError(f"{where}: 'category' must be one of {sorted(CATEGORY_FAMILY)}")
+    if entry["category"] not in CATEGORY_FEATURES:
+        raise ValueError(f"{where}: 'category' must be one of {sorted(CATEGORY_FEATURES)}")
     signature = number_list(entry.get("signature"), f"{where}: 'signature'")
     support = entry.get("support")
     if not isinstance(support, int) or isinstance(support, bool):

@@ -42,14 +42,14 @@ from .dsl import ExprError, PriorityExpr, eval_expr, make_expr, parse_expr, prin
 from .embedding import Normalizer
 from .graph import Dag
 from .kernels import (
-    CATEGORY_FAMILY,
-    TEMPLATE_FAMILIES,
+    CATEGORY_FEATURES,
+    FEATURE_SIGNS,
     Kernel,
     KernelIndex,
     QueryVectors,
-    family_expr,
     query_vector,
     retrieve_kernels,
+    template_expr,
 )
 from .providers import ProviderError, ProviderSpec, make_provider, provider_spec_to_document
 from .scheduler import baseline_expr_text, list_schedule, type_order
@@ -277,7 +277,7 @@ def build_prompt(
             kern = by_id[kern_id]
             parts.append(
                 f"- {kern.id} (category {kern.category}, matched {tally[kern_id]} graphs, "
-                f"support {kern.support}): suggested form {print_expr(family_expr(CATEGORY_FAMILY[kern.category]))}"
+                f"support {kern.support}): suggested form {print_expr(template_expr(kern.category))}"
             )
 
     parts.extend(["", "# Grammar", _GRAMMAR_TEXT])
@@ -303,28 +303,19 @@ def parse_reply(text: str) -> PriorityExpr:
     raise ExprError("no parseable expression in provider reply")
 
 
-# Fixed sign conventions for the deterministic synthesizer: pull work that
-# unlocks depth and parallelism forward, push slack and shallow level back.
-# These are the features it searches: the core features and those the
-# template families name.  ``pressure`` and ``const`` are left out: each
-# takes one value per op type, and list_schedule ranks each type's ready heap
-# on its own (see the scheduler module docstring), so adding them cannot
-# change which node gets a unit.  That is exact only up to rounding: a
-# ``pressure`` term changes how the float priority sum rounds, so two nodes of
-# one type whose priorities tie or nearly tie can compare the other way, and
-# a provider's expression with that term can still schedule differently.  On
-# validation graph ``layered-0138`` of the ``search`` benchmark's input set 5,
+# The deterministic synthesizer searches these core features and those the
+# selected kernels' templates name, each at its sign in ``FEATURE_SIGNS``.
+# ``pressure`` and ``const`` are left out: each takes one value per op type,
+# and list_schedule ranks each type's ready heap on its own (see the
+# scheduler module docstring), so adding them cannot change which node gets
+# a unit.  That is exact only up to rounding: a ``pressure`` term changes how
+# the float priority sum rounds, so two nodes of one type whose priorities tie
+# or nearly tie can compare the other way, and a provider's expression with
+# that term can still schedule differently.  On validation graph
+# ``layered-0138`` of the ``search`` benchmark's input set 5,
 # ``1*crit + 1*fanout - 1*level + 1*pressure + 1*reconv`` gives makespan 34
-# and the same sum without ``pressure`` 32.  No template family names
-# ``pressure`` or ``const``.
-_FEATURE_SIGNS = {
-    "crit": 1.0,
-    "fanout": 1.0,
-    "level": -1.0,
-    "reconv": 1.0,
-    "slack": -1.0,
-}
-
+# and the same sum without ``pressure`` 32.  No template names ``pressure``
+# or ``const``.
 _CORE_FEATURES = ("crit", "fanout", "level")
 
 _GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -332,32 +323,35 @@ _GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _MAX_PASSES = 3
 
 
+def fallback_basis(selections: Sequence[tuple[Dag, Sequence[Kernel]]]) -> tuple[str, ...]:
+    """The sorted features :func:`fallback_synthesize` searches for one batch:
+    the core (crit, fanout, level) and every feature that a selected kernel's
+    category template names.  Nothing else of ``selections`` is read, so
+    selections whose kernels name the same features give the same basis."""
+    named = {feature for _, kerns in selections for kern in kerns for feature in CATEGORY_FEATURES[kern.category]}
+    return tuple(sorted(named.union(_CORE_FEATURES)))
+
+
 def fallback_synthesize(
-    selections: Sequence[tuple[Dag, Sequence[Kernel]]],
+    basis: Sequence[str],
     batch: Sequence[Dag],
     cfg: LoopConfig,
     memo: ScheduleMemo | None = None,
 ) -> PriorityExpr:
-    """Deterministic template-merge synthesizer.
+    """Deterministic template-merge synthesizer over the sorted feature
+    ``basis`` that :func:`fallback_basis` returns.
 
-    All it reads of ``selections`` is the set of features that the selected
-    kernels' template families name (all of them keys of
-    ``_FEATURE_SIGNS``).  The basis is that set plus an always-present core
-    (crit, fanout, level).  Coordinate descent over a fixed magnitude grid
-    maximizes the mean batch score, run from three starts: every basis
-    feature at its sign, a hand-written critical-path start, and that same
-    start restricted to the core basis.  Each distinct candidate is scored
-    once per call.  No randomness and no wall-clock input anywhere.
+    Coordinate descent over a fixed magnitude grid, with each feature at its
+    sign in ``FEATURE_SIGNS``, maximizes the mean batch score.  It starts from
+    every basis feature at its sign.  When the basis holds more than the core,
+    it also starts from a hand-written critical-path start, and from that same
+    start restricted to the core basis; with the core alone those starts and
+    feature lists equal the first, so their descents could not win.  Each
+    distinct candidate is scored once per call.  No randomness and no
+    wall-clock input anywhere.
     """
     if memo is None:
         memo = {}
-    named = {
-        feature
-        for _, kerns in selections
-        for kern in kerns
-        for feature, _ in TEMPLATE_FAMILIES[CATEGORY_FAMILY[kern.category]]
-    }
-    basis = sorted(named | set(_CORE_FEATURES))
     # The descent revisits the same weights again and again; a candidate
     # scored earlier in this call returns its score without a memo lookup.
     scores: dict[tuple[tuple[float, str], ...], float] = {}
@@ -380,7 +374,7 @@ def fallback_synthesize(
             for feature in features:
                 kept = weights[feature]
                 for magnitude in _GRID:
-                    candidate = _FEATURE_SIGNS[feature] * magnitude
+                    candidate = FEATURE_SIGNS[feature] * magnitude
                     if candidate == kept:
                         continue
                     weights[feature] = candidate
@@ -396,20 +390,14 @@ def fallback_synthesize(
                 break
         return weights, best
 
-    template_start = {feature: _FEATURE_SIGNS[feature] for feature in basis}
-    core_start_full = {feature: 0.0 for feature in basis}
-    for feature in _CORE_FEATURES:
-        core_start_full[feature] = _FEATURE_SIGNS[feature]
-    core_start_only = {feature: _FEATURE_SIGNS[feature] for feature in _CORE_FEATURES}
-
-    best_weights, best_value = descend(template_start, basis)
-    for start, features in (
-        (core_start_full, basis),
-        (core_start_only, sorted(_CORE_FEATURES)),
-    ):
-        weights, value = descend(start, features)
-        if value > best_value:
-            best_weights, best_value = weights, value
+    best_weights, best_value = descend({feature: FEATURE_SIGNS[feature] for feature in basis}, basis)
+    if len(basis) > len(_CORE_FEATURES):
+        core_start_only = {feature: FEATURE_SIGNS[feature] for feature in _CORE_FEATURES}
+        core_start_full = {**dict.fromkeys(basis, 0.0), **core_start_only}
+        for start, features in ((core_start_full, basis), (core_start_only, _CORE_FEATURES)):
+            weights, value = descend(start, features)
+            if value > best_value:
+                best_weights, best_value = weights, value
     return make_expr(best_weights)
 
 
@@ -509,7 +497,7 @@ def run_loop(
         if expr is None:
             if provider is not None and not cfg.fallback_on_error:
                 raise ProviderError(f"provider failed after {_PROVIDER_ATTEMPTS} attempts: {last_error}")
-            expr = fallback_synthesize(selections, batch, cfg, memo)
+            expr = fallback_synthesize(fallback_basis(selections), batch, cfg, memo)
             source = "fallback"
 
         evals = evaluate_heuristic(expr, val, cfg, memo)

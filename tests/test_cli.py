@@ -12,7 +12,7 @@ from priosynth.bench import GeneratorSpec
 from priosynth.cli import main
 from priosynth.config import _generator_to_document
 from priosynth.graph import canonical_json, load_dag
-from priosynth.kernels import CATEGORY_FAMILY, TEMPLATE_FAMILIES
+from priosynth.kernels import CATEGORY_FEATURES
 
 
 def run_cli(capsys, *argv):
@@ -237,16 +237,16 @@ class TestKernelsAndRetrieve:
         entry = {"id": "x", "category": "hub", "signature": [0.0], "support": 1}
         template = {"family": "fanout_aware", "defaults": {"crit": 1, "fanout": 1}}
         # The built library as the v2 layout wrote it, a template of default
-        # magnitudes per kernel, and as the v1 layout wrote it, which added a
-        # search range per template feature.
+        # magnitudes per kernel under a family named per category, and as the
+        # v1 layout wrote it, which added a search range per template feature.
+        families = {"hub": "fanout_aware", "reconvergent": "reconvergent_A", "chain": "deep_chain_B"}
         libraries = {}
         for layout in ("v1", "v2"):
             libraries[layout] = json.loads(files["library"].read_text(encoding="utf-8"))
             libraries[layout]["layout"] = layout
             for kern in libraries[layout]["kernels"]:
-                family = CATEGORY_FAMILY[kern["category"]]
-                features = [feature for feature, _ in TEMPLATE_FAMILIES[family]]
-                kern["template"] = {"family": family, "defaults": dict.fromkeys(features, 1.0)}
+                features = CATEGORY_FEATURES[kern["category"]]
+                kern["template"] = {"family": families[kern["category"]], "defaults": dict.fromkeys(features, 1.0)}
                 if layout == "v1":
                     kern["template"]["ranges"] = dict.fromkeys(features, [0, 4])
         written = {
@@ -278,6 +278,24 @@ class TestKernelsAndRetrieve:
         )
         assert code == 3
         assert message in err
+
+    def test_capacity_outside_the_vocabulary_exits_3(self, tmp_path, capsys):
+        # An extra capacity that no node uses still names a type the
+        # normalizer's vocabulary lacks.
+        suite = tmp_path / "suite"
+        run_cli(capsys, "gen", "--out", str(suite), "--count", "4", "--seed", "2")
+        lib = tmp_path / "lib.json"
+        run_cli(capsys, "kernels", "build", "--train", str(suite), "--out", str(lib), "--budget", "4")
+        graph = json.loads((suite / "layered-0001.json").read_text(encoding="utf-8"))
+        graph["capacities"]["dsp"] = 1
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(graph), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "retrieve", "--library", str(lib), "--normalizer", str(tmp_path / "lib.normalizer.json"),
+            "--graph", str(extra),
+        )
+        assert code == 3
+        assert "op type 'dsp' is not in the embedding vocabulary" in err
 
     @pytest.mark.parametrize(
         ("flag", "value", "message"),

@@ -2,8 +2,14 @@ import re
 
 import pytest
 
-from priosynth.config import ConfigError, default_run_config_document, load_run_config, run_config_to_document
-from priosynth.loop import LoopConfig
+from priosynth.config import (
+    ConfigError,
+    LibraryParams,
+    default_run_config_document,
+    load_run_config,
+    run_config_to_document,
+)
+from priosynth.loop import ABLATIONS, LoopConfig
 
 
 def nested(path: str, value) -> dict:
@@ -54,6 +60,15 @@ def test_unknown_keys_are_ignored():
 
 def test_missing_loop_section_reads_as_dataclass_defaults():
     assert load_run_config({"val": {"label": "v"}}).loop == LoopConfig()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_default_document_takes_the_declared_defaults(seed):
+    cfg = load_run_config(default_run_config_document(seed))
+    assert cfg.library == LibraryParams()
+    assert cfg.loop == LoopConfig(seed=seed)
+    assert cfg.modes == ABLATIONS
+    assert (cfg.train_count, cfg.val_count) == (200, 50)
 
 
 def _generator_keys_and_scripted_provider() -> dict:

@@ -20,7 +20,7 @@ from priosynth.embedding import (
     load_normalizer,
     retrieve_top_m,
 )
-from priosynth.graph import load_dag
+from priosynth.graph import Dag, load_dag
 
 
 class TestEmbed:
@@ -54,6 +54,11 @@ class TestEmbed:
     def test_unknown_type_rejected(self, diamond):
         with pytest.raises(ValueError, match="vocabulary"):
             embed(diamond, ("alu",))
+
+    def test_unused_capacity_outside_the_vocabulary_rejected(self, diamond):
+        extra = Dag(diamond.nodes, diamond.edges, {**diamond.capacities, "dsp": 1})
+        with pytest.raises(ValueError, match="op type 'dsp' is not in the embedding vocabulary"):
+            embed(extra, ("alu", "mem"))
 
     def test_empty_graph_is_zero_vector(self):
         dag = load_dag({"nodes": [], "edges": [], "capacities": {}})

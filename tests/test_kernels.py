@@ -9,18 +9,18 @@ from priosynth.dsl import parse_expr, print_expr
 from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer
 from priosynth.graph import load_dag
 from priosynth.kernels import (
-    CATEGORY_FAMILY,
-    TEMPLATE_FAMILIES,
+    CATEGORY_FEATURES,
+    FEATURE_SIGNS,
     Kernel,
     build_kernel_library,
     cluster_motifs,
     dump_library,
-    family_expr,
     induced_subdag,
     Motif,
     load_library,
     mine_motifs,
     retrieve_kernels,
+    template_expr,
 )
 
 def corpus(seed=11, count=25, n_lo=6, n_hi=18):
@@ -29,27 +29,27 @@ def corpus(seed=11, count=25, n_lo=6, n_hi=18):
 
 
 class TestTemplates:
-    def test_known_family_terms(self):
-        assert family_expr("reconvergent_A") == parse_expr("1*crit + 1*fanout + 1*reconv")
-        assert family_expr("deep_chain_B") == parse_expr("1*crit - 1*slack")
-        assert family_expr("fanout_aware") == parse_expr("1*crit + 1*fanout")
+    def test_known_template_terms(self):
+        assert template_expr("reconvergent") == parse_expr("1*crit + 1*fanout + 1*reconv")
+        assert template_expr("chain") == parse_expr("1*crit - 1*slack")
+        assert template_expr("hub") == parse_expr("1*crit + 1*fanout")
+        assert template_expr("whole_graph") == parse_expr("1*crit + 1*fanout")
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown template family 'nope'"):
-            family_expr("nope")
-        # A category is not a family.
-        with pytest.raises(ValueError, match="unknown template family 'hub'"):
-            family_expr("hub")
+    def test_unknown_category_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel category 'nope'"):
+            template_expr("nope")
+        # A template family name of the v2 layout is not a category.
+        with pytest.raises(ValueError, match="unknown kernel category 'fanout_aware'"):
+            template_expr("fanout_aware")
 
     def test_default_template_round_trip(self):
-        assert print_expr(family_expr("reconvergent_A")) == "1*crit + 1*fanout + 1*reconv"
-        for family in TEMPLATE_FAMILIES:
-            expr = family_expr(family)
+        assert print_expr(template_expr("reconvergent")) == "1*crit + 1*fanout + 1*reconv"
+        for category in CATEGORY_FEATURES:
+            expr = template_expr(category)
             assert parse_expr(print_expr(expr)) == expr
-
-    def test_every_category_has_a_family(self):
-        for family in CATEGORY_FAMILY.values():
-            assert family in TEMPLATE_FAMILIES
+            assert {name: weight for weight, name in expr.terms} == {
+                feature: FEATURE_SIGNS[feature] for feature in CATEGORY_FEATURES[category]
+            }
 
 
 class TestInducedSubdag:
@@ -71,7 +71,7 @@ class TestMining:
         seen = set()
         for dag in [diamond, chain5] + [random_dag(rng, rng.randint(6, 16), edge_prob=0.2) for _ in range(15)]:
             seen.update(m.category for m in mine_motifs(dag))
-        assert seen == set(CATEGORY_FAMILY) - {"whole_graph"} == {"hub", "reconvergent", "chain"}
+        assert seen == set(CATEGORY_FEATURES) - {"whole_graph"} == {"hub", "reconvergent", "chain"}
 
     def test_chain_motifs_have_min_length_and_unit_degrees(self):
         rng = random.Random(3)
@@ -287,7 +287,7 @@ class TestLibrary:
         for kern in kernels:
             assert len(kern.signature) == dim
             assert kern.support >= 1
-            assert kern.category in CATEGORY_FAMILY
+            assert kern.category in CATEGORY_FEATURES
 
     def test_build_deterministic_bytes(self):
         a, _ = build_kernel_library(corpus())

@@ -12,12 +12,13 @@ from priosynth import config, loop
 from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import canonical_json, load_dag
-from priosynth.kernels import CATEGORY_FAMILY, Kernel, build_kernel_library
+from priosynth.kernels import CATEGORY_FEATURES, Kernel, build_kernel_library
 from priosynth.loop import (
     ABLATIONS,
     LoopConfig,
     build_prompt,
     evaluate_heuristic,
+    fallback_basis,
     fallback_synthesize,
     make_feedback,
     mean_score,
@@ -129,7 +130,7 @@ class TestSelection:
         whole = whole_graph_kernels(train, normalizer, vocab)
         assert len(whole) == len(train)
         assert all(k.category == "whole_graph" for k in whole)
-        assert all(CATEGORY_FAMILY[k.category] == "fanout_aware" for k in whole)
+        assert all(CATEGORY_FEATURES[k.category] == ("crit", "fanout") for k in whole)
 
 
 class TestPrompt:
@@ -186,7 +187,7 @@ class TestFallback:
         train, *_ = setup
         cfg = LoopConfig()
         batch = train[:6]
-        expr = fallback_synthesize([(d, []) for d in batch], batch, cfg)
+        expr = fallback_synthesize(fallback_basis([(d, []) for d in batch]), batch, cfg)
         names = set(expr.features())
         assert names  # non-empty canonical expression
         assert names <= {"crit", "fanout", "level", "const"}
@@ -196,7 +197,7 @@ class TestFallback:
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
         selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
-        expr = fallback_synthesize(selections, batch, cfg)
+        expr = fallback_synthesize(fallback_basis(selections), batch, cfg)
         base = parse_expr("1*crit + 1*fanout - 1*level")
 
         def batch_score(e):
@@ -209,11 +210,14 @@ class TestFallback:
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
         selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
-        assert fallback_synthesize(selections, batch, cfg) == fallback_synthesize(selections, batch, cfg)
+        basis = fallback_basis(selections)
+        assert fallback_synthesize(basis, batch, cfg) == fallback_synthesize(basis, batch, cfg)
 
-    @pytest.mark.parametrize("mode", ["full", "no_retrieval", "random_kernel"])
+    @pytest.mark.parametrize("mode", ABLATIONS)
     def test_matches_reference_synthesizer(self, setup, mode):
         train, val, vocab, kernels, normalizer = setup
+        if mode == "no_motif":
+            kernels = whole_graph_kernels(train, normalizer, vocab)
         for iteration in range(3):
             cfg = LoopConfig(seed=iteration, top_m=2 + iteration, batch_size=4 + 3 * iteration, ablation=mode)
             batch = sample_batch(train, cfg, iteration)
@@ -224,14 +228,13 @@ class TestFallback:
             expected = make_expr(
                 {name: weight for weight, name in expected.terms if name not in ("pressure", "const")}
             )
-            assert fallback_synthesize(selections, batch, cfg) == expected
+            assert fallback_synthesize(fallback_basis(selections), batch, cfg) == expected
 
-    def test_reads_only_the_families_of_the_selection(self, setup):
-        # hub and whole_graph kernels share the fanout_aware family, so these
+    def test_reads_only_the_features_of_the_selection(self, setup):
+        # hub and whole_graph kernels name the same features, so these
         # selections differ in kernel ids, categories, signatures (hence
-        # similarities) and counts, but name the same families.
+        # similarities) and counts, but give one basis.
         train, *_ = setup
-        cfg = LoopConfig()
         batch = train[:6]
         hub = Kernel(id="hub-000", category="hub", signature=(1.0, 0.0), support=5)
         whole = Kernel(id="whole_graph-0003", category="whole_graph", signature=(-1.0, 2.0), support=1)
@@ -240,14 +243,48 @@ class TestFallback:
         ]
         first = [(dag, [hub, chains[0]]) for dag in batch]
         second = [(dag, [chains[1 + index % 2], whole, whole]) for index, dag in enumerate(batch)]
-        assert fallback_synthesize(first, batch, cfg) == fallback_synthesize(second, batch, cfg)
+        assert fallback_basis(first) == fallback_basis(second) == ("crit", "fanout", "level", "slack")
+        # Without a reconvergent or chain kernel the basis is the core alone.
+        core = ("crit", "fanout", "level")
+        assert fallback_basis([(dag, [hub]) for dag in batch]) == core
+        assert fallback_basis([(dag, [whole, whole]) for dag in batch]) == core
+        assert fallback_basis([(dag, []) for dag in batch]) == core
+
+    def test_core_basis_runs_one_descent(self, setup, monkeypatch):
+        # With the core alone, the two core starts equal the template start,
+        # so their descents are skipped.  The one descent left is the last
+        # of the three that a basis holding reconv runs.
+        train, *_ = setup
+        cfg = LoopConfig()
+        batch = train[:8]
+        real_make_expr = loop.make_expr
+
+        def candidates(basis):
+            made = []
+
+            def recording_make_expr(weights):
+                made.append(dict(weights))
+                return real_make_expr(weights)
+
+            monkeypatch.setattr(loop, "make_expr", recording_make_expr)
+            fallback_synthesize(basis, batch, cfg)
+            monkeypatch.undo()
+            return made[:-1]  # the last call builds the winner
+
+        core = candidates(("crit", "fanout", "level"))
+        wider = candidates(("crit", "fanout", "level", "reconv"))
+        assert core[0] == {"crit": 1.0, "fanout": 1.0, "level": -1.0}
+        assert len(wider) > len(core)
+        assert wider[-len(core) :] == core
 
     def test_every_template_feature_is_searchable(self):
-        # A family naming a per-type feature such as pressure would hand the
-        # search a term that cannot reorder a ready heap.
-        for family, terms in kernels_module.TEMPLATE_FAMILIES.items():
-            for feature, _ in terms:
-                assert feature in loop._FEATURE_SIGNS, (family, feature)
+        # A template naming a per-type feature such as pressure would hand
+        # the search a term that cannot reorder a ready heap.
+        for category, features in kernels_module.CATEGORY_FEATURES.items():
+            for feature in features:
+                assert feature in kernels_module.FEATURE_SIGNS, (category, feature)
+        assert set(loop._CORE_FEATURES) <= set(kernels_module.FEATURE_SIGNS)
+        assert not {"pressure", "const"} & set(kernels_module.FEATURE_SIGNS)
 
     def test_never_scores_per_type_features(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
@@ -264,7 +301,7 @@ class TestFallback:
             return expr
 
         monkeypatch.setattr(loop, "make_expr", recording_make_expr)
-        fallback_synthesize(selections, batch, cfg)
+        fallback_synthesize(fallback_basis(selections), batch, cfg)
         assert candidates
         for expr in candidates:
             assert not {"pressure", "const"} & set(expr.features()), print_expr(expr)
@@ -293,7 +330,7 @@ class TestFallback:
 
         monkeypatch.setattr(loop, "make_expr", recording_make_expr)
         memo = CountingMemo()
-        fallback_synthesize(selections, batch, cfg, memo)
+        fallback_synthesize(fallback_basis(selections), batch, cfg, memo)
         distinct = set(candidates)
         assert len(distinct) < len(candidates)
         # Each distinct candidate is looked up by its terms once per graph,
@@ -467,6 +504,16 @@ class TestAblation:
         for row in report["modes"].values():
             assert row["feasible"] == len(val)
 
+    def test_no_motif_picks_what_no_retrieval_picks(self, setup):
+        # Whole-graph kernels name only core features, so under the fallback
+        # no_motif searches the basis no_retrieval does in every iteration.
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4, iterations=4)
+        report = run_ablation(train, val, kernels, normalizer, vocab, cfg, modes=("no_retrieval", "no_motif"))
+        records = {mode: report["modes"][mode]["history"]["records"] for mode in ("no_retrieval", "no_motif")}
+        assert [r["source"] for r in records["no_motif"]] == ["fallback"] * cfg.iterations
+        assert [r["expr"] for r in records["no_motif"]] == [r["expr"] for r in records["no_retrieval"]]
+
     def test_unknown_mode_rejected(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig()
@@ -539,7 +586,7 @@ class TestScheduleMemo:
         assert loop._schedule(expr, long, memo) == (7, True)
 
     def test_orders_that_differ_by_rounding_stay_apart(self):
-        # The rounding case of the ``_FEATURE_SIGNS`` comment: on this graph
+        # The rounding case of the ``_CORE_FEATURES`` comment: on this graph
         # a pressure term, constant per type, still reorders two nodes of one
         # type, so the two sums must not share a memo entry.
         doc = config.default_run_config_document(5)
