@@ -76,12 +76,12 @@ def search_prompts(run: config.PreparedRun, cfg: config.RunConfig) -> str:
         mode_cfg = replace(cfg.loop, ablation=mode)
         library = run.kernels
         if mode == "no_motif":
-            library = loop.whole_graph_kernels(run.train, run.normalizer, run.vocab, vectors)
+            library = loop.whole_graph_kernels(run.train, run.normalizer, vectors)
         index = kernels.KernelIndex(library)
         for iteration in range(mode_cfg.iterations):
             batch = loop.sample_batch(run.train, mode_cfg, iteration)
-            selections = loop.select_kernels(batch, index, run.normalizer, run.vocab, mode_cfg, iteration, vectors)
-            prompts.append(loop.build_prompt(batch, selections, [], run.vocab))
+            selections = loop.select_kernels(batch, index, run.normalizer, mode_cfg, iteration, vectors)
+            prompts.append(loop.build_prompt(batch, selections, []))
     return "".join(prompts)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -26,16 +27,15 @@ from .bench import (
 )
 from .config import (
     ConfigError,
-    LibraryParams,
     _generator_to_document,
     load_run_config,
     prepare_run,
     run_config_to_document,
 )
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
-from .embedding import build_vocab, dump_normalizer, load_normalizer
+from .embedding import dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
-from .kernels import build_kernel_library, dump_library, load_library, retrieve_kernels
+from .kernels import LibraryParams, build_kernel_library, dump_library, load_library, retrieve_kernels
 from .loop import run_ablation, run_loop
 from .providers import ProviderError
 from .scheduler import dump_schedule, list_schedule, verify_schedule
@@ -162,16 +162,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_kernels_build(args) -> int:
-    train = _load_graph_inputs(args.train)
-    vocab = build_vocab(train)
-    kernels, normalizer = build_kernel_library(
-        train,
-        vocab=vocab,
-        k=args.k,
-        theta=args.theta,
-        budget=args.budget,
-        chain_min_len=args.chain_min_len,
-    )
+    params = LibraryParams(k=args.k, theta=args.theta, budget=args.budget, chain_min_len=args.chain_min_len)
+    kernels, normalizer = build_kernel_library(_load_graph_inputs(args.train), **asdict(params))
     out = Path(args.out)
     _write(out, dump_library(kernels))
     normalizer_path = Path(args.normalizer_out) if args.normalizer_out else out.with_suffix(".normalizer.json")
@@ -191,7 +183,7 @@ def cmd_retrieve(args) -> int:
             f"but the normalizer has {len(normalizer.mean)}"
         )
     dag = load_dag_file(args.graph)
-    matches = retrieve_kernels(dag, kernels, normalizer, normalizer.vocab, args.m)
+    matches = retrieve_kernels(dag, kernels, normalizer, args.m)
     doc = {
         "graph": dag.name,
         "m": args.m,

@@ -18,20 +18,12 @@ from typing import Mapping, get_type_hints
 from .bench import GeneratorSpec, generate_suite
 from .embedding import Normalizer, build_vocab
 from .graph import Dag
-from .kernels import Kernel, build_kernel_library
+from .kernels import Kernel, LibraryParams, build_kernel_library
 from .loop import ABLATIONS, LoopConfig, check_modes, loop_config_to_document
 
 
 class ConfigError(ValueError):
     """A run-config document is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class LibraryParams:
-    k: int = 2
-    theta: float = 0.95
-    budget: int = 50
-    chain_min_len: int = 4
 
 
 @dataclass(frozen=True)
@@ -112,21 +104,16 @@ def _generator_from_document(doc, seed: int, label: str) -> tuple[GeneratorSpec,
 
 
 def load_run_config(document) -> RunConfig:
-    """Parse a run-config JSON document (dict, JSON text, or file path)."""
+    """Parse a run config given as a mapping or as the path (``str`` or
+    ``Path``) of a JSON file.  Every section is checked here, the library and
+    loop parameters included, so a bad config fails before any graph is built."""
     if isinstance(document, (str, Path)):
-        text = str(document)
-        if text.lstrip().startswith("{"):
-            try:
-                document = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc}") from None
-        else:
-            try:
-                document = json.loads(Path(document).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {document}: {exc}") from None
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from None
+        try:
+            document = json.loads(Path(document).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {document}: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
     if not isinstance(document, Mapping):
         raise ConfigError("run config must be a JSON object")
 
@@ -216,12 +203,5 @@ def prepare_run(cfg: RunConfig) -> PreparedRun:
     graphs, and the kernel library mined from the training corpus."""
     train, val = build_corpora(cfg)
     vocab = build_vocab(train + val)
-    kernels, normalizer = build_kernel_library(
-        train,
-        vocab=vocab,
-        k=cfg.library.k,
-        theta=cfg.library.theta,
-        budget=cfg.library.budget,
-        chain_min_len=cfg.library.chain_min_len,
-    )
+    kernels, normalizer = build_kernel_library(train, vocab=vocab, **asdict(cfg.library))
     return PreparedRun(train, val, vocab, kernels, normalizer)

@@ -89,8 +89,8 @@ def embed(dag: Dag, vocab: Sequence[str]) -> np.ndarray:
 class Normalizer:
     """Per-dimension z-score parameters fitted on a corpus.
 
-    ``vocab`` optionally records the op-type vocabulary the vectors were
-    embedded with, so saved artifacts are self-describing."""
+    ``vocab`` records the op-type vocabulary the vectors were embedded with,
+    which retrieval embeds query graphs with too."""
 
     mean: tuple[float, ...]
     std: tuple[float, ...]

@@ -64,6 +64,27 @@ def template_expr(category: str) -> PriorityExpr:
 
 
 @dataclass(frozen=True)
+class LibraryParams:
+    """The parameters of a library build (see :func:`mine_motifs` and
+    :func:`cluster_motifs`), checked when constructed."""
+
+    k: int = 2
+    theta: float = 0.95
+    budget: int = 50
+    chain_min_len: int = 4
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        if self.k < 0:
+            raise ValueError(f"k must be nonnegative, got {self.k!r}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget!r}")
+        if self.chain_min_len < 1:
+            raise ValueError(f"chain_min_len must be positive, got {self.chain_min_len!r}")
+
+
+@dataclass(frozen=True)
 class Motif:
     """A node subset of one graph, tagged with its mining category."""
 
@@ -120,8 +141,8 @@ def _top_decile(degrees: Sequence[int], n: int) -> list[int]:
 
 def mine_motifs(
     dag: Dag,
-    k: int = 2,
-    chain_min_len: int = 4,
+    k: int = LibraryParams.k,
+    chain_min_len: int = LibraryParams.chain_min_len,
 ) -> list[Motif]:
     """All motifs of one graph, in a deterministic order.
 
@@ -217,8 +238,8 @@ class _Centroids:
 
 def cluster_motifs(
     entries: Sequence[tuple[Motif, np.ndarray]],
-    theta: float = 0.95,
-    budget: int = 50,
+    theta: float = LibraryParams.theta,
+    budget: int = LibraryParams.budget,
 ) -> list[tuple[Motif, np.ndarray, int, int]]:
     """Greedy leader clustering per category at cosine threshold ``theta``.
 
@@ -263,26 +284,19 @@ def cluster_motifs(
 def build_kernel_library(
     train: Sequence[Dag],
     vocab: Sequence[str] | None = None,
-    k: int = 2,
-    theta: float = 0.95,
-    budget: int = 50,
-    chain_min_len: int = 4,
+    k: int = LibraryParams.k,
+    theta: float = LibraryParams.theta,
+    budget: int = LibraryParams.budget,
+    chain_min_len: int = LibraryParams.chain_min_len,
 ) -> tuple[list[Kernel], Normalizer]:
     """Mine, embed, cluster, and budget kernels from a training corpus.
 
-    The normalizer is fitted on whole-graph embeddings of the corpus and is
-    the same one used at retrieval time, so motif signatures and query
-    vectors live in one z-space.  ``theta`` must be finite, ``k`` and
-    ``budget`` nonnegative and ``chain_min_len`` positive.
+    The four parameters are checked as a :class:`LibraryParams` first.  The
+    normalizer is fitted on whole-graph embeddings of the corpus and records
+    ``vocab`` (by default the corpus's), which retrieval embeds query graphs
+    with, so motif signatures and query vectors live in one z-space.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget!r}")
-    if chain_min_len < 1:
-        raise ValueError(f"chain_min_len must be positive, got {chain_min_len!r}")
+    params = LibraryParams(k=k, theta=theta, budget=budget, chain_min_len=chain_min_len)
     if not train:
         raise ValueError("cannot build a kernel library from zero graphs")
     if vocab is None:
@@ -291,13 +305,13 @@ def build_kernel_library(
 
     entries: list[tuple[Motif, np.ndarray]] = []
     for dag in train:
-        for motif in mine_motifs(dag, k=k, chain_min_len=chain_min_len):
+        for motif in mine_motifs(dag, k=params.k, chain_min_len=params.chain_min_len):
             vec = apply_normalizer(normalizer, embed(induced_subdag(dag, motif.nodes), vocab))
             entries.append((motif, vec))
 
     kernels: list[Kernel] = []
     counters: dict[str, int] = {}
-    for motif, centroid, support, _ in cluster_motifs(entries, theta=theta, budget=budget):
+    for motif, centroid, support, _ in cluster_motifs(entries, theta=params.theta, budget=params.budget):
         seq = counters.get(motif.category, 0)
         counters[motif.category] = seq + 1
         kernels.append(
@@ -391,12 +405,13 @@ def _kernel_from_document(entry, index: int) -> Kernel:
 QueryVectors = dict[Dag, np.ndarray]
 
 
-def query_vector(dag: Dag, normalizer: Normalizer, vocab: Sequence[str], vectors: QueryVectors) -> np.ndarray:
-    """``dag``'s normalized embedding, computed on first use and then read
-    from ``vectors``; the vector is read-only because callers share it."""
+def query_vector(dag: Dag, normalizer: Normalizer, vectors: QueryVectors) -> np.ndarray:
+    """``dag``'s embedding under the normalizer's vocabulary, normalized,
+    computed on first use and then read from ``vectors``; the vector is
+    read-only because callers share it."""
     vec = vectors.get(dag)
     if vec is None:
-        vec = vectors[dag] = apply_normalizer(normalizer, embed(dag, vocab))
+        vec = vectors[dag] = apply_normalizer(normalizer, embed(dag, normalizer.vocab))
         vec.flags.writeable = False
     return vec
 
@@ -428,7 +443,6 @@ def retrieve_kernels(
     dag: Dag,
     kernels: Sequence[Kernel],
     normalizer: Normalizer,
-    vocab: Sequence[str],
     m: int,
     vectors: QueryVectors | None = None,
 ) -> list[tuple[Kernel, float]]:
@@ -438,4 +452,4 @@ def retrieve_kernels(
     for the run."""
     if not isinstance(kernels, KernelIndex):
         kernels = KernelIndex(kernels)
-    return kernels.retrieve(query_vector(dag, normalizer, vocab, {} if vectors is None else vectors), m)
+    return kernels.retrieve(query_vector(dag, normalizer, {} if vectors is None else vectors), m)

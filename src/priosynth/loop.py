@@ -176,7 +176,6 @@ def mean_score(evals: Sequence[dict]) -> float:
 def whole_graph_kernels(
     train: Sequence[Dag],
     normalizer: Normalizer,
-    vocab: Sequence[str],
     vectors: QueryVectors | None = None,
 ) -> list[Kernel]:
     """Substitute library for the no_motif ablation: one kernel per training
@@ -186,7 +185,7 @@ def whole_graph_kernels(
         vectors = {}
     kernels = []
     for index, dag in enumerate(train):
-        vec = query_vector(dag, normalizer, vocab, vectors)
+        vec = query_vector(dag, normalizer, vectors)
         kernels.append(
             Kernel(
                 id=f"whole_graph-{index:04d}",
@@ -202,7 +201,6 @@ def select_kernels(
     batch: Sequence[Dag],
     kernels: Sequence[Kernel],
     normalizer: Normalizer,
-    vocab: Sequence[str],
     cfg: LoopConfig,
     iteration: int,
     vectors: QueryVectors | None = None,
@@ -220,7 +218,7 @@ def select_kernels(
             out.append((dag, rng.sample(pool, min(cfg.top_m, len(pool)))))
         return out
     return [
-        (dag, [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, vocab, cfg.top_m, vectors)])
+        (dag, [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, cfg.top_m, vectors)])
         for dag in batch
     ]
 
@@ -251,14 +249,14 @@ def build_prompt(
     batch: Sequence[Dag],
     selections: Sequence[tuple[Dag, Sequence[Kernel]]],
     feedback_history: Sequence[str],
-    vocab: Sequence[str],
 ) -> str:
-    """Render the full deterministic prompt for one iteration."""
+    """Render the full deterministic prompt for one iteration.  Each batch
+    graph's op types are listed in its sorted ``capacities`` order."""
     parts: list[str] = ["# Task", _TASK_TEXT, "", "# Batch"]
     for dag in batch:
         stats = dag.stats()
         counts = Counter(rec.op_type for rec in dag.nodes)
-        types_text = ", ".join(f"{op}:{counts[op]}" for op in vocab if counts.get(op))
+        types_text = ", ".join(f"{op}:{counts[op]}" for op in dag.capacities if counts.get(op))
         pressure_text = ", ".join(f"{op}={stats.pressure[op]:.3f}" for op in sorted(stats.pressure))
         parts.append(
             f"- {dag.name}: |V|={len(dag)}, |E|={sum(map(len, dag.succs))}, cp={stats.cp_length}, "
@@ -461,8 +459,12 @@ def run_loop(
     synthesizer takes over; with ``fallback_on_error=False`` the error
     propagates instead.  ``memo`` and the query ``vectors`` are shared by
     callers that score or embed the same graphs again, as
-    :func:`run_ablation` does; by default the run keeps its own.
+    :func:`run_ablation` does; by default the run keeps its own.  ``vocab``
+    must be the vocabulary the normalizer records, which retrieval embeds
+    with; a ``ValueError`` names both when they differ.
     """
+    if tuple(vocab) != normalizer.vocab:
+        raise ValueError(f"vocabulary {tuple(vocab)} does not match the normalizer's {normalizer.vocab}")
     if memo is None:
         memo = {}
     if vectors is None:
@@ -470,7 +472,7 @@ def run_loop(
     if provider is None:
         provider = make_provider(cfg.provider)
     if cfg.ablation == "no_motif":
-        kernels = whole_graph_kernels(train, normalizer, vocab, vectors)
+        kernels = whole_graph_kernels(train, normalizer, vectors)
     index = KernelIndex(kernels)
 
     baseline = parse_expr(baseline_expr_text())
@@ -480,13 +482,13 @@ def run_loop(
     records: list[dict] = []
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
-        selections = select_kernels(batch, index, normalizer, vocab, cfg, iteration, vectors)
+        selections = select_kernels(batch, index, normalizer, cfg, iteration, vectors)
 
         expr: PriorityExpr | None = None
         source = "fallback"
         last_error: Exception | None = None
         if provider is not None:
-            prompt = build_prompt(batch, selections, feedback_history, vocab)
+            prompt = build_prompt(batch, selections, feedback_history)
             for _ in range(_PROVIDER_ATTEMPTS):
                 try:
                     expr = parse_reply(provider.complete(prompt))

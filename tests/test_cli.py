@@ -224,6 +224,7 @@ class TestKernelsAndRetrieve:
             ("repeated_id", "normalizer", "kernel library entry 1 (x): id 'x' repeats entry 0"),
             ("ragged_signatures", "normalizer", "entry 1 (y): 'signature' has 2 entries but entry 0 has 1"),
             ("library", "short_normalizer", "but the normalizer has 1"),
+            ("library", "no_vocab_normalizer", "normalizer file does not record a vocabulary; rebuild the library"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -268,6 +269,12 @@ class TestKernelsAndRetrieve:
             "repeated_id": {"layout": "v3", "kernels": [entry, entry]},
             "ragged_signatures": {"layout": "v3", "kernels": [entry, {**entry, "id": "y", "signature": [0.0, 1.0]}]},
             "short_normalizer": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocab": ["a"]},
+            # The built normalizer, mean and std of the library's length, without its vocabulary.
+            "no_vocab_normalizer": {
+                key: value
+                for key, value in json.loads(files["normalizer"].read_text(encoding="utf-8")).items()
+                if key != "vocab"
+            },
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"
@@ -316,6 +323,14 @@ class TestKernelsAndRetrieve:
         assert code == 3
         assert message in err
         assert not lib.exists()
+
+    def test_bad_library_parameter_is_checked_before_the_graphs_are_read(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "kernels", "build", "--train", str(tmp_path / "missing"), "--out", str(tmp_path / "lib.json"),
+            "--budget", "-1",
+        )
+        assert code == 3
+        assert "budget must be nonnegative, got -1" in err
 
     def test_build_deterministic(self, tmp_path, capsys):
         suite = tmp_path / "suite"

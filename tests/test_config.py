@@ -1,14 +1,17 @@
+import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 
 from priosynth.config import (
     ConfigError,
-    LibraryParams,
     default_run_config_document,
     load_run_config,
     run_config_to_document,
 )
+from priosynth.kernels import LibraryParams
 from priosynth.loop import ABLATIONS, LoopConfig
 
 
@@ -45,6 +48,28 @@ def test_mistyped_value_is_rejected_by_name(path, value):
 def test_bad_type_weights_are_rejected(types):
     with pytest.raises(ConfigError, match=r"^bad train: type_weights must be finite and nonnegative"):
         load_run_config({"train": {"types": types}})
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("budget", -1, "budget must be nonnegative, got -1"),
+        ("k", -1, "k must be nonnegative, got -1"),
+        ("theta", math.nan, "theta must be finite, got nan"),
+        ("chain_min_len", 0, "chain_min_len must be positive, got 0"),
+    ],
+)
+def test_bad_library_value_is_rejected_at_load(field, value, message):
+    with pytest.raises(ConfigError, match=rf"^bad library: {re.escape(message)}$"):
+        load_run_config({"library": {field: value}})
+
+
+def test_relative_config_path_starting_with_a_brace_is_read_as_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{cfg}.json").write_text(json.dumps({"seed": 3, "library": {"budget": 7}}), encoding="utf-8")
+    for given in ("{cfg}.json", Path("{cfg}.json")):
+        cfg = load_run_config(given)
+        assert (cfg.seed, cfg.library.budget) == (3, 7)
 
 
 def test_int_widens_to_float():

@@ -384,7 +384,7 @@ class TestRetrieveKernels:
     def test_self_similarity_tops_for_member_graph(self):
         train = corpus(count=12)
         kernels, normalizer = build_kernel_library(train)
-        picked = retrieve_kernels(train[0], kernels, normalizer, normalizer.vocab, 5)
+        picked = retrieve_kernels(train[0], kernels, normalizer, 5)
         assert len(picked) == 5
         sims = [sim for _, sim in picked]
         assert sims == sorted(sims, reverse=True)
@@ -392,5 +392,5 @@ class TestRetrieveKernels:
     def test_m_larger_than_library(self):
         train = corpus(count=6)
         kernels, normalizer = build_kernel_library(train, budget=3)
-        picked = retrieve_kernels(train[0], kernels, normalizer, normalizer.vocab, 10)
+        picked = retrieve_kernels(train[0], kernels, normalizer, 10)
         assert len(picked) == len(kernels)

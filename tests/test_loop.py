@@ -11,7 +11,7 @@ from priosynth import kernels as kernels_module
 from priosynth import config, loop
 from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
-from priosynth.graph import canonical_json, load_dag
+from priosynth.graph import Dag, canonical_json, load_dag
 from priosynth.kernels import CATEGORY_FEATURES, Kernel, build_kernel_library
 from priosynth.loop import (
     ABLATIONS,
@@ -105,7 +105,7 @@ class TestSelection:
     def test_full_uses_similarity(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="full", top_m=3)
-        picks = select_kernels(train[:2], kernels, normalizer, vocab, cfg, 0)
+        picks = select_kernels(train[:2], kernels, normalizer, cfg, 0)
         assert len(picks) == 2
         for _, kerns in picks:
             assert len(kerns) == 3
@@ -113,21 +113,21 @@ class TestSelection:
     def test_no_retrieval_empty(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="no_retrieval")
-        for _, kerns in select_kernels(train[:3], kernels, normalizer, vocab, cfg, 0):
+        for _, kerns in select_kernels(train[:3], kernels, normalizer, cfg, 0):
             assert kerns == []
 
     def test_random_kernel_seeded(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="random_kernel", top_m=4, seed=9)
-        a = select_kernels(train[:3], kernels, normalizer, vocab, cfg, 1)
-        b = select_kernels(train[:3], kernels, normalizer, vocab, cfg, 1)
+        a = select_kernels(train[:3], kernels, normalizer, cfg, 1)
+        b = select_kernels(train[:3], kernels, normalizer, cfg, 1)
         assert [[k.id for k in ks] for _, ks in a] == [[k.id for k in ks] for _, ks in b]
-        c = select_kernels(train[:3], kernels, normalizer, vocab, cfg, 2)
+        c = select_kernels(train[:3], kernels, normalizer, cfg, 2)
         assert [[k.id for k in ks] for _, ks in a] != [[k.id for k in ks] for _, ks in c]
 
     def test_whole_graph_kernels_one_per_graph(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        whole = whole_graph_kernels(train, normalizer, vocab)
+        whole = whole_graph_kernels(train, normalizer)
         assert len(whole) == len(train)
         assert all(k.category == "whole_graph" for k in whole)
         assert all(CATEGORY_FEATURES[k.category] == ("crit", "fanout") for k in whole)
@@ -138,8 +138,8 @@ class TestPrompt:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=2)
         batch = train[:3]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
-        prompt = build_prompt(batch, selections, ["earlier feedback"], vocab)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        prompt = build_prompt(batch, selections, ["earlier feedback"])
         order = [
             prompt.index("# Task"),
             prompt.index("# Batch"),
@@ -154,15 +154,28 @@ class TestPrompt:
 
     def test_kernel_section_omitted_when_empty(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        prompt = build_prompt(train[:2], [(d, []) for d in train[:2]], [], vocab)
+        prompt = build_prompt(train[:2], [(d, []) for d in train[:2]], [])
         assert "# Retrieved kernels" not in prompt
 
     def test_prompt_is_deterministic(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=2)
         batch = train[:3]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
-        assert build_prompt(batch, selections, [], vocab) == build_prompt(batch, selections, [], vocab)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        assert build_prompt(batch, selections, []) == build_prompt(batch, selections, [])
+
+    def test_types_list_matches_the_vocabulary_rendering(self, setup):
+        # The types are listed in the graph's capacity order; an unused
+        # capacity type ("ab", between the used "a" and "b") is left out,
+        # exactly as the rendering over a run's vocabulary left it out.
+        train, *_ = setup
+        base = train[0]
+        dag = Dag(base.nodes, base.edges, {**base.capacities, "ab": 1}, name=base.name)
+        vocab = build_vocab([*train, dag])
+        counts = Counter(rec.op_type for rec in dag.nodes)
+        vocab_text = ", ".join(f"{op}:{counts[op]}" for op in vocab if counts.get(op))
+        assert vocab == ("a", "ab", "b") and set(counts) == {"a", "b"}
+        assert f"types[{vocab_text}]" in build_prompt([dag], [(dag, [])], [])
 
 
 class TestReplyParsing:
@@ -196,7 +209,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
         expr = fallback_synthesize(fallback_basis(selections), batch, cfg)
         base = parse_expr("1*crit + 1*fanout - 1*level")
 
@@ -209,7 +222,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
         basis = fallback_basis(selections)
         assert fallback_synthesize(basis, batch, cfg) == fallback_synthesize(basis, batch, cfg)
 
@@ -217,11 +230,11 @@ class TestFallback:
     def test_matches_reference_synthesizer(self, setup, mode):
         train, val, vocab, kernels, normalizer = setup
         if mode == "no_motif":
-            kernels = whole_graph_kernels(train, normalizer, vocab)
+            kernels = whole_graph_kernels(train, normalizer)
         for iteration in range(3):
             cfg = LoopConfig(seed=iteration, top_m=2 + iteration, batch_size=4 + 3 * iteration, ablation=mode)
             batch = sample_batch(train, cfg, iteration)
-            selections = select_kernels(batch, kernels, normalizer, vocab, cfg, iteration)
+            selections = select_kernels(batch, kernels, normalizer, cfg, iteration)
             expected = reference_fallback_synthesize(selections, batch, cfg)
             # The reference still searches pressure; its winner equals ours
             # once the per-type terms are dropped.
@@ -290,7 +303,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
         assert all(kerns for _, kerns in selections)
         candidates = []
         real_make_expr = loop.make_expr
@@ -310,7 +323,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, vocab, cfg, 0)
+        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
         candidates = []
         real_make_expr = loop.make_expr
 
@@ -391,6 +404,16 @@ class TestRunLoop:
         monkeypatch.setattr(loop, "build_prompt", no_prompt)
         result = run_loop(train, val, kernels, normalizer, vocab, LoopConfig(seed=3, iterations=2))
         assert [r["source"] for r in result.history["records"]] == ["fallback", "fallback"]
+
+    def test_vocabulary_other_than_the_normalizers_is_rejected(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        reordered = tuple(reversed(vocab))
+        assert reordered != normalizer.vocab
+        message = r"^vocabulary \('b', 'a'\) does not match the normalizer's \('a', 'b'\)$"
+        with pytest.raises(ValueError, match=message):
+            run_loop(train, val, kernels, normalizer, reordered, LoopConfig())
+        with pytest.raises(ValueError, match=message):
+            run_ablation(train, val, kernels, normalizer, reordered, LoopConfig())
 
     def test_byte_identical_reruns(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -639,10 +662,10 @@ class TestQueryVectors:
         embedded: Counter = Counter()
         real_select, real_embed = loop.select_kernels, kernels_module.embed
 
-        def tracking_select(batch, library, normalizer, vocab, cfg, iteration, *rest):
+        def tracking_select(batch, library, normalizer, cfg, iteration, *rest):
             selecting.append(cfg.ablation)
             try:
-                return real_select(batch, library, normalizer, vocab, cfg, iteration, *rest)
+                return real_select(batch, library, normalizer, cfg, iteration, *rest)
             finally:
                 selecting.pop()
 
