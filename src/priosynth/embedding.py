@@ -177,9 +177,17 @@ def load_normalizer(document) -> Normalizer:
     std = number_list(document["std"], "normalizer 'std'")
     if len(mean) != len(std):
         raise ValueError(f"normalizer 'mean' has {len(mean)} entries but 'std' has {len(std)}")
+    for index, value in enumerate(std):
+        if value < 0:
+            raise ValueError(f"normalizer 'std' entry {index} is negative ({value!r})")
     vocab = document.get("vocab", [])
     if not isinstance(vocab, list) or not all(isinstance(op, str) for op in vocab):
         raise ValueError("normalizer 'vocab' must be a list of strings")
+    if vocab and len(mean) != embedding_dim(vocab):
+        raise ValueError(
+            f"normalizer 'vocab' of {len(vocab)} op types needs {embedding_dim(vocab)} 'mean' and 'std' "
+            f"entries but the normalizer has {len(mean)}"
+        )
     return Normalizer(mean=mean, std=std, vocab=tuple(vocab))
 
 

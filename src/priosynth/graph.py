@@ -6,7 +6,9 @@ in the adjacency lists in one pass; the sorted edge tuple is built from them
 only when something reads :attr:`Dag.edges`.  All structural features used by
 priority expressions (level, remaining critical path, slack, degrees,
 reconvergence, resource pressure) are computed here, in one pass that
-:meth:`Dag.stats` caches.  Instances are immutable after construction.
+:meth:`Dag.stats` caches.  The same pass files each op type's member ids
+and total work, which the scheduler reads.  Instances are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ class StatsTable:
     nodes that lie on some longest source-to-sink path.  ``pressure[t]`` is
     the total work of type ``t`` over its capacity times ``cp_length`` (0.0
     when ``cp_length`` is 0); a value above 1 marks a guaranteed bottleneck.
+    ``members`` and ``work`` hold one entry per op type, in capacity order:
+    the type's ascending node ids, and the sum of their durations (0 for a
+    type without nodes).
     """
 
     level: tuple[int, ...]
@@ -50,6 +55,8 @@ class StatsTable:
     fanin: tuple[int, ...]
     reconv: tuple[int, ...]
     duration: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    work: tuple[int, ...]
     pressure: dict[str, float]
     cp_length: int
 
@@ -70,7 +77,7 @@ class Dag:
     """
 
     __slots__ = (
-        "nodes", "capacities", "name", "preds", "succs", "topo_order", "_edges", "_stats", "_checks", "_members"
+        "nodes", "capacities", "name", "preds", "succs", "topo_order", "_edges", "_stats", "_checks"
     )
 
     def __init__(
@@ -154,9 +161,6 @@ class Dag:
         # The arrays scheduler.verify_schedule tests schedules with, built
         # by the first check of this graph.
         self._checks: tuple | None = None
-        # Each op type's member ids, built by the first
-        # scheduler.type_members call on this graph.
-        self._members: list[list[int]] | None = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -198,7 +202,11 @@ class Dag:
             level = compute_levels(self)
             crit = compute_crit(self)
             cp = max((lv + cr for lv, cr in zip(level, crit)), default=0)
-            work = compute_work(self)
+            members: dict[str, list[int]] = {t: [] for t in self.capacities}
+            work = dict.fromkeys(self.capacities, 0)
+            for v, rec in enumerate(self.nodes):
+                members[rec.op_type].append(v)
+                work[rec.op_type] += rec.duration
             self._stats = StatsTable(
                 level=level,
                 crit=crit,
@@ -207,6 +215,8 @@ class Dag:
                 fanin=tuple(map(len, self.preds)),
                 reconv=compute_reconv(self),
                 duration=tuple(rec.duration for rec in self.nodes),
+                members=tuple(map(tuple, members.values())),
+                work=tuple(work.values()),
                 pressure={t: work[t] / (cap * cp) if cp else 0.0 for t, cap in self.capacities.items()},
                 cp_length=cp,
             )
@@ -237,15 +247,6 @@ def compute_crit(dag: Dag) -> tuple[int, ...]:
         if succs[v]:
             crit[v] += max(map(crit.__getitem__, succs[v]))
     return tuple(crit)
-
-
-def compute_work(dag: Dag) -> dict[str, int]:
-    """Total duration of the operations of each type, keyed in capacity
-    order; types without operations have work 0."""
-    work = {t: 0 for t in dag.capacities}
-    for rec in dag.nodes:
-        work[rec.op_type] += rec.duration
-    return work
 
 
 def compute_reconv(dag: Dag) -> tuple[int, ...]:

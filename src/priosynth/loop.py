@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -255,8 +254,7 @@ def build_prompt(
     parts: list[str] = ["# Task", _TASK_TEXT, "", "# Batch"]
     for dag in batch:
         stats = dag.stats()
-        counts = Counter(rec.op_type for rec in dag.nodes)
-        types_text = ", ".join(f"{op}:{counts[op]}" for op in dag.capacities if counts.get(op))
+        types_text = ", ".join(f"{op}:{len(ids)}" for op, ids in zip(dag.capacities, stats.members) if ids)
         pressure_text = ", ".join(f"{op}={stats.pressure[op]:.3f}" for op in sorted(stats.pressure))
         parts.append(
             f"- {dag.name}: |V|={len(dag)}, |E|={sum(map(len, dag.succs))}, cp={stats.cp_length}, "

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import Dag, canonical_json, compute_work
+from .graph import Dag, canonical_json
 
 
 @dataclass
@@ -158,22 +158,11 @@ def type_order(dag: Dag, priority: Sequence[float]) -> tuple[int, ...] | None:
         return None
     key = priority.__getitem__
     order: list[int] = []
-    for members in type_members(dag):
+    for members in dag.stats().members:
         # A stable sort keeps ascending ids among equal priorities, also
         # when reversed.
         order += sorted(members, key=key, reverse=True)
     return tuple(order)
-
-
-def type_members(dag: Dag) -> list[list[int]]:
-    """The ascending member ids of each op type, in capacity order, built on
-    a graph's first call and cached in its ``_members`` slot."""
-    if dag._members is None:
-        members: dict[str, list[int]] = {op: [] for op in dag.capacities}
-        for v, rec in enumerate(dag.nodes):
-            members[rec.op_type].append(v)
-        dag._members = list(members.values())
-    return dag._members
 
 
 def _result(begin: float, measure: bool, starts: dict[int, int], makespan: int, feasible: bool) -> Schedule:
@@ -234,18 +223,19 @@ def _check_columns(dag: Dag) -> tuple:
     """``(src, dst, duration, max_duration, types)`` for the vector checks,
     built on a graph's first check and cached in its ``_checks`` slot: the
     int32 edge endpoints, the durations (int64 unless one overflows it),
-    and ``(op type, capacity, member ids)`` in capacity order."""
+    and ``(op type, capacity, member ids)`` in capacity order.  Durations
+    and member ids come from the graph's stats table."""
     if dag._checks is None:
         n = len(dag)
+        stats = dag.stats()
         # Each node's successors in turn: the edges in sorted order.
         src = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, dag.succs), np.intp, n))
         dst = np.fromiter(chain.from_iterable(dag.succs), np.int32, sum(map(len, dag.succs)))
-        durations = [rec.duration for rec in dag.nodes]
-        max_duration = max(durations)
-        duration = np.array(durations, np.int64 if max_duration <= _INT64_MAX else object)
+        max_duration = max(stats.duration)
+        duration = np.array(stats.duration, np.int64 if max_duration <= _INT64_MAX else object)
         types = [
             (op, cap, np.array(members, np.intp))
-            for (op, cap), members in zip(dag.capacities.items(), type_members(dag))
+            for (op, cap), members in zip(dag.capacities.items(), stats.members)
         ]
         dag._checks = (src, dst, duration, max_duration, types)
     return dag._checks
@@ -271,9 +261,10 @@ def _capacity_message(dag: Dag, starts: Mapping[int, int], op: str, cap: int, me
 def lower_bound_makespan(dag: Dag) -> int:
     """max(critical path, per-type ceil(work / capacity)); valid for any
     feasible schedule."""
-    bound = dag.stats().cp_length
-    for op, total in compute_work(dag).items():
-        bound = max(bound, -(-total // dag.capacities[op]))
+    stats = dag.stats()
+    bound = stats.cp_length
+    for cap, total in zip(dag.capacities.values(), stats.work):
+        bound = max(bound, -(-total // cap))
     return bound
 
 

@@ -92,13 +92,37 @@ def test_desk_ablation_bytes_are_pinned(desk_run):
     assert ablation == DESK_ABLATION_SHA256
 
 
-def test_desk_ablation_outcomes_are_pinned(desk_run):
+def artifact_digests_script():
+    """``scripts/artifact_digests.py`` imported as a module."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
     spec = importlib.util.spec_from_file_location("artifact_digests", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_desk_ablation_outcomes_are_pinned(desk_run):
+    module = artifact_digests_script()
     outcomes = hashlib.sha256(module.ablation_outcomes(desk_run["report"]).encode("utf-8")).hexdigest()
     assert outcomes == DESK_OUTCOMES_SHA256
+
+
+# The groups of scripts/artifact_digests.py that run in about a second; CI
+# diffs the script's whole output against the same record.
+FAST_DIGEST_GROUPS = ("search/0", "search/1", "large/0", "desk/0", "cli")
+
+
+def test_artifact_digests_match_the_record():
+    module = artifact_digests_script()
+    groups = [group for group in module.artifact_groups() if group[0] in FAST_DIGEST_GROUPS]
+    assert [prefix for prefix, _ in groups] == list(FAST_DIGEST_GROUPS)
+    prefixes = tuple(f"{prefix}/" for prefix in FAST_DIGEST_GROUPS)
+    record = Path(__file__).resolve().parent / "artifact_digests.txt"
+    lines = record.read_text(encoding="utf-8").splitlines()
+    recorded = [line for line in lines if line.split("  ")[1].startswith(prefixes)]
+    computed = list(module.digest_lines(groups))
+    assert [line.split("  ")[1] for line in computed] == [line.split("  ")[1] for line in recorded]
+    assert computed == recorded
 
 
 class TestGate:

@@ -225,6 +225,9 @@ class TestKernelsAndRetrieve:
             ("ragged_signatures", "normalizer", "entry 1 (y): 'signature' has 2 entries but entry 0 has 1"),
             ("library", "short_normalizer", "but the normalizer has 1"),
             ("library", "no_vocab_normalizer", "normalizer file does not record a vocabulary; rebuild the library"),
+            ("library", "negative_std_normalizer", "normalizer 'std' entry 0 is negative"),
+            ("library", "long_vocab_normalizer", "needs 27 'mean' and 'std' entries but the normalizer has 25"),
+            ("library", "other_vocab_normalizer", "kernel library signatures have 25 entries but the normalizer has 21"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -242,6 +245,7 @@ class TestKernelsAndRetrieve:
         # v1 layout wrote it, which added a search range per template feature.
         families = {"hub": "fanout_aware", "reconvergent": "reconvergent_A", "chain": "deep_chain_B"}
         libraries = {}
+        built_normalizer = json.loads(files["normalizer"].read_text(encoding="utf-8"))
         for layout in ("v1", "v2"):
             libraries[layout] = json.loads(files["library"].read_text(encoding="utf-8"))
             libraries[layout]["layout"] = layout
@@ -270,11 +274,13 @@ class TestKernelsAndRetrieve:
             "ragged_signatures": {"layout": "v3", "kernels": [entry, {**entry, "id": "y", "signature": [0.0, 1.0]}]},
             "short_normalizer": {"layout": "v1", "mean": [0.0], "std": [1.0], "vocab": ["a"]},
             # The built normalizer, mean and std of the library's length, without its vocabulary.
-            "no_vocab_normalizer": {
-                key: value
-                for key, value in json.loads(files["normalizer"].read_text(encoding="utf-8")).items()
-                if key != "vocab"
-            },
+            "no_vocab_normalizer": {key: value for key, value in built_normalizer.items() if key != "vocab"},
+            # The built normalizer with every std sign flipped.
+            "negative_std_normalizer": {**built_normalizer, "std": [-x for x in built_normalizer["std"]]},
+            # The built normalizer (3 op types, 25 entries) naming a fourth type.
+            "long_vocab_normalizer": {**built_normalizer, "vocab": [*built_normalizer["vocab"], "zzz"]},
+            # A well-formed one-type normalizer that the library was not built with.
+            "other_vocab_normalizer": {"layout": "v1", "mean": [0.0] * 21, "std": [1.0] * 21, "vocab": ["a"]},
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"

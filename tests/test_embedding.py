@@ -107,7 +107,9 @@ class TestNormalizer:
             apply_normalizer(norm, np.zeros(4))
 
     def test_json_round_trip(self):
-        norm = fit_normalizer([np.array([1.0, 2.0]), np.array([3.0, 4.0])], vocab=("a", "b"))
+        vocab = ("a", "b")
+        base = np.linspace(0.0, 1.0, embedding_dim(vocab))
+        norm = fit_normalizer([base, 3.0 * base], vocab=vocab)
         text = dump_normalizer(norm)
         doc = json.loads(text)
         assert doc["layout"] == LAYOUT

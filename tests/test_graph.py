@@ -240,6 +240,14 @@ class TestFeatures:
         assert stats.duration == (2, 3, 1, 2)
         assert stats.cp_length == 7
 
+    @settings(max_examples=200, deadline=None)
+    @given(dags(max_types=4))
+    def test_each_type_lists_its_ids_and_work(self, dag):
+        stats = dag.stats()
+        members = tuple(tuple(v for v, rec in enumerate(dag.nodes) if rec.op_type == op) for op in dag.capacities)
+        assert stats.members == members
+        assert stats.work == tuple(sum(dag.nodes[v].duration for v in ids) for ids in members)
+
     def test_diamond_pressure(self, diamond):
         stats = diamond.stats()
         assert stats.pressure["alu"] == pytest.approx(7 / 7)

@@ -31,7 +31,6 @@ from priosynth.scheduler import (
     list_schedule,
     lower_bound_makespan,
     optimal_makespan,
-    type_members,
     type_order,
     verify_schedule,
 )
@@ -225,7 +224,8 @@ class TestTypeOrder:
 
     def test_members_are_cached_per_graph(self, diamond):
         assert type_order(diamond, [0.0, 1.0, 5.0, 2.0]) == (3, 1, 0, 2)
-        assert type_members(diamond) is type_members(diamond) == [[0, 1, 3], [2]]
+        assert diamond.stats() is diamond.stats()
+        assert diamond.stats().members == ((0, 1, 3), (2,))
 
     def test_empty_graph(self):
         dag = load_dag({"nodes": [], "edges": [], "capacities": {"a": 1}})
@@ -582,6 +582,20 @@ def test_lower_bound_work_term():
     )
     # cp = 3 but work bound is ceil(12 / 2) = 6.
     assert lower_bound_makespan(dag) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags(max_types=4))
+def test_lower_bound_matches_the_per_type_work_formula(dag):
+    # The bound as it was computed before the stats table held each type's
+    # work: a dict of duration sums keyed in capacity order.
+    work = {t: 0 for t in dag.capacities}
+    for rec in dag.nodes:
+        work[rec.op_type] += rec.duration
+    bound = dag.stats().cp_length
+    for op, total in work.items():
+        bound = max(bound, -(-total // dag.capacities[op]))
+    assert lower_bound_makespan(dag) == bound
 
 
 def test_non_finite_guard_is_exact(diamond):
