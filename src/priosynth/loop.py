@@ -17,27 +17,40 @@ its scores and its winner from those same dicts.
 A candidate is scored by the schedule lengths it gives, never by a clock, so
 a whole run is a pure function of (corpus, library, config) and its history
 serializes to identical bytes on every execution.  That also lets one run
-memoize (makespan, feasible) per graph, on two keys.  The first is the
-expression's terms, so a repeated expression costs one lookup.  The second is
-the order in which list scheduling pops each op type's ready heap under the
-expression's priorities (see :mod:`priosynth.scheduler`): that order decides
-the whole schedule, so two expressions that give a graph the same order share
-one schedule, and expressions that give different orders never do.  Each
-(graph, order) pair is scheduled once.  The memo serves the fallback search
-and the validation scoring alike.  It lives for one :func:`run_loop` call, or
-for one :func:`run_ablation` call, whose modes share the same graphs.
-Retrieval works the same way: a run embeds each query graph once and scores
-it against the whole library in one pass.
+keep everything it computes in one :class:`RunCache`, which lives for one
+:func:`run_loop` call, or for one :func:`run_ablation` call, whose modes share
+the same graphs and batches:
+
+- The schedule memo holds (makespan, feasible) per graph on two keys.  The
+  first is the expression's terms, so a repeated expression costs one lookup.
+  The second is the order in which list scheduling pops each op type's ready
+  heap under the expression's priorities (see :mod:`priosynth.scheduler`):
+  that order decides the whole schedule, so two expressions that give a graph
+  the same order share one schedule, and expressions that give different
+  orders never do.  Each (graph, order) pair is scheduled once.
+- Each graph sequence the loop scores, the validation set and each
+  iteration's batch, has its feature columns stacked once.  One array pass
+  over the stack then gives every graph's priorities and heap order under a
+  new expression.
+- A batch's candidate scores are kept per infeasibility penalty and shared
+  by every fallback search on that batch, and a fallback search repeated on
+  the same batch, basis and penalty returns its stored winner.
+- Each query graph is embedded once per run, and ranked against the library
+  once per :func:`run_loop` call.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain
 from typing import Sequence
 
-from .dsl import ExprError, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
+import numpy as np
+
+from .dsl import FEATURES, ExprError, PriorityExpr, make_expr, parse_expr, print_expr
 from .embedding import Normalizer
 from .graph import Dag
 from .kernels import (
@@ -51,7 +64,7 @@ from .kernels import (
     template_expr,
 )
 from .providers import ProviderError, ProviderSpec, make_provider, provider_spec_to_document
-from .scheduler import baseline_expr_text, list_schedule, type_order
+from .scheduler import baseline_expr_text, list_schedule
 
 ABLATIONS = ("full", "no_retrieval", "no_motif", "random_kernel")
 
@@ -62,8 +75,10 @@ _PROVIDER_ATTEMPTS = 3
 class LoopConfig:
     """Hyperparameters of one synthesis run.
 
-    ``infeasibility_penalty`` is charged once per infeasible schedule; it
-    must be finite and nonnegative.
+    ``iterations``, ``top_m``, ``batch_size`` and ``seed`` must be of type
+    ``int`` and ``fallback_on_error`` of type ``bool``, without coercion, as
+    the run-config reader checks them.  ``infeasibility_penalty`` is charged
+    once per infeasible schedule; it must be finite and nonnegative.
     """
 
     iterations: int = 3
@@ -76,6 +91,16 @@ class LoopConfig:
     provider: ProviderSpec = field(default_factory=ProviderSpec)
 
     def __post_init__(self):
+        for name, kind in (
+            ("iterations", int),
+            ("top_m", int),
+            ("batch_size", int),
+            ("seed", int),
+            ("fallback_on_error", bool),
+        ):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {json.dumps(value, default=repr)}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
         if self.iterations < 1:
@@ -119,51 +144,152 @@ def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
 
 
 # (graph, expression terms) -> (makespan, feasible), and (graph, type order)
-# -> (makespan, feasible), in one dict.  The type order is what
-# ``scheduler.type_order`` returns: the schedule depends on the priorities only
-# through it, so expressions that rank every type's members alike share one
-# entry.  The two kinds of key never meet: terms are (float, str) pairs and an
-# order holds ints.  Keyed on the ``Dag`` object itself, which hashes by
-# identity, so a graph stays alive while the memo does and two graphs that
-# share a name never share an entry.
+# -> (makespan, feasible), in one dict.  The type order is every op type's
+# member ids sorted by (priority descending, id ascending), the types in
+# capacity order, concatenated: the order ``list_schedule`` pops each type's
+# ready heap in.  The schedule depends on the priorities only through it, so
+# expressions that rank every type's members alike share one entry.  The two
+# kinds of key never meet: terms are (float, str) pairs and an order holds
+# ints.  Keyed on the ``Dag`` object itself, which hashes by identity, so a
+# graph stays alive while the memo does and two graphs that share a name never
+# share an entry.
 ScheduleMemo = dict[tuple[Dag, tuple], tuple[int, bool]]
 
+# An expression's terms, as ``PriorityExpr.terms`` holds them.
+Terms = tuple[tuple[float, str], ...]
 
-def _schedule(expr: PriorityExpr, dag: Dag, memo: ScheduleMemo) -> tuple[int, bool]:
-    key = (dag, expr.terms)
-    found = memo.get(key)
-    if found is None:
-        priority = eval_expr(expr, dag)
-        order = type_order(dag, priority)
-        if order is not None:
-            found = memo.get((dag, order))
+# The stats columns an expression reads; ``pressure`` is spread per node from
+# its op type, and ``const`` reads no column.
+_COLUMNS = tuple(name for name in FEATURES if name not in ("const", "pressure"))
+
+
+class _Stack:
+    """A graph sequence's feature columns, stacked once, so that one array
+    pass gives every graph's priorities and type order under an expression.
+
+    Each column is float64 and holds the graphs' nodes in sequence order,
+    each graph's in id order; ``bounds[g]:bounds[g + 1]`` is graph ``g``'s
+    slice.  ``group`` is the graph's type offset (how many op types the
+    graphs before it have) plus the node's type index in capacity order, so
+    sorting on (group, -priority, id) lays out each graph's type order in its
+    own slice."""
+
+    def __init__(self, dags: tuple[Dag, ...]):
+        self.dags = dags
+        tables = [dag.stats() for dag in dags]
+        self.bounds = [0, *accumulate(map(len, dags))]
+        size = self.bounds[-1]
+        self.columns = {
+            name: np.fromiter(chain.from_iterable(getattr(table, name) for table in tables), float, size)
+            for name in _COLUMNS
+        }
+        self.columns["pressure"] = np.fromiter(
+            (table.pressure[rec.op_type] for dag, table in zip(dags, tables) for rec in dag.nodes), float, size
+        )
+        self.ids = np.fromiter(chain.from_iterable(map(range, map(len, dags))), np.intp, size)
+        groups: list[int] = []
+        offset = 0
+        for dag in dags:
+            index = {op: offset + i for i, op in enumerate(dag.capacities)}
+            groups += [index[rec.op_type] for rec in dag.nodes]
+            offset += len(index)
+        self.group = np.array(groups, np.intp)
+
+    def priorities(self, terms: Terms) -> np.ndarray:
+        """Every node's priority under the expression ``terms``, summed term
+        by term from zeros in expression order.  These are the IEEE operations
+        of :func:`~priosynth.dsl.eval_expr`, so each graph's slice equals its
+        ``eval_expr`` list bit for bit, overflow to infinity included."""
+        p = np.zeros(len(self.ids))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for weight, name in terms:
+                p = p + weight if name == "const" else p + weight * self.columns[name]
+        return p
+
+    def rank(self, p: np.ndarray) -> tuple[np.ndarray, set[int]]:
+        """The node ids sorted by (group, -priority, id), whose slice
+        ``bounds[g]:bounds[g + 1]`` is graph ``g``'s type order, and the
+        graphs whose slice of ``p`` holds a NaN or an infinity: they have no
+        order, because ``list_schedule`` rejects their priorities."""
+        ranked = self.ids[np.lexsort((self.ids, -p, self.group))]
+        finite = np.isfinite(p)
+        if finite.all():
+            return ranked, set()
+        bounds = self.bounds
+        return ranked, {g for g in range(len(self.dags)) if not finite[bounds[g] : bounds[g + 1]].all()}
+
+    def outcomes(self, terms: Terms, memo: ScheduleMemo) -> list[tuple[int, bool]]:
+        """(makespan, feasible) per graph under the expression ``terms``.
+        Graphs that miss the memo on their terms share one stacked pass; each
+        schedules only if it misses on its type order too.  A graph without
+        an order is scheduled from its priorities, comes out infeasible, and
+        is stored under its terms only."""
+        results = [memo.get((dag, terms)) for dag in self.dags]
+        if None in results:
+            p = self.priorities(terms)
+            ranked, unordered = self.rank(p)
+            bounds = self.bounds
+            for g, dag in enumerate(self.dags):
+                if results[g] is not None:
+                    continue
+                start, end = bounds[g], bounds[g + 1]
+                order = None if g in unordered else (dag, tuple(ranked[start:end].tolist()))
+                found = None if order is None else memo.get(order)
+                if found is None:
+                    schedule = list_schedule(dag, p[start:end].tolist(), measure=False)
+                    found = (schedule.makespan, schedule.feasible)
+                    if order is not None:
+                        memo[order] = found
+                results[g] = memo[dag, terms] = found
+        return results
+
+
+@dataclass
+class RunCache:
+    """What one run computes once and reads again: the schedule memo, each
+    scored graph sequence's stack, each batch's fallback candidate scores
+    keyed (batch, infeasibility penalty), each fallback winner keyed (batch,
+    basis, infeasibility penalty), and the query vectors.  Everything in it
+    is a pure function of its key, the graphs and the normalizer, so one
+    cache serves every mode of an ablation over the same corpora, library
+    and normalizer."""
+
+    schedules: ScheduleMemo = field(default_factory=dict)
+    stacks: dict[tuple[Dag, ...], _Stack] = field(default_factory=dict)
+    batch_scores: dict[tuple[tuple[Dag, ...], float], dict[Terms, float]] = field(default_factory=dict)
+    winners: dict[tuple[tuple[Dag, ...], tuple[str, ...], float], PriorityExpr] = field(default_factory=dict)
+    vectors: QueryVectors = field(default_factory=dict)
+
+    def stack(self, dags: Sequence[Dag]) -> _Stack:
+        key = tuple(dags)
+        found = self.stacks.get(key)
         if found is None:
-            schedule = list_schedule(dag, priority, measure=False)
-            found = (schedule.makespan, schedule.feasible)
-            if order is not None:
-                memo[dag, order] = found
-        memo[key] = found
-    return found
+            found = self.stacks[key] = _Stack(key)
+        return found
 
 
 def evaluate_heuristic(
     expr: PriorityExpr,
     dags: Sequence[Dag],
     cfg: LoopConfig,
-    memo: ScheduleMemo | None = None,
+    cache: RunCache | None = None,
 ) -> list[dict]:
     """Schedule every graph under ``expr``, in the order of ``dags``, and
     return one history row per graph: ``graph``, ``makespan``, ``feasible``
     and ``score``."""
-    if memo is None:
-        memo = {}
-
-    def one(dag: Dag) -> dict:
-        makespan, feasible = _schedule(expr, dag, memo)
-        score = score_schedule(cfg, makespan, feasible)
-        return {"graph": dag.name or "", "makespan": makespan, "feasible": feasible, "score": score}
-
-    return [one(dag) for dag in dags]
+    if cache is None:
+        cache = RunCache()
+    stack = cache.stack(dags)
+    outcomes = stack.outcomes(expr.terms, cache.schedules)
+    return [
+        {
+            "graph": dag.name or "",
+            "makespan": makespan,
+            "feasible": feasible,
+            "score": score_schedule(cfg, makespan, feasible),
+        }
+        for dag, (makespan, feasible) in zip(stack.dags, outcomes)
+    ]
 
 
 def mean_score(evals: Sequence[dict]) -> float:
@@ -203,10 +329,13 @@ def select_kernels(
     cfg: LoopConfig,
     iteration: int,
     vectors: QueryVectors | None = None,
+    ranked: dict[Dag, list[Kernel]] | None = None,
 ) -> list[tuple[Dag, list[Kernel]]]:
     """Per-graph kernel choice under the configured ablation mode.  A run
     passes its library as a :class:`KernelIndex` and its query ``vectors``,
-    so neither is rebuilt per call."""
+    so neither is rebuilt per call, and a ``ranked`` dict that keeps each
+    graph's top-m kernels, so a graph is ranked once while the library, the
+    normalizer and ``top_m`` stay the same."""
     if cfg.ablation == "no_retrieval":
         return [(dag, []) for dag in batch]
     if cfg.ablation == "random_kernel":
@@ -216,10 +345,15 @@ def select_kernels(
             rng = random.Random(f"{cfg.seed}:random-kernel:{iteration}:{dag.name}")
             out.append((dag, rng.sample(pool, min(cfg.top_m, len(pool)))))
         return out
-    return [
-        (dag, [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, cfg.top_m, vectors)])
-        for dag in batch
-    ]
+    if ranked is None:
+        ranked = {}
+    out = []
+    for dag in batch:
+        kerns = ranked.get(dag)
+        if kerns is None:
+            kerns = ranked[dag] = [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, cfg.top_m, vectors)]
+        out.append((dag, kerns))
+    return out
 
 
 _TASK_TEXT = """\
@@ -332,7 +466,7 @@ def fallback_synthesize(
     basis: Sequence[str],
     batch: Sequence[Dag],
     cfg: LoopConfig,
-    memo: ScheduleMemo | None = None,
+    cache: RunCache | None = None,
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer over the sorted feature
     ``basis`` that :func:`fallback_basis` returns.
@@ -342,24 +476,40 @@ def fallback_synthesize(
     every basis feature at its sign.  When the basis holds more than the core,
     it also starts from a hand-written critical-path start, and from that same
     start restricted to the core basis; with the core alone those starts and
-    feature lists equal the first, so their descents could not win.  Each
-    distinct candidate is scored once per call.  No randomness and no
-    wall-clock input anywhere.
+    feature lists equal the first, so their descents could not win.  No
+    randomness and no wall-clock input anywhere.
+
+    The winner depends only on (batch, basis, infeasibility penalty), and a
+    candidate's score only on (batch, penalty, terms), so ``cache`` keeps
+    both: a repeated call returns its stored winner, and every call on a
+    batch shares that batch's scores.  Within a call, weights that the
+    descent scored before return their score without building the
+    expression again.
     """
-    if memo is None:
-        memo = {}
-    # The descent revisits the same weights again and again; a candidate
-    # scored earlier in this call returns its score without a memo lookup.
-    scores: dict[tuple[tuple[float, str], ...], float] = {}
+    if cache is None:
+        cache = RunCache()
+    batch = tuple(batch)
+    penalty = cfg.infeasibility_penalty
+    key = (batch, tuple(basis), penalty)
+    winner = cache.winners.get(key)
+    if winner is not None:
+        return winner
+    stack = cache.stack(batch)
+    scores = cache.batch_scores.setdefault((batch, penalty), {})
+    seen: dict[tuple[tuple[str, float], ...], float] = {}
 
     def objective(weights: dict[str, float]) -> float:
-        expr = make_expr(weights)
-        value = scores.get(expr.terms)
+        point = tuple(weights.items())
+        value = seen.get(point)
         if value is None:
-            total = 0.0
-            for dag in batch:
-                total += score_schedule(cfg, *_schedule(expr, dag, memo))
-            value = scores[expr.terms] = total / max(1, len(batch))
+            terms = make_expr(weights).terms
+            value = scores.get(terms)
+            if value is None:
+                total = 0.0
+                for makespan, feasible in stack.outcomes(terms, cache.schedules):
+                    total += score_schedule(cfg, makespan, feasible)
+                value = scores[terms] = total / max(1, len(batch))
+            seen[point] = value
         return value
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
@@ -394,7 +544,8 @@ def fallback_synthesize(
             weights, value = descend(start, features)
             if value > best_value:
                 best_weights, best_value = weights, value
-    return make_expr(best_weights)
+    winner = cache.winners[key] = make_expr(best_weights)
+    return winner
 
 
 def make_feedback(
@@ -446,8 +597,7 @@ def run_loop(
     vocab: Sequence[str],
     cfg: LoopConfig,
     provider=None,
-    memo: ScheduleMemo | None = None,
-    vectors: QueryVectors | None = None,
+    cache: RunCache | None = None,
 ) -> RunResult:
     """Execute the full synthesis loop and return the winner plus history.
 
@@ -455,32 +605,33 @@ def run_loop(
     scripted providers this way).  Provider failures and unparseable replies
     are retried up to three attempts total, then the deterministic
     synthesizer takes over; with ``fallback_on_error=False`` the error
-    propagates instead.  ``memo`` and the query ``vectors`` are shared by
-    callers that score or embed the same graphs again, as
+    propagates instead.  ``cache`` is shared by callers that run the loop
+    again on the same corpora, library and normalizer, as
     :func:`run_ablation` does; by default the run keeps its own.  ``vocab``
     must be the vocabulary the normalizer records, which retrieval embeds
     with; a ``ValueError`` names both when they differ.
     """
     if tuple(vocab) != normalizer.vocab:
         raise ValueError(f"vocabulary {tuple(vocab)} does not match the normalizer's {normalizer.vocab}")
-    if memo is None:
-        memo = {}
-    if vectors is None:
-        vectors = {}
+    if cache is None:
+        cache = RunCache()
     if provider is None:
         provider = make_provider(cfg.provider)
     if cfg.ablation == "no_motif":
-        kernels = whole_graph_kernels(train, normalizer, vectors)
+        kernels = whole_graph_kernels(train, normalizer, cache.vectors)
     index = KernelIndex(kernels)
+    # Each training graph's top-m kernels under this run's library,
+    # normalizer and top_m.
+    ranked: dict[Dag, list[Kernel]] = {}
 
     baseline = parse_expr(baseline_expr_text())
-    baseline_evals = evaluate_heuristic(baseline, val, cfg, memo)
+    baseline_evals = evaluate_heuristic(baseline, val, cfg, cache)
 
     feedback_history: list[str] = []
     records: list[dict] = []
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
-        selections = select_kernels(batch, index, normalizer, cfg, iteration, vectors)
+        selections = select_kernels(batch, index, normalizer, cfg, iteration, cache.vectors, ranked)
 
         expr: PriorityExpr | None = None
         source = "fallback"
@@ -497,10 +648,10 @@ def run_loop(
         if expr is None:
             if provider is not None and not cfg.fallback_on_error:
                 raise ProviderError(f"provider failed after {_PROVIDER_ATTEMPTS} attempts: {last_error}")
-            expr = fallback_synthesize(fallback_basis(selections), batch, cfg, memo)
+            expr = fallback_synthesize(fallback_basis(selections), batch, cfg, cache)
             source = "fallback"
 
-        evals = evaluate_heuristic(expr, val, cfg, memo)
+        evals = evaluate_heuristic(expr, val, cfg, cache)
         feedback = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
@@ -549,12 +700,13 @@ def run_ablation(
 ) -> dict:
     """Run the loop once per ablation mode on identical corpora and batches,
     and report per-mode winners with mean validation makespans.  The modes
-    share one schedule memo and one set of query vectors, so a pair one mode
-    scored is not scheduled again by the next, nor a graph embedded again."""
+    share one :class:`RunCache`, so a pair one mode scored is not scheduled
+    again by the next, a batch is not stacked or a candidate scored again, a
+    fallback search that an earlier mode ran on the same batch, basis and
+    penalty is not run again, and no graph is embedded again."""
     check_modes(modes)
     out: dict = {"modes": {}}
-    memo: ScheduleMemo = {}
-    vectors: QueryVectors = {}
+    cache = RunCache()
     for mode in modes:
         result = run_loop(
             train,
@@ -564,8 +716,7 @@ def run_ablation(
             vocab,
             replace(cfg, ablation=mode),
             provider=provider,
-            memo=memo,
-            vectors=vectors,
+            cache=cache,
         )
         best_record = result.history["records"][result.best_iteration]
         makespans = [e["makespan"] for e in best_record["evals"]]

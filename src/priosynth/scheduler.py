@@ -17,10 +17,10 @@ whole ready list; the start times are those of the global ranked pass.
 The schedule therefore depends on the priorities only through the order in
 which each type's heap pops its members: per type, the member ids sorted by
 (priority descending, id ascending).  Two priority vectors that give every
-type the same such order give identical starts, makespan and feasibility.
-``type_order`` returns that order as one tuple, so a caller can memoize
-schedules on it; a vector with a NaN or an infinity has no order, because
-``list_schedule`` rejects it.
+type the same such order give identical starts, makespan and feasibility,
+so a caller can memoize schedules on it, as :mod:`priosynth.loop` does; a
+vector with a NaN or an infinity has no order, because ``list_schedule``
+rejects it.
 
 ``optimal_makespan`` is a memoized branch-and-bound over event-aligned
 schedules.  Restricting starts to event times is lossless: any feasible
@@ -147,22 +147,6 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
                 if not indeg[w]:
                     push(ready[op_of[w]], (-prio[w], w))
     return _result(begin, measure, starts, makespan, True)
-
-
-def type_order(dag: Dag, priority: Sequence[float]) -> tuple[int, ...] | None:
-    """The order ``list_schedule`` pops each type's ready heap in under
-    ``priority``, a sequence indexed by node id: every type's member ids
-    sorted by (priority descending, id ascending), the types in capacity
-    order, concatenated.  ``None`` when a priority is not finite."""
-    if not math.isfinite(sum(priority)) and not all(map(math.isfinite, priority)):
-        return None
-    key = priority.__getitem__
-    order: list[int] = []
-    for members in dag.stats().members:
-        # A stable sort keeps ascending ids among equal priorities, also
-        # when reversed.
-        order += sorted(members, key=key, reverse=True)
-    return tuple(order)
 
 
 def _result(begin: float, measure: bool, starts: dict[int, int], makespan: int, feasible: bool) -> Schedule:

@@ -29,10 +29,9 @@ from priosynth.loop import (
     _MAX_PASSES,
     LoopConfig,
     ScheduleMemo,
-    _schedule,
     score_schedule,
 )
-from priosynth.scheduler import Schedule
+from priosynth.scheduler import Schedule, list_schedule
 
 
 @st.composite
@@ -456,6 +455,44 @@ def reference_eval_expr(expr: PriorityExpr, dag: Dag) -> dict[int, float]:
     return out
 
 
+def type_order(dag: Dag, priority: Sequence[float]) -> tuple[int, ...] | None:
+    """The order ``list_schedule`` pops each type's ready heap in under
+    ``priority``, a sequence indexed by node id: every type's member ids
+    sorted by (priority descending, id ascending), the types in capacity
+    order, concatenated.  ``None`` when a priority is not finite.  The
+    per-graph reference for the loop's stacked orders."""
+    if not math.isfinite(sum(priority)) and not all(map(math.isfinite, priority)):
+        return None
+    key = priority.__getitem__
+    order: list[int] = []
+    for members in dag.stats().members:
+        # A stable sort keeps ascending ids among equal priorities, also
+        # when reversed.
+        order += sorted(members, key=key, reverse=True)
+    return tuple(order)
+
+
+def reference_schedule(expr: PriorityExpr, dag: Dag, memo: ScheduleMemo) -> tuple[int, bool]:
+    """(makespan, feasible) of one graph under ``expr``, through the loop's
+    two memo keys as the loop computed them one graph at a time: the
+    expression's terms, then ``eval_expr`` and the graph's
+    :func:`type_order`."""
+    key = (dag, expr.terms)
+    found = memo.get(key)
+    if found is None:
+        priority = eval_expr(expr, dag)
+        order = type_order(dag, priority)
+        if order is not None:
+            found = memo.get((dag, order))
+        if found is None:
+            schedule = list_schedule(dag, priority, measure=False)
+            found = (schedule.makespan, schedule.feasible)
+            if order is not None:
+                memo[dag, order] = found
+        memo[key] = found
+    return found
+
+
 # The fallback's sign conventions while it still searched ``pressure``.
 _FEATURE_SIGNS = {
     "crit": 1.0,
@@ -476,8 +513,9 @@ def reference_fallback_synthesize(
     memo: ScheduleMemo | None = None,
 ) -> PriorityExpr:
     """The fallback synthesizer before it kept its own scores: every
-    candidate, repeated or not, is looked up in the schedule memo again.  It
-    also still searches ``pressure`` (see ``_FEATURE_SIGNS`` above).
+    candidate, repeated or not, is scored one graph at a time through
+    :func:`reference_schedule`.  It also still searches ``pressure`` (see
+    ``_FEATURE_SIGNS`` above).
 
     Deterministic template-merge synthesizer.
 
@@ -502,7 +540,7 @@ def reference_fallback_synthesize(
         expr = make_expr(weights)
         total = 0.0
         for dag in batch:
-            total += score_schedule(cfg, *_schedule(expr, dag, memo))
+            total += score_schedule(cfg, *reference_schedule(expr, dag, memo))
         return total / max(1, len(batch))
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:

@@ -4,12 +4,16 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_dag, reference_fallback_synthesize
+import helpers
+from helpers import dags, random_dag, reference_fallback_synthesize, type_order
 from priosynth import kernels as kernels_module
 from priosynth import config, loop
-from priosynth.dsl import ExprError, eval_expr, make_expr, parse_expr, print_expr
+from priosynth.dsl import FEATURES, ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import Dag, canonical_json, load_dag
 from priosynth.kernels import CATEGORY_FEATURES, Kernel, build_kernel_library
@@ -31,7 +35,7 @@ from priosynth.loop import (
     whole_graph_kernels,
 )
 from priosynth.providers import HttpProvider, ProviderError, ProviderSpec, ScriptedProvider
-from priosynth.scheduler import list_schedule, type_order
+from priosynth.scheduler import list_schedule
 
 
 def corpus(seed=11, count=20, n_lo=6, n_hi=16):
@@ -320,38 +324,37 @@ class TestFallback:
             assert not {"pressure", "const"} & set(expr.features()), print_expr(expr)
 
     def test_repeated_candidate_skips_the_memo(self, setup, monkeypatch):
+        # The reference builds and scores every candidate the descent visits,
+        # repeats included; the fallback builds each visited weights once and
+        # scores each distinct expression once, in one stacked pass.
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
         selections = select_kernels(batch, kernels, normalizer, cfg, 0)
-        candidates = []
-        real_make_expr = loop.make_expr
+        visited, made, scored = [], [], []
 
-        def recording_make_expr(weights):
-            expr = real_make_expr(weights)
-            candidates.append(expr.terms)
-            return expr
+        def recording(made_list, real):
+            def record(weights):
+                made_list.append(tuple(weights.items()))
+                return real(weights)
 
-        class CountingMemo(dict):
-            def __init__(self):
-                super().__init__()
-                self.lookups = Counter()
+            return record
 
-            def get(self, key, default=None):
-                self.lookups[key] += 1
-                return super().get(key, default)
+        real_outcomes = loop._Stack.outcomes
 
-        monkeypatch.setattr(loop, "make_expr", recording_make_expr)
-        memo = CountingMemo()
-        fallback_synthesize(fallback_basis(selections), batch, cfg, memo)
-        distinct = set(candidates)
-        assert len(distinct) < len(candidates)
-        # Each distinct candidate is looked up by its terms once per graph,
-        # and a repeat is not looked up at all.  The memo starts empty, so
-        # every terms lookup misses and makes exactly one type-order lookup.
-        by_terms = Counter({key: n for key, n in memo.lookups.items() if key[1] in distinct})
-        assert by_terms == Counter({(dag, terms): 1 for terms in distinct for dag in batch})
-        assert memo.lookups.total() == 2 * len(distinct) * len(batch)
+        def recording_outcomes(stack, terms, memo):
+            scored.append(terms)
+            return real_outcomes(stack, terms, memo)
+
+        monkeypatch.setattr(helpers, "make_expr", recording(visited, helpers.make_expr))
+        reference_fallback_synthesize(selections, batch, cfg)
+        monkeypatch.setattr(loop, "make_expr", recording(made, loop.make_expr))
+        monkeypatch.setattr(loop._Stack, "outcomes", recording_outcomes)
+        fallback_synthesize(fallback_basis(selections), batch, cfg)
+        visited, made = visited[:-1], made[:-1]  # the last call builds the winner
+        assert len(visited) > len(made)
+        assert made == list(dict.fromkeys(visited))
+        assert scored == list(dict.fromkeys(make_expr(dict(point)).terms for point in made))
 
 
 class TestFeedback:
@@ -516,6 +519,31 @@ class TestRunLoop:
         assert LoopConfig(infeasibility_penalty=0.0).infeasibility_penalty == 0.0
 
 
+    @pytest.mark.parametrize(
+        ("name", "value", "message"),
+        [
+            ("iterations", 2.0, "iterations must be of type int, got 2.0"),
+            ("iterations", True, "iterations must be of type int, got true"),
+            ("batch_size", 2.5, "batch_size must be of type int, got 2.5"),
+            ("batch_size", False, "batch_size must be of type int, got false"),
+            ("top_m", "3", 'top_m must be of type int, got "3"'),
+            ("top_m", True, "top_m must be of type int, got true"),
+            ("seed", 1.0, "seed must be of type int, got 1.0"),
+            ("seed", None, "seed must be of type int, got null"),
+            ("fallback_on_error", 1, "fallback_on_error must be of type bool, got 1"),
+            ("fallback_on_error", "false", 'fallback_on_error must be of type bool, got "false"'),
+        ],
+    )
+    def test_mistyped_field_is_rejected(self, name, value, message):
+        # The run-config reader's rule and wording: no coercion, and a bool
+        # is not an int.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LoopConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(LoopConfig(), **{name: value})
+        with pytest.raises(config.ConfigError, match=f"^loop.{message}$"):
+            config.load_run_config({"loop": {name: value}})
+
 class TestAblation:
     def test_all_modes_present_and_deterministic(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -567,31 +595,42 @@ class TestScheduleMemo:
 
     def test_ablation_schedules_each_pair_once(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
-        evaluated, orders, scheduled = [], set(), []
-        real_eval, real_schedule = loop.eval_expr, loop.list_schedule
+        caches, passes, scheduled = [], [], []
+        real_priorities, real_schedule = loop._Stack.priorities, loop.list_schedule
 
-        def counting_eval(expr, dag):
-            evaluated.append((dag, expr.terms))
-            priority = real_eval(expr, dag)
-            orders.add((dag, type_order(dag, priority)))
-            return priority
+        class RecordedCache(loop.RunCache):
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+        def counting_priorities(stack, terms):
+            passes.append((stack, terms))
+            return real_priorities(stack, terms)
 
         def counting_schedule(dag, priority, measure=True):
             scheduled.append((dag, type_order(dag, priority)))
             return real_schedule(dag, priority, measure=measure)
 
-        monkeypatch.setattr(loop, "eval_expr", counting_eval)
+        monkeypatch.setattr(loop, "RunCache", RecordedCache)
+        monkeypatch.setattr(loop._Stack, "priorities", counting_priorities)
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
         run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(seed=4))
-        assert len(set(evaluated)) == len(evaluated) > 0
-        assert all(order is not None for _, order in orders)
+        (cache,) = caches
+        # Terms keys hold (float, str) pairs, order keys node ids.
+        evaluated = [key for key in cache.schedules if type(key[1][0]) is tuple]
+        orders = [key for key in cache.schedules if type(key[1][0]) is int]
+        assert len(evaluated) + len(orders) == len(cache.schedules)
+        # One stacked pass per graph set and expression.
+        assert len(set(passes)) == len(passes) > 0
+        assert all(order is not None for _, order in scheduled)
         # Once per distinct (graph, order), and no schedule for anything else.
         assert Counter(scheduled) == Counter(orders)
         assert len(scheduled) < len(evaluated)
 
     def test_graphs_with_one_order_stay_apart(self):
         # Two graphs with the same ids and types give the same type order;
-        # only the graph in the key keeps their schedules apart.
+        # only the graph in the key keeps their schedules apart, whether
+        # they share a stack or are scored one after the other.
         def chain(durations):
             return load_dag(
                 {
@@ -604,9 +643,15 @@ class TestScheduleMemo:
         short, long = chain([1, 5]), chain([2, 5])
         expr = parse_expr("1*crit")
         assert type_order(short, eval_expr(expr, short)) == type_order(long, eval_expr(expr, long))
-        memo = {}
-        assert loop._schedule(expr, short, memo) == (6, True)
-        assert loop._schedule(expr, long, memo) == (7, True)
+        cfg = LoopConfig()
+
+        def makespans(graph_sets):
+            cache = loop.RunCache()
+            return [row["makespan"] for dags in graph_sets for row in evaluate_heuristic(expr, dags, cfg, cache)]
+
+        assert makespans([[short, long]]) == [6, 7]
+        assert makespans([[short], [long]]) == [6, 7]
+        assert makespans([[long], [short]]) == [7, 6]
 
     def test_orders_that_differ_by_rounding_stay_apart(self):
         # The rounding case of the ``_CORE_FEATURES`` comment: on this graph
@@ -620,12 +665,13 @@ class TestScheduleMemo:
         with_pressure = parse_expr("1*crit + 1*fanout - 1*level + 1*pressure + 1*reconv")
         without = parse_expr("1*crit + 1*fanout - 1*level + 1*reconv")
         assert type_order(dag, eval_expr(with_pressure, dag)) != type_order(dag, eval_expr(without, dag))
+        cfg = LoopConfig()
         for first, second in ((with_pressure, without), (without, with_pressure)):
-            memo = {}
-            loop._schedule(first, dag, memo)
-            loop._schedule(second, dag, memo)
-            assert loop._schedule(with_pressure, dag, memo) == (34, True)
-            assert loop._schedule(without, dag, memo) == (32, True)
+            cache = loop.RunCache()
+            evaluate_heuristic(first, [dag], cfg, cache)
+            evaluate_heuristic(second, [dag], cfg, cache)
+            assert evaluate_heuristic(with_pressure, [dag], cfg, cache)[0]["makespan"] == 34
+            assert evaluate_heuristic(without, [dag], cfg, cache)[0]["makespan"] == 32
 
     def test_shared_memo_leaks_nothing_between_modes(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -682,3 +728,196 @@ class TestQueryVectors:
         for mode in ABLATIONS:
             alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
             assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
+
+
+def unit_graph(count: int, name: str | None = None) -> Dag:
+    """``count`` independent one-cycle nodes of one type with one unit: crit
+    is 1 on every node, so scaling it by 1e308 stays finite."""
+    nodes = [{"id": v, "type": "a", "duration": 1} for v in range(count)]
+    return load_dag({"nodes": nodes, "edges": [], "capacities": {"a": 1}}, name=name)
+
+
+# No nodes, and a capacity type without nodes.
+EMPTY = load_dag({"nodes": [], "edges": [], "capacities": {"a": 1, "b": 2}})
+# The conftest diamond, plus a capacity type without nodes.
+DIAMOND = load_dag(
+    {
+        "nodes": [
+            {"id": 0, "type": "alu", "duration": 2},
+            {"id": 1, "type": "alu", "duration": 3},
+            {"id": 2, "type": "mem", "duration": 1},
+            {"id": 3, "type": "alu", "duration": 2},
+        ],
+        "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+        "capacities": {"alu": 1, "mem": 1, "mul": 2},
+    }
+)
+
+# Ordinary weights, weights that overflow a product or a sum to an infinity,
+# and weights whose infinities meet with opposite signs (inf - inf is NaN).
+WEIGHTS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.25, 1e-300, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EXPRESSIONS = st.dictionaries(st.sampled_from(FEATURES), WEIGHTS, min_size=1, max_size=5).map(make_expr)
+STACKS = st.lists(st.one_of(dags(), st.just(EMPTY), st.just(DIAMOND)), min_size=1, max_size=5)
+
+
+class TestStackedOrders:
+    """One array pass over a stack of graphs gives each graph the priorities
+    of ``eval_expr`` and the order of the per-graph ``type_order``."""
+
+    @given(STACKS, EXPRESSIONS)
+    @example([DIAMOND, EMPTY, unit_graph(3)], parse_expr("1e308*crit - 1e308*level"))
+    @example([unit_graph(2), DIAMOND], parse_expr("1e308*crit + 1e308*fanout"))
+    @example([DIAMOND, EMPTY], parse_expr("2*const - 1*level + 3*pressure"))
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_orders_equal_the_reference(self, graphs, expr):
+        stack = loop._Stack(tuple(graphs))
+        p = stack.priorities(expr.terms)
+        ranked, unordered = stack.rank(p)
+        for g, dag in enumerate(graphs):
+            start, end = stack.bounds[g], stack.bounds[g + 1]
+            stacked, reference = p[start:end], np.array(eval_expr(expr, dag), float)
+            # Equal bit for bit, signed zeros included; a NaN's payload is
+            # not compared.
+            assert np.array_equal(stacked, reference, equal_nan=True)
+            assert (np.signbit(stacked) == np.signbit(reference)).all()
+            order = type_order(dag, eval_expr(expr, dag))
+            if order is None:
+                assert g in unordered
+            else:
+                assert g not in unordered
+                assert tuple(ranked[start:end].tolist()) == order
+
+    def test_non_finite_graph_leaves_the_rest_of_its_stack_scheduled(self, monkeypatch):
+        # 1e308*crit overflows on the diamond, whose crit reaches 7, and not
+        # on graphs of independent one-cycle nodes, whose crit is 1.
+        expr = parse_expr("1e308*crit")
+        graphs = [unit_graph(3, "u3"), DIAMOND, EMPTY, unit_graph(5, "u5")]
+        assert [type_order(dag, eval_expr(expr, dag)) is None for dag in graphs] == [False, True, False, False]
+        scheduled = []
+        real_schedule = loop.list_schedule
+
+        def counting_schedule(dag, priority, measure=True):
+            scheduled.append(dag)
+            return real_schedule(dag, priority, measure=measure)
+
+        monkeypatch.setattr(loop, "list_schedule", counting_schedule)
+        cfg, cache = LoopConfig(infeasibility_penalty=7.5), loop.RunCache()
+        rows = evaluate_heuristic(expr, graphs, cfg, cache)
+        assert [(row["makespan"], row["feasible"], row["score"]) for row in rows] == [
+            (3, True, -3.0),
+            (0, False, -7.5),
+            (0, True, -0.0),
+            (5, True, -5.0),
+        ]
+        for dag, row in zip(graphs, rows):
+            schedule = real_schedule(dag, eval_expr(expr, dag), measure=False)
+            assert (row["makespan"], row["feasible"]) == (schedule.makespan, schedule.feasible)
+        assert scheduled == graphs
+        # The diamond is stored under its terms only; the others under their
+        # orders too.
+        assert {key[0] for key in cache.schedules if key[1] == expr.terms} == set(graphs)
+        assert {key[0] for key in cache.schedules if key[1] != expr.terms} == set(graphs) - {DIAMOND}
+        assert cache.schedules[DIAMOND, expr.terms] == (0, False)
+
+
+class TestRunCache:
+    """Everything the cache serves again equals what a fresh computation
+    gives."""
+
+    def test_ablation_equals_separate_runs_with_fresh_caches(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        for cfg in (LoopConfig(seed=6, iterations=4, batch_size=6, top_m=3), LoopConfig(seed=1, batch_size=30)):
+            report = run_ablation(train, val, kernels, normalizer, vocab, cfg)
+            for mode in ABLATIONS:
+                alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
+                assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
+
+    def test_equal_bases_are_served_the_stored_winner(self, setup, monkeypatch):
+        # no_motif's whole-graph kernels name only core features, so its
+        # basis equals no_retrieval's in every iteration: its fallback runs
+        # no descent of its own, and its history is still the fresh one.
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4, iterations=4)
+        modes = []
+        made = Counter()
+        real_run_loop, real_make_expr = loop.run_loop, loop.make_expr
+
+        def tracking_run_loop(*args, **kwargs):
+            modes.append(args[5].ablation)
+            return real_run_loop(*args, **kwargs)
+
+        def counting_make_expr(weights):
+            made[modes[-1]] += 1
+            return real_make_expr(weights)
+
+        monkeypatch.setattr(loop, "run_loop", tracking_run_loop)
+        monkeypatch.setattr(loop, "make_expr", counting_make_expr)
+        report = run_ablation(train, val, kernels, normalizer, vocab, cfg, modes=("no_retrieval", "no_motif"))
+        monkeypatch.undo()
+        assert made["no_retrieval"] > 0 and made["no_motif"] == 0
+        for mode in ("no_retrieval", "no_motif"):
+            alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
+            assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
+
+    def test_stored_winners_and_scores_keep_to_their_penalty(self, setup):
+        train, *_ = setup
+        batch = train[:6]
+        basis = ("crit", "fanout", "level", "reconv")
+        cheap, dear = LoopConfig(infeasibility_penalty=7.5), LoopConfig()
+        cache = loop.RunCache()
+        expected = fallback_synthesize(basis, batch, cheap, cache)
+        sentinel = parse_expr("3*duration")
+        assert expected != sentinel
+        # Poison everything stored under the first penalty.
+        for key in cache.winners:
+            cache.winners[key] = sentinel
+        for scores in cache.batch_scores.values():
+            for terms in scores:
+                scores[terms] = float("inf")
+        # Another penalty reads none of it ...
+        assert fallback_synthesize(basis, batch, dear, cache) == fallback_synthesize(basis, batch, dear)
+        assert len(cache.winners) == len(cache.batch_scores) == 2
+        # ... and the first penalty is served from the store.
+        assert fallback_synthesize(basis, batch, cheap, cache) is sentinel
+
+    def test_batch_scores_are_shared_across_bases(self, setup, monkeypatch):
+        # A wider basis revisits the core candidates a core-only search
+        # scored on the same batch; no expression is scored on it twice.
+        train, *_ = setup
+        batch, cfg, cache = train[:6], LoopConfig(), loop.RunCache()
+        scored = []
+        real_outcomes = loop._Stack.outcomes
+
+        def recording_outcomes(stack, terms, memo):
+            scored.append((stack, terms))
+            return real_outcomes(stack, terms, memo)
+
+        monkeypatch.setattr(loop._Stack, "outcomes", recording_outcomes)
+        core = fallback_synthesize(("crit", "fanout", "level"), batch, cfg, cache)
+        first = len(scored)
+        wider = fallback_synthesize(("crit", "fanout", "level", "reconv"), batch, cfg, cache)
+        assert len(set(scored)) == len(scored) > first
+        monkeypatch.undo()
+        assert core == fallback_synthesize(("crit", "fanout", "level"), batch, cfg)
+        assert wider == fallback_synthesize(("crit", "fanout", "level", "reconv"), batch, cfg)
+
+    def test_each_graph_is_ranked_once_per_run(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4, iterations=5, batch_size=8)
+        ranked = Counter()
+        real_retrieve = loop.retrieve_kernels
+
+        def counting_retrieve(dag, *args):
+            ranked[dag] += 1
+            return real_retrieve(dag, *args)
+
+        monkeypatch.setattr(loop, "retrieve_kernels", counting_retrieve)
+        for mode in ("full", "no_motif"):
+            ranked.clear()
+            run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
+            batches = [sample_batch(train, cfg, iteration) for iteration in range(cfg.iterations)]
+            assert ranked == Counter({dag: 1 for batch in batches for dag in batch})
+            assert sum(map(len, batches)) > len(ranked)

@@ -18,6 +18,7 @@ from helpers import (
     reference_verify_schedule,
     scale_priorities,
     schedule_mutants,
+    type_order,
     unit_step_schedule,
 )
 from priosynth import loop
@@ -31,7 +32,6 @@ from priosynth.scheduler import (
     list_schedule,
     lower_bound_makespan,
     optimal_makespan,
-    type_order,
     verify_schedule,
 )
 
@@ -261,13 +261,15 @@ class TestTypeOrder:
             return real_schedule(dag, priority, measure=measure)
 
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
-        memo = {}
-        assert loop._schedule(expr, diamond, memo) == (0, False)
-        assert loop._schedule(expr, diamond, memo) == (0, False)
+        cfg, cache = loop.LoopConfig(), loop.RunCache()
+        for _ in range(2):
+            (row,) = loop.evaluate_heuristic(expr, [diamond], cfg, cache)
+            assert (row["makespan"], row["feasible"]) == (0, False)
         # Scheduled once, and stored under the expression's terms only.
         assert calls == [diamond]
-        assert memo == {(diamond, expr.terms): (0, False)}
-        assert loop._schedule(parse_expr("1*crit"), diamond, memo) == (7, True)
+        assert cache.schedules == {(diamond, expr.terms): (0, False)}
+        (row,) = loop.evaluate_heuristic(parse_expr("1*crit"), [diamond], cfg, cache)
+        assert (row["makespan"], row["feasible"]) == (7, True)
 
 
 class TestVerify:
