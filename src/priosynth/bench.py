@@ -7,6 +7,7 @@ are reproducible byte for byte across processes and platforms.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isfinite, sqrt
@@ -119,13 +120,19 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
             split = merge
         total = counter
 
+    # Each node's op type is drawn with the arithmetic ``rng.choices(names,
+    # cum_weights=cum_weights)`` performs, so it takes the same draw and
+    # picks the same type, without the per-call setup.
     names = [name for name, _ in spec.type_weights]
     cum_weights = list(accumulate(weight for _, weight in spec.type_weights))
+    weight_total = cum_weights[-1] + 0.0
+    last = len(names) - 1
     lo, hi = spec.duration_range
+    draw, randint = rng.random, rng.randint
     nodes = []
     for v in range(total):
-        op = rng.choices(names, cum_weights=cum_weights)[0]
-        nodes.append(NodeRecord(id=v, op_type=op, duration=rng.randint(lo, hi)))
+        op = names[bisect(cum_weights, draw() * weight_total, 0, last)]
+        nodes.append(NodeRecord(id=v, op_type=op, duration=randint(lo, hi)))
     return Dag(nodes, edges, dict(spec.capacities), name=f"{spec.family}-{index:04d}")
 
 

@@ -6,8 +6,10 @@ in the adjacency lists in one pass; the sorted edge tuple is built from them
 only when something reads :attr:`Dag.edges`.  All structural features used by
 priority expressions (level, remaining critical path, slack, degrees,
 reconvergence, resource pressure) are computed here, in one pass that
-:meth:`Dag.stats` caches.  The same pass files each op type's member ids
-and total work, which the scheduler reads.  Instances are immutable after
+:meth:`Dag.stats` caches.  The same pass gives each node its op type's
+index in capacity order and files each type's member ids and total work;
+the scheduler reads these with the duration and fan-in columns, so it
+builds no per-node list of its own.  Instances are immutable after
 construction.
 """
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
@@ -43,9 +47,10 @@ class StatsTable:
     nodes that lie on some longest source-to-sink path.  ``pressure[t]`` is
     the total work of type ``t`` over its capacity times ``cp_length`` (0.0
     when ``cp_length`` is 0); a value above 1 marks a guaranteed bottleneck.
-    ``members`` and ``work`` hold one entry per op type, in capacity order:
-    the type's ascending node ids, and the sum of their durations (0 for a
-    type without nodes).
+    ``op_index[v]`` is the position of node ``v``'s op type in capacity
+    order, the order of ``Dag.capacities``.  ``members`` and ``work`` hold
+    one entry per op type, in that order: the type's ascending node ids, and
+    the sum of their durations (0 for a type without nodes).
     """
 
     level: tuple[int, ...]
@@ -55,6 +60,7 @@ class StatsTable:
     fanin: tuple[int, ...]
     reconv: tuple[int, ...]
     duration: tuple[int, ...]
+    op_index: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     work: tuple[int, ...]
     pressure: dict[str, float]
@@ -202,11 +208,15 @@ class Dag:
             level = compute_levels(self)
             crit = compute_crit(self)
             cp = max((lv + cr for lv, cr in zip(level, crit)), default=0)
-            members: dict[str, list[int]] = {t: [] for t in self.capacities}
-            work = dict.fromkeys(self.capacities, 0)
+            type_index = {t: i for i, t in enumerate(self.capacities)}
+            op_index = []
+            members: list[list[int]] = [[] for _ in type_index]
+            work = [0] * len(type_index)
             for v, rec in enumerate(self.nodes):
-                members[rec.op_type].append(v)
-                work[rec.op_type] += rec.duration
+                i = type_index[rec.op_type]
+                op_index.append(i)
+                members[i].append(v)
+                work[i] += rec.duration
             self._stats = StatsTable(
                 level=level,
                 crit=crit,
@@ -215,9 +225,10 @@ class Dag:
                 fanin=tuple(map(len, self.preds)),
                 reconv=compute_reconv(self),
                 duration=tuple(rec.duration for rec in self.nodes),
-                members=tuple(map(tuple, members.values())),
-                work=tuple(work.values()),
-                pressure={t: work[t] / (cap * cp) if cp else 0.0 for t, cap in self.capacities.items()},
+                op_index=tuple(op_index),
+                members=tuple(map(tuple, members)),
+                work=tuple(work),
+                pressure={t: w / (cap * cp) if cp else 0.0 for (t, cap), w in zip(self.capacities.items(), work)},
                 cp_length=cp,
             )
         return self._stats
@@ -256,42 +267,56 @@ def compute_reconv(dag: Dag) -> tuple[int, ...]:
     Reachability is reflexive-transitive, so a child counts as "shared" when
     the other child reaches it.  Every node reaches some sink, so two nodes
     share a descendant exactly when they share a sink descendant; the reach
-    bitsets therefore hold one bit per sink, not per node.  A node's children
-    are grouped by equal reach sets: the ``c`` children of one group give
-    ``c * (c - 1) / 2`` pairs (a reach set is never empty), and two groups
-    of ``ca`` and ``cb`` children give ``ca * cb`` pairs when their sets
-    intersect.
+    bitsets therefore hold one bit per sink, not per node.
+
+    One reverse-topological pass fills in each node's reach and count
+    together, since its children are done before it.  A node with one child
+    takes that child's reach and counts 0.  With two, one OR gives the reach
+    and one AND decides the single pair.  With more, the children's distinct
+    reach sets are collected first and their union is the reach.  If they
+    all share one set, every pair intersects (a reach set is never empty):
+    ``c * (c - 1) / 2`` pairs.  Otherwise the children are grouped by equal
+    sets: the ``c`` children of one group give ``c * (c - 1) / 2`` pairs, and
+    two groups of ``ca`` and ``cb`` children give ``ca * cb`` pairs when
+    their sets intersect.
     """
     n = len(dag)
     succs = dag.succs
     reach = [0] * n
+    reach_of = reach.__getitem__
+    out = [0] * n
     sink_bit = 1
     for v in reversed(dag.topo_order):
         children = succs[v]
-        if children:
-            r = 0
+        c = len(children)
+        if c == 1:
+            reach[v] = reach[children[0]]
+        elif c == 2:
+            a, b = map(reach_of, children)
+            reach[v] = a | b
+            if a & b:
+                out[v] = 1
+        elif c:
+            distinct = set(map(reach_of, children))
+            if len(distinct) == 1:
+                reach[v] = reach[children[0]]
+                out[v] = c * (c - 1) // 2
+                continue
+            reach[v] = reduce(operator.or_, distinct)
+            groups: dict[int, int] = dict.fromkeys(distinct, 0)
             for w in children:
-                r |= reach[w]
-        else:
-            r = sink_bit
-            sink_bit <<= 1
-        reach[v] = r
-    out = [0] * n
-    for v in range(n):
-        children = succs[v]
-        count = 0
-        if len(children) > 1:
-            groups: dict[int, int] = {}
-            for w in children:
-                r = reach[w]
-                groups[r] = groups.get(r, 0) + 1
+                groups[reach[w]] += 1
             sets = list(groups.items())
+            count = 0
             for i, (ra, ca) in enumerate(sets):
                 count += ca * (ca - 1) // 2
                 for rb, cb in sets[i + 1 :]:
                     if ra & rb:
                         count += ca * cb
-        out[v] = count
+            out[v] = count
+        else:
+            reach[v] = sink_bit
+            sink_bit <<= 1
     return tuple(out)
 
 

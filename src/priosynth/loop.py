@@ -187,13 +187,10 @@ class _Stack:
             (table.pressure[rec.op_type] for dag, table in zip(dags, tables) for rec in dag.nodes), float, size
         )
         self.ids = np.fromiter(chain.from_iterable(map(range, map(len, dags))), np.intp, size)
-        groups: list[int] = []
-        offset = 0
-        for dag in dags:
-            index = {op: offset + i for i, op in enumerate(dag.capacities)}
-            groups += [index[rec.op_type] for rec in dag.nodes]
-            offset += len(index)
-        self.group = np.array(groups, np.intp)
+        offsets = accumulate((len(dag.capacities) for dag in dags), initial=0)
+        self.group = np.fromiter(
+            (offset + i for offset, table in zip(offsets, tables) for i in table.op_index), np.intp, size
+        )
 
     def priorities(self, terms: Terms) -> np.ndarray:
         """Every node's priority under the expression ``terms``, summed term

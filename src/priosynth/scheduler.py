@@ -85,6 +85,10 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     Non-finite priority values poison the whole schedule: the result is
     infeasible with empty starts instead of an exception, so a bad synthesized
     expression scores a penalty rather than crashing a run.
+
+    Each node's type index, duration and in-degree are read from the graph's
+    cached stats table (``op_index``, ``duration`` and ``fanin``), which every
+    caller that derives priorities from the graph has already built.
     """
     begin = time.perf_counter()
     n = len(dag)
@@ -103,12 +107,12 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     if not math.isfinite(sum(prio)) and not all(map(math.isfinite, prio)):
         return _result(begin, measure, {}, 0, False)
 
+    stats = dag.stats()
     caps = list(dag.capacities.values())
-    type_index = {op: i for i, op in enumerate(dag.capacities)}
-    op_of = [type_index[rec.op_type] for rec in dag.nodes]
-    durations = [rec.duration for rec in dag.nodes]
+    op_of = stats.op_index
+    durations = stats.duration
     succs = dag.succs
-    indeg = list(map(len, dag.preds))
+    indeg = list(stats.fanin)
     # One ready heap per op type, keyed (-priority, id); see the module
     # docstring for why this admits exactly what one global ranking would.
     ready: list[list[tuple[float, int]]] = [[] for _ in caps]

@@ -57,6 +57,18 @@ def dags(draw, **kwargs):
     return load_dag(draw(dag_documents(**kwargs)))
 
 
+@st.composite
+def relabeled_dags(draw, **kwargs):
+    """A :func:`dag_documents` graph with its ids renamed by a drawn
+    permutation, so edges may descend and ``topo_order`` may differ from id
+    order (the constructor's Kahn branch)."""
+    document = draw(dag_documents(**kwargs))
+    perm = draw(st.permutations(range(len(document["nodes"]))))
+    nodes = [{**node, "id": perm[node["id"]]} for node in document["nodes"]]
+    edges = [[perm[u], perm[v]] for u, v in document["edges"]]
+    return load_dag({"nodes": nodes, "edges": edges, "capacities": document["capacities"]})
+
+
 def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4, types=("a", "b"), max_duration: int = 4, max_cap: int = 2) -> Dag:
     """Seeded random DAG on a fixed topological order (edges u->v, u < v)."""
     nodes = [

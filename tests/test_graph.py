@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     reference_compute_levels,
     reference_compute_reconv,
     reference_dag_edges,
+    relabeled_dags,
 )
 from priosynth.bench import GeneratorSpec, generate_graph
 from priosynth.graph import (
@@ -238,6 +239,7 @@ class TestFeatures:
         assert stats.fanin == (0, 1, 1, 2)
         assert stats.reconv == (1, 0, 0, 0)
         assert stats.duration == (2, 3, 1, 2)
+        assert stats.op_index == (0, 0, 1, 0)
         assert stats.cp_length == 7
 
     @settings(max_examples=200, deadline=None)
@@ -246,6 +248,7 @@ class TestFeatures:
         stats = dag.stats()
         members = tuple(tuple(v for v, rec in enumerate(dag.nodes) if rec.op_type == op) for op in dag.capacities)
         assert stats.members == members
+        assert all(list(dag.capacities)[stats.op_index[v]] == rec.op_type for v, rec in enumerate(dag.nodes))
         assert stats.work == tuple(sum(dag.nodes[v].duration for v in ids) for ids in members)
 
     def test_diamond_pressure(self, diamond):
@@ -288,6 +291,44 @@ class TestFeatures:
         )
         assert compute_reconv(dag)[0] == 6
         assert compute_reconv(dag) == _reference_reconv_column(dag)
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            # Two children that reach disjoint sinks, 3 and 4.
+            ([[0, 1], [0, 2], [1, 3], [2, 4]], 0),
+            # Two children that share sink 3.
+            ([[0, 1], [0, 2], [1, 3], [2, 3]], 1),
+            # Four children that all reach only sink 5: every pair.
+            ([[0, 1], [0, 2], [0, 3], [0, 4], [1, 5], [2, 5], [3, 5], [4, 5]], 6),
+            # Children 1 and 2 reach {7}, 3 reaches {7, 8}, 4 reaches {8},
+            # 5 reaches {9} and 6 is a sink: (1, 2), (1, 3), (2, 3) and (3, 4).
+            (
+                [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 7], [2, 7], [3, 7], [3, 8], [4, 8], [5, 9]],
+                4,
+            ),
+            # Sink 1 is a child and reachable from child 2, so both reach
+            # {1}; child 3 reaches {4}.  Two distinct sets: only (1, 2) meets.
+            ([[0, 1], [0, 2], [0, 3], [2, 1], [3, 4]], 1),
+            # Node 1's children reach {4}, {3} and {3}; its reach is their
+            # union, which meets child 2's {3} at node 0.
+            ([[0, 1], [0, 2], [1, 5], [1, 6], [1, 7], [2, 3], [5, 4], [6, 3], [7, 3]], 1),
+        ],
+        ids=["two-disjoint", "two-shared", "one-set", "several-sets", "child-reaches-child", "union-reaches-parent"],
+    )
+    def test_reconv_branches_match_both_references(self, edges, expected):
+        n = 1 + max(max(edge) for edge in edges)
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(n)],
+                "edges": edges,
+                "capacities": {"a": 1},
+            }
+        )
+        reconv = compute_reconv(dag)
+        assert reconv[0] == expected
+        assert reconv == _reference_reconv_column(dag)
+        assert list(reconv) == [brute_reconv(dag, v) for v in range(n)]
 
     def test_reconv_matches_reference_at_scale(self, scale_dags):
         for dag in scale_dags:
@@ -362,6 +403,33 @@ class TestFeatures:
                 assert value == 0.0
             else:
                 assert value == pytest.approx(work[op] / (dag.capacities[op] * cp))
+
+
+class TestRelabeledIds:
+    """The structural passes on graphs whose ids are not a topological
+    order, so they run along a Kahn order that differs from id order."""
+
+    def test_strategy_reaches_a_non_identity_order(self):
+        dag = find(
+            relabeled_dags(), lambda d: d.topo_order != tuple(range(len(d))), settings=settings(database=None)
+        )
+        assert sorted(dag.topo_order) == list(range(len(dag)))
+
+    @given(relabeled_dags())
+    @settings(max_examples=120, deadline=None)
+    def test_level_and_crit_match_path_enumeration(self, dag):
+        level, crit = compute_levels(dag), compute_crit(dag)
+        assert list(level) == [brute_level(dag, v) for v in range(len(dag))]
+        assert list(crit) == [brute_crit(dag, v) for v in range(len(dag))]
+        assert level == reference_compute_levels(dag)
+        assert crit == reference_compute_crit(dag)
+
+    @given(relabeled_dags())
+    @settings(max_examples=120, deadline=None)
+    def test_reconv_matches_both_references(self, dag):
+        reconv = compute_reconv(dag)
+        assert reconv == _reference_reconv_column(dag)
+        assert list(reconv) == [brute_reconv(dag, v) for v in range(len(dag))]
 
 
 def _structure(dag: Dag) -> dict[str, tuple]:

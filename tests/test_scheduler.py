@@ -16,6 +16,7 @@ from helpers import (
     random_dag,
     reference_list_schedule,
     reference_verify_schedule,
+    relabeled_dags,
     scale_priorities,
     schedule_mutants,
     type_order,
@@ -147,6 +148,36 @@ class TestListSchedule:
         priority = seeded_priority(dag, seed)
         scaled = {v: p * factor for v, p in priority.items()}
         assert list_schedule(dag, priority).starts == list_schedule(dag, scaled).starts
+
+
+    @given(relabeled_dags(), priorities_strategy)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_on_relabeled_ids(self, dag, seed):
+        priority = seeded_priority(dag, seed)
+        schedule = list_schedule(dag, priority, measure=False)
+        reference = reference_list_schedule(dag, priority, measure=False)
+        assert schedule.starts == reference.starts
+        assert schedule.makespan == reference.makespan
+
+    def test_reads_type_indexes_in_capacity_order(self):
+        # Capacities given out of name order, and a type without nodes
+        # ("div") between two that have some: the graph keeps them sorted,
+        # and each node's op_index points at its own type in that order.
+        types = ["mul", "alu", "mul", "mem", "alu", "alu", "mem", "mul"]
+        dag = Dag(
+            [NodeRecord(v, op, 1 + v % 3) for v, op in enumerate(types)],
+            [(0, 2), (1, 2), (1, 3), (2, 5), (3, 4), (3, 6), (4, 7), (5, 7)],
+            {"mul": 1, "mem": 1, "div": 2, "alu": 2},
+        )
+        stats = dag.stats()
+        assert list(dag.capacities) == ["alu", "div", "mem", "mul"]
+        assert stats.op_index == (3, 0, 3, 2, 0, 0, 2, 3)
+        for v, rec in enumerate(dag.nodes):
+            assert list(dag.capacities)[stats.op_index[v]] == rec.op_type
+        for priority in ([0.0] * 8, [float(v) for v in range(8)], [-float(v % 3) for v in range(8)]):
+            schedule = list_schedule(dag, priority, measure=False)
+            assert schedule.starts == reference_list_schedule(dag, priority, measure=False).starts
+            assert verify_schedule(dag, schedule.starts) == []
 
 
 class TestScaleEquivalence:
