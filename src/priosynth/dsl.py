@@ -4,13 +4,23 @@ An expression is a signed linear combination of per-node structural features,
 written as e.g. ``2*crit + 0.5*fanout - 1*level``.  Parsing, canonical
 printing, and evaluation round-trip exactly: ``parse(print(e)) == e`` for any
 canonical ``e``, and printing is injective on canonical forms.
+
+This module owns the evaluation arithmetic.  :func:`feature_column` builds a
+feature's float64 column over one graph or a sequence of graphs, and
+:func:`priorities` sums the terms over those columns.  :func:`eval_expr` is
+that sum over one graph; the synthesis loop runs the same sum once over a
+stack of graphs, so each graph's slice equals its ``eval_expr`` list bit for
+bit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .graph import Dag
 
@@ -29,6 +39,9 @@ FEATURES: tuple[str, ...] = (
 
 _FEATURE_SET = frozenset(FEATURES)
 
+# An expression's terms: (weight, feature) pairs.
+Terms = tuple[tuple[float, str], ...]
+
 
 class ExprError(ValueError):
     """Raised for unparseable text, unknown features, or non-finite weights."""
@@ -40,16 +53,7 @@ class PriorityExpr:
     coefficients, no duplicate features.  The all-zero expression is kept as
     the single term ``0*const`` so every expression has at least one term."""
 
-    terms: tuple[tuple[float, str], ...]
-
-    def coefficient(self, feature: str) -> float:
-        for weight, name in self.terms:
-            if name == feature:
-                return weight
-        return 0.0
-
-    def features(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.terms)
+    terms: Terms
 
     def __str__(self) -> str:
         return print_expr(self)
@@ -170,27 +174,42 @@ def print_expr(expr: PriorityExpr) -> str:
     return "".join(parts)
 
 
+def feature_column(name: str, dags: Sequence[Dag]) -> np.ndarray:
+    """The float64 column of feature ``name`` over the nodes of ``dags``: the
+    graphs in sequence order, each graph's nodes in id order.  Each node
+    takes its :class:`~priosynth.graph.StatsTable` value; ``pressure``, which
+    the table keeps per op type, is spread to each node from its own type.
+    ``const`` has no column."""
+    tables = [dag.stats() for dag in dags]
+    if name == "pressure":
+        # ``pressure`` is keyed in capacity order, which ``op_index`` counts in.
+        values = chain.from_iterable(
+            map(list(table.pressure.values()).__getitem__, table.op_index) for table in tables
+        )
+    else:
+        values = chain.from_iterable(getattr(table, name) for table in tables)
+    return np.fromiter(values, float, sum(map(len, dags)))
+
+
+def priorities(terms: Terms, columns: Mapping[str, np.ndarray], size: int) -> np.ndarray:
+    """Every node's priority under the expression ``terms``, given the
+    :func:`feature_column` of each feature the terms name.  The sum starts
+    from zeros and adds ``weight * column`` term by term in expression order
+    (``const`` adds its weight alone), so a product or a sum that overflows
+    gives an infinity, and opposite infinities meet as a NaN, without a
+    warning."""
+    p = np.zeros(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, name in terms:
+            p = p + weight if name == "const" else p + weight * columns[name]
+    return p
+
+
 def eval_expr(expr: PriorityExpr, dag: Dag) -> list[float]:
     """Evaluate the expression for every node of ``dag``; the result is
-    indexed by node id.
-
-    Terms are summed in expression order, each over a whole
-    :class:`~priosynth.graph.StatsTable` column.  ``pressure`` contributes
-    the pressure of the node's own op type; ``const`` contributes its
-    coefficient directly.
-    """
-    stats = dag.stats()
-    out = [0.0] * len(dag)
-    for weight, name in expr.terms:
-        if name == "const":
-            out = [total + weight for total in out]
-            continue
-        if name == "pressure":
-            column = [stats.pressure[rec.op_type] for rec in dag.nodes]
-        else:
-            column = getattr(stats, name)
-        out = [total + weight * x for total, x in zip(out, column)]
-    return out
+    indexed by node id.  Builds only the columns the terms name."""
+    columns = {name: feature_column(name, (dag,)) for _, name in expr.terms if name != "const"}
+    return priorities(expr.terms, columns, len(dag)).tolist()
 
 
 def load_heuristic_text(text: str) -> PriorityExpr:

@@ -183,6 +183,10 @@ def load_normalizer(document) -> Normalizer:
     vocab = document.get("vocab", [])
     if not isinstance(vocab, list) or not all(isinstance(op, str) for op in vocab):
         raise ValueError("normalizer 'vocab' must be a list of strings")
+    if len(set(vocab)) < len(vocab):
+        raise ValueError(f"normalizer 'vocab' repeats an op type: {vocab}")
+    if vocab != sorted(vocab):
+        raise ValueError(f"normalizer 'vocab' is not in sorted order: {vocab}")
     if vocab and len(mean) != embedding_dim(vocab):
         raise ValueError(
             f"normalizer 'vocab' of {len(vocab)} op types needs {embedding_dim(vocab)} 'mean' and 'std' "

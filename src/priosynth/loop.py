@@ -29,9 +29,10 @@ the same graphs and batches:
   the same order share one schedule, and expressions that give different
   orders never do.  Each (graph, order) pair is scheduled once.
 - Each graph sequence the loop scores, the validation set and each
-  iteration's batch, has its feature columns stacked once.  One array pass
-  over the stack then gives every graph's priorities and heap order under a
-  new expression.
+  iteration's batch, has its feature columns stacked once.  One pass of
+  :func:`~priosynth.dsl.priorities`, the term sum of ``eval_expr``, over the
+  stack then gives every graph's priorities, and one sort its heap order,
+  under a new expression.
 - A batch's candidate scores are kept per infeasibility penalty and shared
   by every fallback search on that batch, and a fallback search repeated on
   the same batch, basis and penalty returns its stored winner.
@@ -50,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsl import FEATURES, ExprError, PriorityExpr, make_expr, parse_expr, print_expr
+from .dsl import FEATURES, ExprError, PriorityExpr, Terms, feature_column, make_expr, parse_expr, print_expr, priorities
 from .embedding import Normalizer
 from .graph import Dag
 from .kernels import (
@@ -155,53 +156,28 @@ def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
 # share an entry.
 ScheduleMemo = dict[tuple[Dag, tuple], tuple[int, bool]]
 
-# An expression's terms, as ``PriorityExpr.terms`` holds them.
-Terms = tuple[tuple[float, str], ...]
-
-# The stats columns an expression reads; ``pressure`` is spread per node from
-# its op type, and ``const`` reads no column.
-_COLUMNS = tuple(name for name in FEATURES if name not in ("const", "pressure"))
-
 
 class _Stack:
     """A graph sequence's feature columns, stacked once, so that one array
     pass gives every graph's priorities and type order under an expression.
 
-    Each column is float64 and holds the graphs' nodes in sequence order,
-    each graph's in id order; ``bounds[g]:bounds[g + 1]`` is graph ``g``'s
-    slice.  ``group`` is the graph's type offset (how many op types the
-    graphs before it have) plus the node's type index in capacity order, so
-    sorting on (group, -priority, id) lays out each graph's type order in its
-    own slice."""
+    ``columns`` holds each feature's :func:`~priosynth.dsl.feature_column`
+    over the sequence; ``bounds[g]:bounds[g + 1]`` is graph ``g``'s slice.
+    ``group`` is the graph's type offset (how many op types the graphs before
+    it have) plus the node's type index in capacity order, so sorting on
+    (group, -priority, id) lays out each graph's type order in its own
+    slice."""
 
     def __init__(self, dags: tuple[Dag, ...]):
         self.dags = dags
-        tables = [dag.stats() for dag in dags]
         self.bounds = [0, *accumulate(map(len, dags))]
         size = self.bounds[-1]
-        self.columns = {
-            name: np.fromiter(chain.from_iterable(getattr(table, name) for table in tables), float, size)
-            for name in _COLUMNS
-        }
-        self.columns["pressure"] = np.fromiter(
-            (table.pressure[rec.op_type] for dag, table in zip(dags, tables) for rec in dag.nodes), float, size
-        )
+        self.columns = {name: feature_column(name, dags) for name in FEATURES if name != "const"}
         self.ids = np.fromiter(chain.from_iterable(map(range, map(len, dags))), np.intp, size)
         offsets = accumulate((len(dag.capacities) for dag in dags), initial=0)
         self.group = np.fromiter(
-            (offset + i for offset, table in zip(offsets, tables) for i in table.op_index), np.intp, size
+            (offset + i for offset, dag in zip(offsets, dags) for i in dag.stats().op_index), np.intp, size
         )
-
-    def priorities(self, terms: Terms) -> np.ndarray:
-        """Every node's priority under the expression ``terms``, summed term
-        by term from zeros in expression order.  These are the IEEE operations
-        of :func:`~priosynth.dsl.eval_expr`, so each graph's slice equals its
-        ``eval_expr`` list bit for bit, overflow to infinity included."""
-        p = np.zeros(len(self.ids))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for weight, name in terms:
-                p = p + weight if name == "const" else p + weight * self.columns[name]
-        return p
 
     def rank(self, p: np.ndarray) -> tuple[np.ndarray, set[int]]:
         """The node ids sorted by (group, -priority, id), whose slice
@@ -223,7 +199,8 @@ class _Stack:
         is stored under its terms only."""
         results = [memo.get((dag, terms)) for dag in self.dags]
         if None in results:
-            p = self.priorities(terms)
+            # Each graph's slice equals its ``eval_expr`` list bit for bit.
+            p = priorities(terms, self.columns, len(self.ids))
             ranked, unordered = self.rank(p)
             bounds = self.bounds
             for g, dag in enumerate(self.dags):
@@ -479,9 +456,7 @@ def fallback_synthesize(
     The winner depends only on (batch, basis, infeasibility penalty), and a
     candidate's score only on (batch, penalty, terms), so ``cache`` keeps
     both: a repeated call returns its stored winner, and every call on a
-    batch shares that batch's scores.  Within a call, weights that the
-    descent scored before return their score without building the
-    expression again.
+    batch shares that batch's scores.
     """
     if cache is None:
         cache = RunCache()
@@ -493,20 +468,15 @@ def fallback_synthesize(
         return winner
     stack = cache.stack(batch)
     scores = cache.batch_scores.setdefault((batch, penalty), {})
-    seen: dict[tuple[tuple[str, float], ...], float] = {}
 
     def objective(weights: dict[str, float]) -> float:
-        point = tuple(weights.items())
-        value = seen.get(point)
+        terms = make_expr(weights).terms
+        value = scores.get(terms)
         if value is None:
-            terms = make_expr(weights).terms
-            value = scores.get(terms)
-            if value is None:
-                total = 0.0
-                for makespan, feasible in stack.outcomes(terms, cache.schedules):
-                    total += score_schedule(cfg, makespan, feasible)
-                value = scores[terms] = total / max(1, len(batch))
-            seen[point] = value
+            total = 0.0
+            for makespan, feasible in stack.outcomes(terms, cache.schedules):
+                total += score_schedule(cfg, makespan, feasible)
+            value = scores[terms] = total / max(1, len(batch))
         return value
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:

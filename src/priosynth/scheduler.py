@@ -5,6 +5,9 @@ ready operations are ranked by (priority descending, id ascending) and
 admitted while per-type capacity remains.  Decision cycles are event-aligned
 (cycle 0 plus every finish time), which is equivalent to stepping one cycle
 at a time because capacity and readiness only change when something finishes.
+The priorities come in one form, a list or tuple indexed by node id: the list
+:func:`~priosynth.dsl.eval_expr` returns, a slice of the loop's stacked pass,
+or a stats column such as ``crit``.  A mapping keyed by node id is refused.
 
 Whether one ready operation is admitted depends only on how many units of
 its own type are busy, and only admissions of that type change that count.
@@ -78,9 +81,10 @@ def baseline_expr_text() -> str:
     return "1*level"
 
 
-def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], measure: bool = True) -> Schedule:
-    """Greedy list schedule under ``priority``, a sequence indexed by node id
-    (as :func:`~priosynth.dsl.eval_expr` returns) or a mapping keyed by it.
+def list_schedule(dag: Dag, priority: Sequence[float], measure: bool = True) -> Schedule:
+    """Greedy list schedule under ``priority``, a list or tuple indexed by
+    node id, as :func:`~priosynth.dsl.eval_expr` returns; anything else, or a
+    sequence of another length, raises ``ValueError``.
 
     Non-finite priority values poison the whole schedule: the result is
     infeasible with empty starts instead of an exception, so a bad synthesized
@@ -92,19 +96,12 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     """
     begin = time.perf_counter()
     n = len(dag)
-    if (type(priority) is list or type(priority) is tuple) and len(priority) == n:
-        prio = list(map(float, priority))
-    else:
-        try:
-            prio = [float(priority[v]) for v in range(n)]
-        except KeyError as exc:
-            raise ValueError(f"priority map is missing node {exc.args[0]}") from None
-        except IndexError:
-            raise ValueError(f"priority map is missing node {len(priority)}") from None
+    if not isinstance(priority, (list, tuple)) or len(priority) != n:
+        raise ValueError(f"priority must be a list or tuple of {n} values indexed by node id")
 
     # A sum of finite values is finite unless it overflows, so only a
     # non-finite sum needs the scan for a NaN or an infinity.
-    if not math.isfinite(sum(prio)) and not all(map(math.isfinite, prio)):
+    if not math.isfinite(sum(priority)) and not all(map(math.isfinite, priority)):
         return _result(begin, measure, {}, 0, False)
 
     stats = dag.stats()
@@ -118,7 +115,7 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
     ready: list[list[tuple[float, int]]] = [[] for _ in caps]
     for v in range(n):
         if indeg[v] == 0:
-            ready[op_of[v]].append((-prio[v], v))
+            ready[op_of[v]].append((-priority[v], v))
     for heap in ready:
         heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -149,7 +146,7 @@ def list_schedule(dag: Dag, priority: Sequence[float] | Mapping[int, float], mea
             for w in succs[v]:
                 indeg[w] -= 1
                 if not indeg[w]:
-                    push(ready[op_of[w]], (-prio[w], w))
+                    push(ready[op_of[w]], (-priority[w], w))
     return _result(begin, measure, starts, makespan, True)
 
 

@@ -229,16 +229,17 @@ def scale_expr(expr: PriorityExpr, factor: float) -> PriorityExpr:
     return make_expr({name: weight * factor for weight, name in expr.terms})
 
 
-def scale_priorities(dag: Dag, seed: int = 0) -> list[Sequence[float] | Mapping[int, float]]:
-    """Priorities from heavily tied to tie-free: ``1*fanout`` (a sequence
-    indexed by node id, as ``eval_expr`` returns), then maps holding a
-    constant, small integers, and distinct floats."""
+def scale_priorities(dag: Dag, seed: int = 0) -> list[list[float]]:
+    """Priorities indexed by node id, from heavily tied to tie-free:
+    ``1*fanout`` (as ``eval_expr`` returns it), then a constant, small
+    integers, and distinct floats."""
     rng = random.Random(seed)
+    n = len(dag)
     return [
         eval_expr(parse_expr("1*fanout"), dag),
-        {v: 1.0 for v in range(len(dag))},
-        {v: float(rng.randint(0, 3)) for v in range(len(dag))},
-        {v: rng.uniform(-10, 10) for v in range(len(dag))},
+        [1.0] * n,
+        [float(rng.randint(0, 3)) for _ in range(n)],
+        [rng.uniform(-10, 10) for _ in range(n)],
     ]
 
 

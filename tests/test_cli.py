@@ -228,6 +228,8 @@ class TestKernelsAndRetrieve:
             ("library", "negative_std_normalizer", "normalizer 'std' entry 0 is negative"),
             ("library", "long_vocab_normalizer", "needs 27 'mean' and 'std' entries but the normalizer has 25"),
             ("library", "other_vocab_normalizer", "kernel library signatures have 25 entries but the normalizer has 21"),
+            ("library", "repeated_vocab_normalizer", "normalizer 'vocab' repeats an op type: ['alu', 'alu', 'mem']"),
+            ("library", "unsorted_vocab_normalizer", "normalizer 'vocab' is not in sorted order: ['mul', 'alu', 'mem']"),
         ],
     )
     def test_malformed_library_or_normalizer_exits_3(self, library, normalizer, message, graph_file, tmp_path, capsys):
@@ -281,6 +283,10 @@ class TestKernelsAndRetrieve:
             "long_vocab_normalizer": {**built_normalizer, "vocab": [*built_normalizer["vocab"], "zzz"]},
             # A well-formed one-type normalizer that the library was not built with.
             "other_vocab_normalizer": {"layout": "v1", "mean": [0.0] * 21, "std": [1.0] * 21, "vocab": ["a"]},
+            # The built normalizer naming one of its op types twice, and its
+            # op types permuted out of sorted order.
+            "repeated_vocab_normalizer": {**built_normalizer, "vocab": ["alu", "alu", "mem"]},
+            "unsorted_vocab_normalizer": {**built_normalizer, "vocab": ["mul", "alu", "mem"]},
         }
         for name, document in written.items():
             files[name] = tmp_path / f"{name}.json"

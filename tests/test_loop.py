@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import dags, random_dag, reference_fallback_synthesize, type_order
+from helpers import dags, random_dag, reference_eval_expr, reference_fallback_synthesize, type_order
 from priosynth import kernels as kernels_module
 from priosynth import config, loop
 from priosynth.dsl import FEATURES, ExprError, eval_expr, make_expr, parse_expr, print_expr
@@ -205,7 +205,7 @@ class TestFallback:
         cfg = LoopConfig()
         batch = train[:6]
         expr = fallback_synthesize(fallback_basis([(d, []) for d in batch]), batch, cfg)
-        names = set(expr.features())
+        names = {name for _, name in expr.terms}
         assert names  # non-empty canonical expression
         assert names <= {"crit", "fanout", "level", "const"}
 
@@ -321,12 +321,12 @@ class TestFallback:
         fallback_synthesize(fallback_basis(selections), batch, cfg)
         assert candidates
         for expr in candidates:
-            assert not {"pressure", "const"} & set(expr.features()), print_expr(expr)
+            assert not {"pressure", "const"} & {name for _, name in expr.terms}, print_expr(expr)
 
     def test_repeated_candidate_skips_the_memo(self, setup, monkeypatch):
         # The reference builds and scores every candidate the descent visits,
-        # repeats included; the fallback builds each visited weights once and
-        # scores each distinct expression once, in one stacked pass.
+        # repeats included; the fallback builds every visited candidate too,
+        # but scores each distinct expression once, in one stacked pass.
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
@@ -352,8 +352,8 @@ class TestFallback:
         monkeypatch.setattr(loop._Stack, "outcomes", recording_outcomes)
         fallback_synthesize(fallback_basis(selections), batch, cfg)
         visited, made = visited[:-1], made[:-1]  # the last call builds the winner
-        assert len(visited) > len(made)
-        assert made == list(dict.fromkeys(visited))
+        assert made == visited
+        assert len(set(made)) < len(made)
         assert scored == list(dict.fromkeys(make_expr(dict(point)).terms for point in made))
 
 
@@ -596,23 +596,24 @@ class TestScheduleMemo:
     def test_ablation_schedules_each_pair_once(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
         caches, passes, scheduled = [], [], []
-        real_priorities, real_schedule = loop._Stack.priorities, loop.list_schedule
+        real_priorities, real_schedule = loop.priorities, loop.list_schedule
 
         class RecordedCache(loop.RunCache):
             def __init__(self):
                 super().__init__()
                 caches.append(self)
 
-        def counting_priorities(stack, terms):
-            passes.append((stack, terms))
-            return real_priorities(stack, terms)
+        def counting_priorities(terms, columns, size):
+            # A stack's columns dict stands for the stack.
+            passes.append((id(columns), terms))
+            return real_priorities(terms, columns, size)
 
         def counting_schedule(dag, priority, measure=True):
             scheduled.append((dag, type_order(dag, priority)))
             return real_schedule(dag, priority, measure=measure)
 
         monkeypatch.setattr(loop, "RunCache", RecordedCache)
-        monkeypatch.setattr(loop._Stack, "priorities", counting_priorities)
+        monkeypatch.setattr(loop, "priorities", counting_priorities)
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
         run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(seed=4))
         (cache,) = caches
@@ -765,7 +766,8 @@ STACKS = st.lists(st.one_of(dags(), st.just(EMPTY), st.just(DIAMOND)), min_size=
 
 class TestStackedOrders:
     """One array pass over a stack of graphs gives each graph the priorities
-    of ``eval_expr`` and the order of the per-graph ``type_order``."""
+    of the scalar reference evaluator and the order of the per-graph
+    ``type_order``."""
 
     @given(STACKS, EXPRESSIONS)
     @example([DIAMOND, EMPTY, unit_graph(3)], parse_expr("1e308*crit - 1e308*level"))
@@ -774,16 +776,17 @@ class TestStackedOrders:
     @settings(max_examples=300, deadline=None)
     def test_stacked_orders_equal_the_reference(self, graphs, expr):
         stack = loop._Stack(tuple(graphs))
-        p = stack.priorities(expr.terms)
+        p = loop.priorities(expr.terms, stack.columns, len(stack.ids))
         ranked, unordered = stack.rank(p)
         for g, dag in enumerate(graphs):
             start, end = stack.bounds[g], stack.bounds[g + 1]
-            stacked, reference = p[start:end], np.array(eval_expr(expr, dag), float)
+            by_id = reference_eval_expr(expr, dag)
+            stacked, reference = p[start:end], np.array([by_id[v] for v in range(len(dag))], float)
             # Equal bit for bit, signed zeros included; a NaN's payload is
             # not compared.
             assert np.array_equal(stacked, reference, equal_nan=True)
             assert (np.signbit(stacked) == np.signbit(reference)).all()
-            order = type_order(dag, eval_expr(expr, dag))
+            order = type_order(dag, reference.tolist())
             if order is None:
                 assert g in unordered
             else:

@@ -41,7 +41,7 @@ priorities_strategy = st.integers(0, 2**32 - 1)
 
 def seeded_priority(dag, seed):
     rng = random.Random(seed)
-    return {v: rng.uniform(-10, 10) for v in range(len(dag))}
+    return [rng.uniform(-10, 10) for _ in range(len(dag))]
 
 
 class TestListSchedule:
@@ -55,7 +55,7 @@ class TestListSchedule:
         assert doc["starts"]["3"] == 5
 
     def test_chain_runs_serially(self, chain5):
-        schedule = list_schedule(chain5, {v: 0.0 for v in range(5)})
+        schedule = list_schedule(chain5, [0.0] * 5)
         assert schedule.makespan == sum(rec.duration for rec in chain5.nodes)
 
     def test_ties_break_by_id(self):
@@ -66,7 +66,7 @@ class TestListSchedule:
                 "capacities": {"a": 1},
             }
         )
-        schedule = list_schedule(dag, {0: 1.0, 1: 1.0, 2: 1.0})
+        schedule = list_schedule(dag, [1.0, 1.0, 1.0])
         assert schedule.starts == {0: 0, 1: 1, 2: 2}
 
     def test_higher_priority_first(self):
@@ -77,12 +77,12 @@ class TestListSchedule:
                 "capacities": {"a": 1},
             }
         )
-        schedule = list_schedule(dag, {0: 0.0, 1: 5.0})
+        schedule = list_schedule(dag, [0.0, 5.0])
         assert schedule.starts == {1: 0, 0: 1}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_priority_poisons(self, diamond, bad):
-        schedule = list_schedule(diamond, {0: bad, 1: 0.0, 2: 0.0, 3: 0.0})
+        schedule = list_schedule(diamond, [bad, 0.0, 0.0, 0.0])
         assert schedule == Schedule(starts={}, makespan=0, feasible=False, runtime_ms=schedule.runtime_ms)
 
     @pytest.mark.parametrize(
@@ -100,8 +100,8 @@ class TestListSchedule:
         assert schedule == Schedule(starts={}, makespan=0, feasible=False, runtime_ms=0.0)
 
     def test_missing_priority_raises(self, diamond):
-        with pytest.raises(ValueError, match="missing node"):
-            list_schedule(diamond, {0: 1.0})
+        with pytest.raises(ValueError, match="^priority must be a list or tuple of 4 values indexed by node id$"):
+            list_schedule(diamond, [1.0])
 
     def test_short_priority_sequence_raises_like_a_mapping(self):
         dag = load_dag(
@@ -111,17 +111,20 @@ class TestListSchedule:
                 "capacities": {"a": 1},
             }
         )
-        for priority in ({0: 1.0}, [1.0]):
-            with pytest.raises(ValueError, match="^priority map is missing node 1$"):
+        # A dict of the right length is refused whatever its keys, as is
+        # any sequence other than a list or a tuple.
+        wrong = ([1.0], (1.0, 2.0, 3.0), {0: 1.0, 1: 2.0}, {1: 2.0, 0: 1.0}, {5: 1.0, 6: 2.0}, range(2), "12", None)
+        for priority in wrong:
+            with pytest.raises(ValueError, match="^priority must be a list or tuple of 2 values indexed by node id$"):
                 list_schedule(dag, priority)
 
     def test_empty_graph(self):
         dag = load_dag({"nodes": [], "edges": [], "capacities": {}})
-        schedule = list_schedule(dag, {})
+        schedule = list_schedule(dag, [])
         assert schedule.feasible and schedule.makespan == 0 and schedule.starts == {}
 
     def test_measure_flag_zeroes_runtime(self, diamond):
-        schedule = list_schedule(diamond, {v: 0.0 for v in range(4)}, measure=False)
+        schedule = list_schedule(diamond, [0.0] * 4, measure=False)
         assert schedule.runtime_ms == 0.0
 
     @given(dags(), priorities_strategy)
@@ -146,7 +149,7 @@ class TestListSchedule:
         # Power-of-two factors rescale priorities exactly, so the greedy
         # order, and hence the whole schedule, must not change.
         priority = seeded_priority(dag, seed)
-        scaled = {v: p * factor for v, p in priority.items()}
+        scaled = [p * factor for p in priority]
         assert list_schedule(dag, priority).starts == list_schedule(dag, scaled).starts
 
 
@@ -568,7 +571,7 @@ class TestOptimal:
         }
         dag = load_dag(doc)
         assert optimal_makespan(dag) == 7
-        greedy_long_first = list_schedule(dag, {0: 1.0, 1: 0.0, 2: 0.0})
+        greedy_long_first = list_schedule(dag, [1.0, 0.0, 0.0])
         assert greedy_long_first.makespan == 12
 
     @given(dags(max_nodes=5, max_duration=2, max_types=2, max_cap=2))
@@ -632,7 +635,7 @@ def test_lower_bound_matches_the_per_type_work_formula(dag):
 
 
 def test_non_finite_guard_is_exact(diamond):
-    values = {0: 1.0, 1: 2.0, 2: 3.0, 3: math.ldexp(1, 1000)}
+    values = [1.0, 2.0, 3.0, math.ldexp(1, 1000)]
     assert list_schedule(diamond, values).feasible
 
 
