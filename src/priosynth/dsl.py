@@ -18,11 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Dag
+from .graph import Dag, StatsTable
 
 # Alphabetical; "const" contributes its coefficient unscaled.
 FEATURES: tuple[str, ...] = (
@@ -179,16 +179,21 @@ def feature_column(name: str, dags: Sequence[Dag]) -> np.ndarray:
     graphs in sequence order, each graph's nodes in id order.  Each node
     takes its :class:`~priosynth.graph.StatsTable` value; ``pressure``, which
     the table keeps per op type, is spread to each node from its own type.
-    ``const`` has no column."""
-    tables = [dag.stats() for dag in dags]
+    ``const`` has no column.  One graph, as :func:`eval_expr` passes, is
+    read without chaining."""
+    if len(dags) == 1:
+        (dag,) = dags
+        return np.fromiter(_node_values(dag.stats(), name), float, len(dag))
+    values = chain.from_iterable(_node_values(dag.stats(), name) for dag in dags)
+    return np.fromiter(values, float, sum(map(len, dags)))
+
+
+def _node_values(table: StatsTable, name: str) -> Iterable[int | float]:
+    """Feature ``name`` of each node of one graph, in id order."""
     if name == "pressure":
         # ``pressure`` is keyed in capacity order, which ``op_index`` counts in.
-        values = chain.from_iterable(
-            map(list(table.pressure.values()).__getitem__, table.op_index) for table in tables
-        )
-    else:
-        values = chain.from_iterable(getattr(table, name) for table in tables)
-    return np.fromiter(values, float, sum(map(len, dags)))
+        return map(list(table.pressure.values()).__getitem__, table.op_index)
+    return getattr(table, name)
 
 
 def priorities(terms: Terms, columns: Mapping[str, np.ndarray], size: int) -> np.ndarray:
@@ -197,11 +202,20 @@ def priorities(terms: Terms, columns: Mapping[str, np.ndarray], size: int) -> np
     from zeros and adds ``weight * column`` term by term in expression order
     (``const`` adds its weight alone), so a product or a sum that overflows
     gives an infinity, and opposite infinities meet as a NaN, without a
-    warning."""
+    warning.  A weight of 1 or -1 adds or subtracts the column itself: a
+    finite column times 1 or -1 is exact, and ``a - b`` is ``a + -b`` in
+    IEEE arithmetic, so the sum is bit for bit the same."""
     p = np.zeros(size)
     with np.errstate(over="ignore", invalid="ignore"):
         for weight, name in terms:
-            p = p + weight if name == "const" else p + weight * columns[name]
+            if name == "const":
+                p = p + weight
+            elif weight == 1.0:
+                p = p + columns[name]
+            elif weight == -1.0:
+                p = p - columns[name]
+            else:
+                p = p + weight * columns[name]
     return p
 
 

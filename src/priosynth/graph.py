@@ -435,11 +435,18 @@ def canonical_json(document) -> str:
     encoder, so nesting is written here and every container whose values
     are all scalars goes to the C encoder, whose item separator carries
     that container's indent.  A list of such containers, such as a graph's
-    edges, goes to the C encoder in one call (:func:`_flat_items`).  A
-    document holding anything else (a non-``str`` key, a type outside
+    edges, goes to the C encoder in one call (:func:`_flat_items`), and one
+    that the document refers to from several places at one depth, such as
+    the validation rows that an ablation's records share, is written once.
+    A document holding anything else (a non-``str`` key, a type outside
     :data:`_SCALARS`, a cycle) is written by ``json.dumps`` whole.
     """
     encoders: list[json.JSONEncoder] = []  # index: indent depth of the items
+    # (id(value), depth) -> what ``_flat_items`` gave for that list or tuple
+    # at that depth.  The document holds every object it reaches for the
+    # whole call, so an id names one object throughout.  A cycle still ends
+    # in ``RecursionError``: depth grows on each pass around it.
+    shared: dict[tuple[int, int], str | None] = {}
     out: list[str] = []
     emit = out.append
 
@@ -475,7 +482,11 @@ def canonical_json(document) -> str:
             if _SCALARS.issuperset(map(type, value)):
                 emit("[" + inner + flat(value, depth + 1)[1:-1] + "\n" + "  " * depth + "]")
                 return
-            items = _flat_items(value, depth)
+            key = (id(value), depth)
+            if key in shared:
+                items = shared[key]
+            else:
+                items = shared[key] = _flat_items(value, depth)
             if items is not None:
                 emit(items)
                 return

@@ -33,6 +33,12 @@ the same graphs and batches:
   :func:`~priosynth.dsl.priorities`, the term sum of ``eval_expr``, over the
   stack then gives every graph's priorities, and one sort its heap order,
   under a new expression.
+- Each evaluation's history rows are kept per (graph sequence, expression
+  terms, infeasibility penalty), and a validation candidate's feedback under
+  the same key.  An expression evaluated again, by a later iteration or
+  mode, gets the same row list and feedback text, so every record that
+  holds it refers to one list, which :func:`~priosynth.graph.canonical_json`
+  writes once.
 - A batch's candidate scores are kept per infeasibility penalty and shared
   by every fallback search on that batch, and a fallback search repeated on
   the same batch, basis and penalty returns its stored winner.
@@ -218,10 +224,16 @@ class _Stack:
         return results
 
 
+# (graph sequence, expression terms, infeasibility penalty): the key of one
+# evaluation's history rows and of its feedback.
+EvalKey = tuple[tuple[Dag, ...], Terms, float]
+
+
 @dataclass
 class RunCache:
     """What one run computes once and reads again: the schedule memo, each
-    scored graph sequence's stack, each batch's fallback candidate scores
+    scored graph sequence's stack, each evaluation's history rows and its
+    feedback keyed :data:`EvalKey`, each batch's fallback candidate scores
     keyed (batch, infeasibility penalty), each fallback winner keyed (batch,
     basis, infeasibility penalty), and the query vectors.  Everything in it
     is a pure function of its key, the graphs and the normalizer, so one
@@ -230,6 +242,8 @@ class RunCache:
 
     schedules: ScheduleMemo = field(default_factory=dict)
     stacks: dict[tuple[Dag, ...], _Stack] = field(default_factory=dict)
+    evals: dict[EvalKey, list[dict]] = field(default_factory=dict)
+    feedback: dict[EvalKey, str] = field(default_factory=dict)
     batch_scores: dict[tuple[tuple[Dag, ...], float], dict[Terms, float]] = field(default_factory=dict)
     winners: dict[tuple[tuple[Dag, ...], tuple[str, ...], float], PriorityExpr] = field(default_factory=dict)
     vectors: QueryVectors = field(default_factory=dict)
@@ -250,20 +264,29 @@ def evaluate_heuristic(
 ) -> list[dict]:
     """Schedule every graph under ``expr``, in the order of ``dags``, and
     return one history row per graph: ``graph``, ``makespan``, ``feasible``
-    and ``score``."""
+    and ``score``.
+
+    The list is kept in ``cache`` under (graphs, terms, infeasibility
+    penalty), and a repeated call returns that same list object, so every
+    record and mode that evaluates the expression shares it.  Callers must
+    not mutate the list or its rows."""
     if cache is None:
         cache = RunCache()
-    stack = cache.stack(dags)
-    outcomes = stack.outcomes(expr.terms, cache.schedules)
-    return [
-        {
-            "graph": dag.name or "",
-            "makespan": makespan,
-            "feasible": feasible,
-            "score": score_schedule(cfg, makespan, feasible),
-        }
-        for dag, (makespan, feasible) in zip(stack.dags, outcomes)
-    ]
+    key = (tuple(dags), expr.terms, cfg.infeasibility_penalty)
+    rows = cache.evals.get(key)
+    if rows is None:
+        stack = cache.stack(key[0])
+        outcomes = stack.outcomes(expr.terms, cache.schedules)
+        rows = cache.evals[key] = [
+            {
+                "graph": dag.name or "",
+                "makespan": makespan,
+                "feasible": feasible,
+                "score": score_schedule(cfg, makespan, feasible),
+            }
+            for dag, (makespan, feasible) in zip(stack.dags, outcomes)
+        ]
+    return rows
 
 
 def mean_score(evals: Sequence[dict]) -> float:
@@ -584,6 +607,7 @@ def run_loop(
         cache = RunCache()
     if provider is None:
         provider = make_provider(cfg.provider)
+    val = tuple(val)
     if cfg.ablation == "no_motif":
         kernels = whole_graph_kernels(train, normalizer, cache.vectors)
     index = KernelIndex(kernels)
@@ -619,7 +643,12 @@ def run_loop(
             source = "fallback"
 
         evals = evaluate_heuristic(expr, val, cfg, cache)
-        feedback = make_feedback(evals, baseline_evals, val)
+        # The baseline's rows depend only on (val, penalty), so the feedback
+        # is a function of the same key as the candidate's rows.
+        key = (val, expr.terms, cfg.infeasibility_penalty)
+        feedback = cache.feedback.get(key)
+        if feedback is None:
+            feedback = cache.feedback[key] = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
             {

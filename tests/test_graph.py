@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from helpers import (
     reference_dag_edges,
     relabeled_dags,
 )
+from priosynth import graph as graph_module
 from priosynth.bench import GeneratorSpec, generate_graph
 from priosynth.graph import (
     Dag,
@@ -622,6 +624,43 @@ class TestSerialization:
     def test_dump_dag_matches_the_stdlib_writer_at_scale(self, scale_dags):
         for dag in scale_dags:
             assert dump_dag(dag) == _stdlib_json(dag_to_document(dag))
+
+    @given(
+        st.one_of(
+            st.lists(st.lists(_scalars, min_size=1, max_size=3), min_size=1, max_size=4),
+            st.lists(st.dictionaries(st.text(), _scalars, min_size=1, max_size=3), min_size=1, max_size=4),
+        ),
+        _scalars,
+        st.lists(st.tuples(st.booleans(), st.integers(0, 3)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shared_references_match_the_stdlib_writer(self, flat, scalar, places):
+        # One flat list and one container that is not flat, each referred to
+        # from several places at several depths, as an ablation's records
+        # share one list of validation rows.
+        other = {"rows": flat, "more": [flat, scalar], "again": [flat, flat]}
+        document = {}
+        for index, (use_flat, depth) in enumerate(places):
+            value = flat if use_flat else other
+            for _ in range(depth):
+                value = {"k": [value, index]}
+            document[str(index)] = value
+        assert canonical_json(document) == _stdlib_json(document)
+
+    def test_shared_list_is_encoded_once_per_depth(self, monkeypatch):
+        rows = [{"graph": "a", "makespan": 3}, {"graph": "b", "makespan": 4}]
+        document = {"x": [rows, rows, {"y": rows}], "z": rows}
+        encoded = []
+        real_flat_items = graph_module._flat_items
+
+        def counting_flat_items(value, depth):
+            encoded.append((id(value), depth))
+            return real_flat_items(value, depth)
+
+        monkeypatch.setattr(graph_module, "_flat_items", counting_flat_items)
+        assert canonical_json(document) == _stdlib_json(document)
+        # ``rows`` sits at depths 2 (twice), 3 and 1; ``x`` is not flat.
+        assert Counter(encoded) == Counter([(id(document["x"]), 1), (id(rows), 1), (id(rows), 2), (id(rows), 3)])
 
     def test_canonical_json_rejects_a_cycle_like_the_stdlib(self):
         document: list = [1]

@@ -698,6 +698,58 @@ class TestScheduleMemo:
                 }
 
 
+class TestSharedEvaluations:
+    """An evaluation repeated in one cache returns the rows it stored, and an
+    ablation computes each distinct expression's rows and feedback once."""
+
+    def test_repeated_evaluation_returns_the_stored_list(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        cfg, cache = LoopConfig(), loop.RunCache()
+        rows = evaluate_heuristic(parse_expr("1*crit - 1*level"), val, cfg, cache)
+        # An equal expression and an equal graph sequence make the same key.
+        assert evaluate_heuristic(parse_expr("crit - level"), tuple(val), cfg, cache) is rows
+        assert rows == evaluate_heuristic(parse_expr("1*crit - 1*level"), val, cfg)
+
+    def test_penalty_and_graph_set_key_the_rows(self, setup):
+        train, val, vocab, kernels, normalizer = setup
+        # Overflowing priorities make a schedule infeasible, so the penalty
+        # shows in the scores.
+        expr, cfg, cache = parse_expr("1e308*crit"), LoopConfig(), loop.RunCache()
+        rows = evaluate_heuristic(expr, val, cfg, cache)
+        assert not all(row["feasible"] for row in rows)
+        cheaper = evaluate_heuristic(expr, val, replace(cfg, infeasibility_penalty=1.0), cache)
+        fewer = evaluate_heuristic(expr, val[1:], cfg, cache)
+        assert cheaper is not rows and fewer is not rows
+        assert [row["score"] for row in cheaper] != [row["score"] for row in rows]
+        assert cheaper == evaluate_heuristic(expr, val, replace(cfg, infeasibility_penalty=1.0))
+        assert fewer == rows[1:]
+
+    def test_ablation_shares_rows_and_feedback_per_expression(self, setup, monkeypatch):
+        train, val, vocab, kernels, normalizer = setup
+        made = []
+        real_feedback = loop.make_feedback
+
+        def counting_feedback(evals, baseline_evals, dags):
+            made.append(evals)
+            return real_feedback(evals, baseline_evals, dags)
+
+        monkeypatch.setattr(loop, "make_feedback", counting_feedback)
+        report = run_ablation(train, val, kernels, normalizer, vocab, LoopConfig(seed=4))
+        histories = [row["history"] for row in report["modes"].values()]
+        records = [record for history in histories for record in history["records"]]
+        first: dict[str, dict] = {}
+        for record in records:
+            seen = first.setdefault(record["expr"], record)
+            assert record["evals"] is seen["evals"]
+            assert record["feedback"] is seen["feedback"]
+        # Some expression repeats, or this shows nothing.
+        assert len(first) < len(records)
+        # Once per distinct expression, each time on its own rows.
+        assert len(made) == len({id(evals) for evals in made}) == len(first)
+        baseline = histories[0]["baseline"]["evals"]
+        assert all(history["baseline"]["evals"] is baseline for history in histories)
+
+
 class TestQueryVectors:
     """One run embeds each query graph once and stacks each library once; the
     shared vectors must not change any mode's history."""
