@@ -202,20 +202,11 @@ def priorities(terms: Terms, columns: Mapping[str, np.ndarray], size: int) -> np
     from zeros and adds ``weight * column`` term by term in expression order
     (``const`` adds its weight alone), so a product or a sum that overflows
     gives an infinity, and opposite infinities meet as a NaN, without a
-    warning.  A weight of 1 or -1 adds or subtracts the column itself: a
-    finite column times 1 or -1 is exact, and ``a - b`` is ``a + -b`` in
-    IEEE arithmetic, so the sum is bit for bit the same."""
+    warning."""
     p = np.zeros(size)
     with np.errstate(over="ignore", invalid="ignore"):
         for weight, name in terms:
-            if name == "const":
-                p = p + weight
-            elif weight == 1.0:
-                p = p + columns[name]
-            elif weight == -1.0:
-                p = p - columns[name]
-            else:
-                p = p + weight * columns[name]
+            p = p + weight if name == "const" else p + weight * columns[name]
     return p
 
 
