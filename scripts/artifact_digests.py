@@ -19,6 +19,9 @@ The artifacts cover:
   the standard battery) for input seeds 0-4: ``campaign.json``, and each
   generated graph as ``dump_dag`` writes it, so the generator's bytes are
   compared directly and not only through the campaign;
+- the same six ``large`` graphs alone, as ``dump_dag`` writes them, for input
+  seeds 5-14 (the input sets of ``perfbench/run.py --workload large`` seeds 1
+  and 2), so the graph builder is checked on more of the sizes it is timed on;
 - the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1;
 - per ablation, an ``outcomes`` digest of what it scheduled (see
   :func:`ablation_outcomes`), so a change that rewrites only expression text
@@ -28,7 +31,7 @@ The artifacts cover:
   generated six-graph suite.
 
 Everything runs through the package's public API and CLI.  One run takes
-about 8 s on a 2-CPU x86_64 machine.
+about 10 s on a 2-CPU x86_64 machine.
 """
 
 import contextlib
@@ -107,16 +110,22 @@ def search_artifacts(seed: int) -> dict[str, str]:
     }
 
 
-def large_artifacts(seed: int) -> dict[str, str]:
+def large_suites(seed: int) -> dict[str, list]:
     suites = {}
     for layers, width, graphs in LARGE_SUITES:
         spec = bench.GeneratorSpec("layered", layers=layers, width=width, seed=seed, label=f"large-{layers}x{width}")
         suites[f"layered-{layers}x{width}"] = [bench.generate_graph(spec, index) for index in range(graphs)]
+    return suites
+
+
+def graph_dumps(suites: dict[str, list]) -> dict[str, str]:
+    return {f"{suite}/{dag.name}.json": dump_dag(dag) for suite, dags in suites.items() for dag in dags}
+
+
+def large_artifacts(seed: int) -> dict[str, str]:
+    suites = large_suites(seed)
     report = bench.run_campaign(suites, bench.standard_battery(seed), measure_runtime=False)
-    out = {"campaign.json": canonical_json(report)}
-    for suite, dags in suites.items():
-        out.update((f"{suite}/{dag.name}.json", dump_dag(dag)) for dag in dags)
-    return out
+    return {"campaign.json": canonical_json(report), **graph_dumps(suites)}
 
 
 def desk_artifacts(seed: int) -> dict[str, str]:
@@ -162,6 +171,7 @@ def artifact_groups() -> list[tuple[str, Callable[[], dict[str, str]]]]:
     ``build()`` returns the group's artifacts by name."""
     groups = [(f"search/{seed}", lambda seed=seed: search_artifacts(seed)) for seed in range(20)]
     groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed)) for seed in range(5)]
+    groups += [(f"large/{seed}", lambda seed=seed: graph_dumps(large_suites(seed))) for seed in range(5, 15)]
     groups += [(f"desk/{seed}", lambda seed=seed: desk_artifacts(seed)) for seed in range(2)]
     groups.append(("cli", cli_artifacts))
     return groups

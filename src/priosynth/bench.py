@@ -57,21 +57,33 @@ class GeneratorSpec:
             raise ValueError(
                 f"type_weights must be finite and nonnegative with a positive total, got {dict(self.type_weights)!r}"
             )
+        # generate_graph hands its graphs to Dag unchecked, so the checks
+        # that Dag makes of op types and capacities are made here, once.
+        caps = dict(self.capacities)
+        for name, cap in caps.items():
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"op type {name!r} must be a non-empty string")
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+                raise ValueError(f"capacity for {name!r} must be a positive integer, got {cap!r}")
+        for name, weight in self.type_weights:
+            if weight > 0 and name not in caps:
+                raise ValueError(f"op type {name!r} has positive weight but no capacity")
 
 
 def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
     """Deterministically generate graph ``index`` of a suite.
 
-    Every family's edges ascend (``pred < succ``), so :class:`Dag` takes the
-    ids in order as the topological order.  The layered and chain families,
-    which reach thousands of nodes, also hand their edges over strictly
-    increasing in ``(pred, succ)`` and one at a time, from a generator: the
-    constructor then files each straight into its adjacency lists, with no
-    sort and no edge tuple kept.  The layered family draws each node's
-    predecessors as the node ids ascend and files each edge under its
-    predecessor to get that order.
+    Every family builds each node's successor list directly, ascending,
+    free of repeats and above the node's own id (``pred < succ``), and
+    hands the lists to :class:`Dag` through its trusted path with nodes in
+    id order; :class:`GeneratorSpec` has already checked the op types and
+    capacities.  Since every edge ascends, the ids in order are the
+    topological order.  The layered family draws each node's predecessors
+    as the node ids ascend and files each edge under its predecessor, which
+    keeps every successor list ascending.
     """
     rng = random.Random(f"{spec.seed}:{spec.label}:{index}")
+    succs: list[list[int]]
     if spec.family == "layered":
         layer_sizes = [rng.randint(max(1, spec.width // 2), spec.width) for _ in range(spec.layers)]
         layers: list[range] = []
@@ -80,7 +92,7 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
             layers.append(range(counter, counter + size))
             counter += size
         total = counter
-        succs: list[list[int]] = [[] for _ in range(total)]
+        succs = [[] for _ in range(total)]
         draw, edge_prob = rng.random, spec.edge_prob
         for above, layer in zip(layers, layers[1:]):
             for v in layer:
@@ -89,36 +101,25 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
                     preds = [rng.choice(above)]
                 for u in preds:
                     succs[u].append(v)
-        edges = ((u, v) for u, vs in enumerate(succs) for v in vs)
     elif spec.family == "chain":
         total = spec.layers
-        edges = ((i, i + 1) for i in range(total - 1))
+        succs = [[v] for v in range(1, total)] + [[]]
     elif spec.family == "fork_join":
         # Root, `width` parallel chains of `layers` nodes, join.
         total = 2 + spec.width * spec.layers
-        edges = []
         join = total - 1
-        for branch in range(spec.width):
-            first = 1 + branch * spec.layers
-            edges.append((0, first))
-            for step in range(spec.layers - 1):
-                edges.append((first + step, first + step + 1))
-            edges.append((first + spec.layers - 1, join))
+        succs = [[v + 1] for v in range(total - 1)] + [[]]
+        succs[0] = [1 + branch * spec.layers for branch in range(spec.width)]
+        for branch in range(1, spec.width + 1):
+            succs[branch * spec.layers] = [join]
     else:  # diamond_mesh: stacked split/middle/merge diamonds
-        edges = []
-        counter = 0
-        split = counter
-        counter += 1
-        for _ in range(spec.layers):
-            middles = list(range(counter, counter + spec.width))
-            counter += spec.width
-            merge = counter
-            counter += 1
-            for mid in middles:
-                edges.append((split, mid))
-                edges.append((mid, merge))
-            split = merge
-        total = counter
+        total = 1 + spec.layers * (spec.width + 1)
+        succs = []
+        for split in range(0, total - 1, spec.width + 1):
+            merge = split + spec.width + 1
+            succs.append(list(range(split + 1, merge)))
+            succs.extend([merge] for _ in range(spec.width))
+        succs.append([])
 
     # Each node's op type is drawn with the arithmetic ``rng.choices(names,
     # cum_weights=cum_weights)`` performs, so it takes the same draw and
@@ -133,7 +134,7 @@ def generate_graph(spec: GeneratorSpec, index: int) -> Dag:
     for v in range(total):
         op = names[bisect(cum_weights, draw() * weight_total, 0, last)]
         nodes.append(NodeRecord(id=v, op_type=op, duration=randint(lo, hi)))
-    return Dag(nodes, edges, dict(spec.capacities), name=f"{spec.family}-{index:04d}")
+    return Dag._from_succs(nodes, succs, dict(spec.capacities), name=f"{spec.family}-{index:04d}")
 
 
 def generate_suite(spec: GeneratorSpec, count: int) -> list[Dag]:

@@ -1,9 +1,13 @@
 """Operation-DAG data model and deterministic structural analyses.
 
 A :class:`Dag` holds typed, multi-cycle operations with precedence edges and
-per-type resource capacities.  Construction validates each edge and files it
-in the adjacency lists in one pass; the sorted edge tuple is built from them
-only when something reads :attr:`Dag.edges`.  All structural features used by
+per-type resource capacities.  It is built through one of two entry points
+that share one finisher: the public constructor, used by :func:`load_dag`
+and the CLI, checks every node, capacity and edge; the private
+``Dag._from_succs`` trusts adjacency that the generators in
+:mod:`priosynth.bench` and :func:`priosynth.kernels.induced_subdag` build
+valid by construction.  The sorted edge tuple is built only when something
+reads :attr:`Dag.edges`.  All structural features used by
 priority expressions (level, remaining critical path, slack, degrees,
 reconvergence, resource pressure) are computed here, in one pass that
 :meth:`Dag.stats` caches.  The same pass gives each node its op type's
@@ -73,13 +77,19 @@ class Dag:
     Node ids must be dense integers ``0..n-1``.  Every op type that appears on
     a node must have a positive capacity entry.  Each edge must be a pair of
     ``int`` node ids.  One pass over the edges checks each in input order and
-    appends it to ``succs`` and ``preds``; only input that is not strictly
-    increasing in ``(u, v)`` is then sorted and deduplicated node by node.
-    ``edges`` is the sorted, deduplicated edge tuple, built from ``succs`` on
-    its first read.  ``topo_order`` is the min-heap Kahn order, which also
-    proves acyclicity; when every edge ascends (``u < v``), as the generators
-    in :mod:`priosynth.bench` emit them, it is the ids in order and costs no
-    search.
+    appends it to ``succs``; only input that is not strictly increasing in
+    ``(u, v)`` is then sorted and deduplicated node by node.
+
+    ``Dag._from_succs`` is the trusted entry point for producers that meet
+    these rules by construction (its docstring lists them); it checks
+    nothing.  Both entry points hand over to ``Dag._finish``, which files
+    ``preds`` from ``succs`` in ``u`` order, so each list ascends, and sets
+    ``topo_order``: the min-heap Kahn order, which also proves acyclicity.
+    When every edge ascends (``u < v``), as the generators in
+    :mod:`priosynth.bench` build them, it is the ids in order and costs no
+    search; an induced subgraph of a loaded graph whose ids are not a
+    topological order takes the search.  ``edges`` is the sorted,
+    deduplicated edge tuple, built from ``succs`` on its first read.
     """
 
     __slots__ = (
@@ -121,7 +131,6 @@ class Dag:
             if rec.op_type not in caps:
                 raise GraphFormatError(f"missing capacity entry for op type {rec.op_type!r}")
 
-        preds: list[list[int]] = [[] for _ in range(n)]
         succs: list[list[int]] = [[] for _ in range(n)]
         # ``u * n + v`` ascends exactly when ``(u, v)`` does.
         last = -1
@@ -136,7 +145,6 @@ class Dag:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u}, {v}) references an unknown node id")
             succs[u].append(v)
-            preds[v].append(u)
             key = u * n + v
             if key <= last:
                 ordered = False
@@ -145,13 +153,41 @@ class Dag:
             # Strictly increasing input leaves every list sorted and free of
             # repeats; anything else is put in that form here.
             succs = [sorted(set(vs)) for vs in succs]
-            preds = [[] for _ in range(n)]
-            for u, vs in enumerate(succs):
-                for v in vs:
-                    preds[v].append(u)
+        self._finish(node_list, succs, caps, name)
 
-        self.nodes: tuple[NodeRecord, ...] = tuple(node_list)
-        self.capacities: dict[str, int] = dict(sorted(caps.items()))
+    @classmethod
+    def _from_succs(
+        cls,
+        nodes: Sequence[NodeRecord],
+        succs: Sequence[Sequence[int]],
+        capacities: Mapping[str, int],
+        name: str | None = None,
+    ) -> Dag:
+        """A graph from adjacency that its producer guarantees, with no
+        checks: ``nodes[i].id == i`` with a positive ``int`` duration and an
+        op type that ``capacities`` maps to a positive ``int``, and each
+        ``succs[u]`` ascending, free of repeats and within ``0..n-1``.  A
+        cycle still raises :class:`GraphFormatError` in ``_toposort``."""
+        dag = cls.__new__(cls)
+        dag._finish(nodes, succs, capacities, name)
+        return dag
+
+    def _finish(
+        self,
+        nodes: Sequence[NodeRecord],
+        succs: Sequence[Sequence[int]],
+        capacities: Mapping[str, int],
+        name: str | None,
+    ) -> None:
+        """Both entry points end here: file ``preds`` from ``succs`` in
+        ``u`` order, so each list ascends, and find the topological order."""
+        n = len(nodes)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for u, vs in enumerate(succs):
+            for v in vs:
+                preds[v].append(u)
+        self.nodes: tuple[NodeRecord, ...] = tuple(nodes)
+        self.capacities: dict[str, int] = dict(sorted(capacities.items()))
         self.name = name
         self.preds: tuple[tuple[int, ...], ...] = tuple(map(tuple, preds))
         self.succs: tuple[tuple[int, ...], ...] = tuple(map(tuple, succs))

@@ -107,14 +107,14 @@ def induced_subdag(dag: Dag, nodes: Iterable[int]) -> Dag:
     chosen = sorted(set(nodes))
     remap = {v: i for i, v in enumerate(chosen)}
     records = [
-        NodeRecord(id=remap[v], op_type=dag.nodes[v].op_type, duration=dag.nodes[v].duration)
-        for v in chosen
+        NodeRecord(id=i, op_type=dag.nodes[v].op_type, duration=dag.nodes[v].duration)
+        for i, v in enumerate(chosen)
     ]
-    # The remap keeps the order, so these come out sorted.
-    edges = [(remap[u], remap[v]) for u in chosen for v in dag.succs[u] if v in remap]
-    used = {dag.nodes[v].op_type for v in chosen}
+    # The remap keeps the order, so each list stays ascending.
+    succs = [[remap[v] for v in dag.succs[u] if v in remap] for u in chosen]
+    used = {rec.op_type for rec in records}
     caps = {t: dag.capacities[t] for t in used}
-    return Dag(records, edges, caps)
+    return Dag._from_succs(records, succs, caps)
 
 
 def _bounded_bfs(adjacency: Sequence[Sequence[int]], source: int, depth: int) -> dict[int, int]:

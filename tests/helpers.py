@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from hypothesis import strategies as st
 
-from priosynth.bench import GeneratorSpec
+from priosynth.bench import FAMILIES, GeneratorSpec
 from priosynth.dsl import PriorityExpr, eval_expr, make_expr, parse_expr
 from priosynth.graph import Dag, GraphFormatError, NodeRecord, load_dag
 from priosynth.kernels import CATEGORY_FEATURES, Kernel
@@ -67,6 +67,31 @@ def relabeled_dags(draw, **kwargs):
     nodes = [{**node, "id": perm[node["id"]]} for node in document["nodes"]]
     edges = [[perm[u], perm[v]] for u, v in document["edges"]]
     return load_dag({"nodes": nodes, "edges": edges, "capacities": document["capacities"]})
+
+
+@st.composite
+def generator_specs(draw) -> GeneratorSpec:
+    """A small :class:`GeneratorSpec` of any family.  Some op types weigh 0,
+    and a zero-weight type may lack a capacity, which the spec allows."""
+    weights = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)), min_size=1, max_size=3))
+    if not any(weights):
+        weights[0] = 1.0
+    names = [f"t{i}" for i in range(len(weights))]
+    capacities = tuple(
+        (name, draw(st.integers(1, 3))) for name, weight in zip(names, weights) if weight or draw(st.booleans())
+    )
+    lo = draw(st.integers(1, 4))
+    return GeneratorSpec(
+        family=draw(st.sampled_from(FAMILIES)),
+        layers=draw(st.integers(1, 6)),
+        width=draw(st.integers(1, 6)),
+        edge_prob=draw(st.sampled_from((0.0, 0.02, 0.35, 1.0))),
+        type_weights=tuple(zip(names, weights)),
+        duration_range=(lo, lo + draw(st.integers(0, 3))),
+        capacities=capacities,
+        seed=draw(st.integers(0, 2**16)),
+        label="trusted",
+    )
 
 
 def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4, types=("a", "b"), max_duration: int = 4, max_cap: int = 2) -> Dag:
@@ -710,3 +735,18 @@ def reference_generate_graph(spec: GeneratorSpec, index: int) -> Dag:
         op, duration = _reference_draw_node(rng, spec)
         nodes.append(NodeRecord(id=v, op_type=op, duration=duration))
     return Dag(nodes, edges, dict(spec.capacities), name=f"{spec.family}-{index:04d}")
+
+
+def reference_induced_subdag(dag: Dag, nodes) -> Dag:
+    """``induced_subdag`` before it handed adjacency to ``Dag`` unchecked:
+    the remapped edges through the validating constructor."""
+    chosen = sorted(set(nodes))
+    remap = {v: i for i, v in enumerate(chosen)}
+    records = [
+        NodeRecord(id=remap[v], op_type=dag.nodes[v].op_type, duration=dag.nodes[v].duration)
+        for v in chosen
+    ]
+    edges = [(remap[u], remap[v]) for u in chosen for v in dag.succs[u] if v in remap]
+    used = {dag.nodes[v].op_type for v in chosen}
+    caps = {t: dag.capacities[t] for t in used}
+    return Dag(records, edges, caps)

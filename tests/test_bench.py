@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,19 +104,30 @@ class TestGenerators:
                                  type_weights=type_weights, label=f"ref-{family}")
             assert dump_dag(generate_graph(spec, index)) == dump_dag(reference_generate_graph(spec, index))
 
-    def test_layered_hands_dag_sorted_edges(self, monkeypatch):
-        seen = []
+    def test_every_family_hands_dag_ascending_succs(self, monkeypatch):
+        # Dag's trusted path checks nothing, so the generator's successor
+        # lists must already ascend, hold no repeats, stay in range and
+        # point forward (u < v).
+        handed = []
+        trusted = Dag._from_succs
 
-        def recording_dag(nodes, edges, capacities, name=None):
-            seen.append(list(edges))
-            return Dag(nodes, edges, capacities, name=name)
+        def recording(nodes, succs, capacities, name=None):
+            handed.append((len(nodes), [list(vs) for vs in succs]))
+            return trusted(nodes, succs, capacities, name)
 
-        monkeypatch.setattr(bench, "Dag", recording_dag)
-        for edge_prob in (0.0, 0.02, 0.35):
-            generate_graph(GeneratorSpec("layered", layers=12, width=20, edge_prob=edge_prob, seed=2), 0)
-        assert len(seen) == 3
-        for edges in seen:
-            assert edges and edges == sorted(set(edges))
+        monkeypatch.setattr(Dag, "_from_succs", recording)
+        shapes = [(1, 1, 0.35), (4, 3, 0.0), (5, 6, 0.02), (6, 5, 0.35), (4, 7, 1.0), (12, 20, 0.35)]
+        for family in FAMILIES:
+            for layers, width, edge_prob in shapes:
+                spec = GeneratorSpec(family, layers=layers, width=width, edge_prob=edge_prob, seed=2)
+                generate_graph(spec, 0)
+        assert len(handed) == len(FAMILIES) * len(shapes)
+        for n, succs in handed:
+            assert len(succs) == n
+            assert any(succs) == (n > 1)
+            for u, vs in enumerate(succs):
+                assert vs == sorted(set(vs))
+                assert all(u < v < n for v in vs)
 
     def test_layered_edges_span_adjacent_layers(self):
         spec = GeneratorSpec(family="layered", layers=5, width=4, seed=3)
@@ -140,6 +152,20 @@ class TestGenerators:
             GeneratorSpec(family="chain", duration_range=(0, 3))
         with pytest.raises(ValueError):
             GeneratorSpec(family="layered", edge_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "capacities, message",
+        [
+            ((("alu", 2), ("mem", True), ("mul", 1)), "capacity for 'mem' must be a positive integer, got True"),
+            ((("alu", 2.0), ("mem", 1), ("mul", 1)), "capacity for 'alu' must be a positive integer, got 2.0"),
+            ((("alu", 2), ("mem", 0), ("mul", 1)), "capacity for 'mem' must be a positive integer, got 0"),
+            ((("alu", 2), ("mem", 1)), "op type 'mul' has positive weight but no capacity"),
+            ((("", 1), ("alu", 2), ("mem", 1), ("mul", 1)), "op type '' must be a non-empty string"),
+        ],
+    )
+    def test_rejects_bad_capacities(self, capacities, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec(capacities=capacities)
 
 
 class TestSummarize:

@@ -107,6 +107,26 @@ class TestGen:
         assert f"{flag} names {name!r} more than once" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("capacities", "message"),
+        [("alu=0,mem=1,mul=1", "capacity for 'alu' must be a positive integer, got 0"),
+         ("alu=2,mem=1", "op type 'mul' has positive weight but no capacity")],
+    )
+    def test_bad_capacities_exit_3_and_write_nothing(self, capacities, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "gen", "--out", str(out), "--count", "1", "--capacities", capacities)
+        assert code == 3
+        assert message in err
+        assert not out.exists()
+
+    def test_zero_weight_type_needs_no_capacity(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, *_ = run_cli(
+            capsys, "gen", "--out", str(out), "--count", "2", "--types", "alu=3,mem=1,mul=0", "--capacities", "alu=2,mem=1"
+        )
+        assert code == 0
+        assert len(list(out.glob("layered-*.json"))) == 2
+
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_count_below_one_exits_3_and_writes_nothing(self, count, tmp_path, capsys):
         out = tmp_path / "x"

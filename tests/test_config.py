@@ -51,6 +51,24 @@ def test_bad_type_weights_are_rejected(types):
 
 
 @pytest.mark.parametrize(
+    ("capacities", "message"),
+    [
+        ({"alu": 0, "mem": 1, "mul": 1}, "capacity for 'alu' must be a positive integer, got 0"),
+        ({"alu": -2, "mem": 1, "mul": 1}, "capacity for 'alu' must be a positive integer, got -2"),
+        ({"alu": 2, "mem": 1}, "op type 'mul' has positive weight but no capacity"),
+    ],
+)
+def test_bad_capacities_are_rejected_at_load(capacities, message):
+    with pytest.raises(ConfigError, match=rf"^bad train: {re.escape(message)}$"):
+        load_run_config({"train": {"capacities": capacities}})
+
+
+def test_zero_weight_type_needs_no_capacity():
+    cfg = load_run_config({"train": {"types": {"alu": 3, "mem": 1, "mul": 0}, "capacities": {"alu": 2, "mem": 1}}})
+    assert dict(cfg.train_spec.capacities) == {"alu": 2, "mem": 1}
+
+
+@pytest.mark.parametrize(
     ("field", "value", "message"),
     [
         ("budget", -1, "budget must be nonnegative, got -1"),

@@ -16,10 +16,13 @@ from helpers import (
     brute_reconv,
     dag_documents,
     dags,
+    generator_specs,
     reference_compute_crit,
     reference_compute_levels,
     reference_compute_reconv,
     reference_dag_edges,
+    reference_generate_graph,
+    reference_induced_subdag,
     relabeled_dags,
 )
 from priosynth import graph as graph_module
@@ -553,6 +556,45 @@ class TestEdgeConstruction:
             reference_dag_edges(3, edges)  # the old constructor leaked these
         with pytest.raises(GraphFormatError, match=rf"^edge {re.escape(repr(bad))} is not a pair of node ids$"):
             Dag(self._nodes(3), edges, {"a": 1})
+
+
+def _assert_same_graph(trusted: Dag, checked: Dag) -> None:
+    assert (trusted.nodes, trusted.name) == (checked.nodes, checked.name)
+    assert list(trusted.capacities.items()) == list(checked.capacities.items())
+    assert (trusted.succs, trusted.preds, trusted.topo_order) == (checked.succs, checked.preds, checked.topo_order)
+    assert trusted.stats() == checked.stats()
+    assert dump_dag(trusted) == dump_dag(checked)
+
+
+class TestTrustedPath:
+    """``Dag._from_succs``, the unchecked entry point of the generators and
+    ``induced_subdag``, against the validating constructor."""
+
+    @given(generator_specs(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_graphs_match_the_validating_constructor(self, spec, index):
+        _assert_same_graph(generate_graph(spec, index), reference_generate_graph(spec, index))
+
+    @given(generator_specs(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_induced_subgraphs_of_generated_graphs_match(self, spec, rng):
+        dag = generate_graph(spec, 0)
+        subset = rng.sample(range(len(dag)), rng.randint(1, len(dag)))
+        _assert_same_graph(induced_subdag(dag, subset), reference_induced_subdag(dag, subset))
+
+    @given(relabeled_dags(max_nodes=10), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_induced_subgraphs_of_relabeled_graphs_match(self, dag, rng):
+        subset = rng.sample(range(len(dag)), rng.randint(1, len(dag)))
+        _assert_same_graph(induced_subdag(dag, subset), reference_induced_subdag(dag, subset))
+
+    def test_induced_subgraph_with_descending_ids_takes_the_kahn_order(self):
+        nodes = [{"id": v, "type": "a", "duration": 1} for v in range(4)]
+        dag = load_dag({"nodes": nodes, "edges": [[3, 1], [1, 0], [2, 0]], "capacities": {"a": 1}})
+        sub = induced_subdag(dag, [0, 1, 3])
+        assert sub.succs == ((), (0,), (1,))
+        assert sub.topo_order == (2, 1, 0)
+        _assert_same_graph(sub, reference_induced_subdag(dag, [0, 1, 3]))
 
 
 class TestSerialization:
