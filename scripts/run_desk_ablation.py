@@ -144,6 +144,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None and args.seeds is not None:
         parser.error("--config carries its own seed and cannot be combined with --seed")
+    # A repeated seed would write its directory twice and count its pairs
+    # twice in the pooled sign test.
+    for index, seed in enumerate(args.seeds or ()):
+        if seed in args.seeds[:index]:
+            parser.error(f"seed {seed} is listed twice")
 
     t0 = time.perf_counter()
     if args.config is not None:

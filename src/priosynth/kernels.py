@@ -11,7 +11,6 @@ clustering per category.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .embedding import (
     cosine_rows,
     embed,
     fit_normalizer,
+    is_number,
     number_list,
     reject_unknown_keys,
     row_norms,
@@ -66,7 +66,9 @@ def template_expr(category: str) -> PriorityExpr:
 @dataclass(frozen=True)
 class LibraryParams:
     """The parameters of a library build (see :func:`mine_motifs` and
-    :func:`cluster_motifs`), checked when constructed."""
+    :func:`cluster_motifs`), checked when constructed: ``k``, ``budget`` and
+    ``chain_min_len`` must be of type ``int`` and ``theta`` a finite int or
+    float, without coercion, as the run-config reader checks them."""
 
     k: int = 2
     theta: float = 0.95
@@ -74,8 +76,14 @@ class LibraryParams:
     chain_min_len: int = 4
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        for name in ("k", "budget", "chain_min_len"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be of type int, got {json.dumps(value, default=repr)}")
+        if not is_number(self.theta):
+            if type(self.theta) is float:
+                raise ValueError(f"theta must be finite, got {self.theta!r}")
+            raise ValueError(f"theta must be of type float, got {json.dumps(self.theta, default=repr)}")
         if self.k < 0:
             raise ValueError(f"k must be nonnegative, got {self.k!r}")
         if self.budget < 0:

@@ -33,15 +33,13 @@ the same graphs and batches:
   :func:`~priosynth.dsl.priorities`, the term sum of ``eval_expr``, over the
   stack then gives every graph's priorities, and one sort its heap order,
   under a new expression.
-- Each evaluation's history rows are kept per (graph sequence, expression
-  terms, infeasibility penalty), and a validation candidate's feedback under
-  the same key.  An expression evaluated again, by a later iteration or
-  mode, gets the same row list and feedback text, so every record that
-  holds it refers to one list, which :func:`~priosynth.graph.canonical_json`
-  writes once.
-- A batch's candidate scores are kept per infeasibility penalty and shared
-  by every fallback search on that batch, and a fallback search repeated on
-  the same batch, basis and penalty returns its stored winner.
+- Each such stack also keeps what is computed for its sequence, each keyed
+  with the infeasibility penalty: an evaluation's history rows per
+  expression, the fallback search's candidate scores and its winner per
+  basis.  An expression evaluated again, by a later iteration or mode, gets
+  the same row list, so every record that holds it refers to one list, which
+  :func:`~priosynth.graph.canonical_json` writes once; a fallback search
+  repeated on the same batch, basis and penalty returns its stored winner.
 - Each query graph is embedded once per run, and ranked against the library
   once per :func:`run_loop` call.
 """
@@ -49,7 +47,6 @@ the same graphs and batches:
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
@@ -58,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import FEATURES, ExprError, PriorityExpr, Terms, feature_column, make_expr, parse_expr, print_expr, priorities
-from .embedding import Normalizer
+from .embedding import Normalizer, is_number
 from .graph import Dag
 from .kernels import (
     CATEGORY_FEATURES,
@@ -85,7 +82,8 @@ class LoopConfig:
     ``iterations``, ``top_m``, ``batch_size`` and ``seed`` must be of type
     ``int`` and ``fallback_on_error`` of type ``bool``, without coercion, as
     the run-config reader checks them.  ``infeasibility_penalty`` is charged
-    once per infeasible schedule; it must be finite and nonnegative.
+    once per infeasible schedule; it must be a finite, nonnegative int or
+    float (not a ``bool``).
     """
 
     iterations: int = 3
@@ -117,7 +115,7 @@ class LoopConfig:
         if self.top_m < 0:
             raise ValueError("top_m must be nonnegative")
         penalty = self.infeasibility_penalty
-        if not (math.isfinite(penalty) and penalty >= 0):
+        if not (is_number(penalty) and penalty >= 0):
             raise ValueError(f"infeasibility_penalty must be finite and nonnegative, got {penalty!r}")
 
 
@@ -172,7 +170,13 @@ class _Stack:
     ``group`` is the graph's type offset (how many op types the graphs before
     it have) plus the node's type index in capacity order, so sorting on
     (group, -priority, id) lays out each graph's type order in its own
-    slice."""
+    slice.
+
+    The stack also keeps what the run computes for its sequence, each keyed
+    with the infeasibility penalty: ``rows``, each evaluation's history rows
+    keyed (terms, penalty); ``scores``, the fallback candidates' mean scores
+    keyed penalty, then terms; and ``winners``, each fallback winner keyed
+    (basis, penalty)."""
 
     def __init__(self, dags: tuple[Dag, ...]):
         self.dags = dags
@@ -184,6 +188,9 @@ class _Stack:
         self.group = np.fromiter(
             (offset + i for offset, dag in zip(offsets, dags) for i in dag.stats().op_index), np.intp, size
         )
+        self.rows: dict[tuple[Terms, float], list[dict]] = {}
+        self.scores: dict[float, dict[Terms, float]] = {}
+        self.winners: dict[tuple[tuple[str, ...], float], PriorityExpr] = {}
 
     def rank(self, p: np.ndarray) -> tuple[np.ndarray, set[int]]:
         """The node ids sorted by (group, -priority, id), whose slice
@@ -224,28 +231,18 @@ class _Stack:
         return results
 
 
-# (graph sequence, expression terms, infeasibility penalty): the key of one
-# evaluation's history rows and of its feedback.
-EvalKey = tuple[tuple[Dag, ...], Terms, float]
-
-
 @dataclass
 class RunCache:
-    """What one run computes once and reads again: the schedule memo, each
-    scored graph sequence's stack, each evaluation's history rows and its
-    feedback keyed :data:`EvalKey`, each batch's fallback candidate scores
-    keyed (batch, infeasibility penalty), each fallback winner keyed (batch,
-    basis, infeasibility penalty), and the query vectors.  Everything in it
-    is a pure function of its key, the graphs and the normalizer, so one
-    cache serves every mode of an ablation over the same corpora, library
-    and normalizer."""
+    """What one run computes once and reads again, each keyed by what it
+    depends on: the schedule memo per graph, a :class:`_Stack` per scored
+    graph sequence (with that sequence's history rows, fallback scores and
+    fallback winners), and the query vectors per graph.  Everything in it is
+    a pure function of its key, the graphs and the normalizer, so one cache
+    serves every mode of an ablation over the same corpora, library and
+    normalizer."""
 
     schedules: ScheduleMemo = field(default_factory=dict)
     stacks: dict[tuple[Dag, ...], _Stack] = field(default_factory=dict)
-    evals: dict[EvalKey, list[dict]] = field(default_factory=dict)
-    feedback: dict[EvalKey, str] = field(default_factory=dict)
-    batch_scores: dict[tuple[tuple[Dag, ...], float], dict[Terms, float]] = field(default_factory=dict)
-    winners: dict[tuple[tuple[Dag, ...], tuple[str, ...], float], PriorityExpr] = field(default_factory=dict)
     vectors: QueryVectors = field(default_factory=dict)
 
     def stack(self, dags: Sequence[Dag]) -> _Stack:
@@ -266,18 +263,18 @@ def evaluate_heuristic(
     return one history row per graph: ``graph``, ``makespan``, ``feasible``
     and ``score``.
 
-    The list is kept in ``cache`` under (graphs, terms, infeasibility
-    penalty), and a repeated call returns that same list object, so every
-    record and mode that evaluates the expression shares it.  Callers must
-    not mutate the list or its rows."""
+    The list is kept on the graphs' stack in ``cache`` under (terms,
+    infeasibility penalty), and a repeated call returns that same list
+    object, so every record and mode that evaluates the expression shares it.
+    Callers must not mutate the list or its rows."""
     if cache is None:
         cache = RunCache()
-    key = (tuple(dags), expr.terms, cfg.infeasibility_penalty)
-    rows = cache.evals.get(key)
+    stack = cache.stack(dags)
+    key = (expr.terms, cfg.infeasibility_penalty)
+    rows = stack.rows.get(key)
     if rows is None:
-        stack = cache.stack(key[0])
         outcomes = stack.outcomes(expr.terms, cache.schedules)
-        rows = cache.evals[key] = [
+        rows = stack.rows[key] = [
             {
                 "graph": dag.name or "",
                 "makespan": makespan,
@@ -478,19 +475,18 @@ def fallback_synthesize(
 
     The winner depends only on (batch, basis, infeasibility penalty), and a
     candidate's score only on (batch, penalty, terms), so ``cache`` keeps
-    both: a repeated call returns its stored winner, and every call on a
-    batch shares that batch's scores.
+    both on the batch's stack: a repeated call returns its stored winner, and
+    every call on a batch shares that batch's scores.
     """
     if cache is None:
         cache = RunCache()
-    batch = tuple(batch)
+    stack = cache.stack(batch)
     penalty = cfg.infeasibility_penalty
-    key = (batch, tuple(basis), penalty)
-    winner = cache.winners.get(key)
+    key = (tuple(basis), penalty)
+    winner = stack.winners.get(key)
     if winner is not None:
         return winner
-    stack = cache.stack(batch)
-    scores = cache.batch_scores.setdefault((batch, penalty), {})
+    scores = stack.scores.setdefault(penalty, {})
 
     def objective(weights: dict[str, float]) -> float:
         terms = make_expr(weights).terms
@@ -499,7 +495,7 @@ def fallback_synthesize(
             total = 0.0
             for makespan, feasible in stack.outcomes(terms, cache.schedules):
                 total += score_schedule(cfg, makespan, feasible)
-            value = scores[terms] = total / max(1, len(batch))
+            value = scores[terms] = total / max(1, len(stack.dags))
         return value
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
@@ -534,7 +530,7 @@ def fallback_synthesize(
             weights, value = descend(start, features)
             if value > best_value:
                 best_weights, best_value = weights, value
-    winner = cache.winners[key] = make_expr(best_weights)
+    winner = stack.winners[key] = make_expr(best_weights)
     return winner
 
 
@@ -607,7 +603,6 @@ def run_loop(
         cache = RunCache()
     if provider is None:
         provider = make_provider(cfg.provider)
-    val = tuple(val)
     if cfg.ablation == "no_motif":
         kernels = whole_graph_kernels(train, normalizer, cache.vectors)
     index = KernelIndex(kernels)
@@ -643,12 +638,7 @@ def run_loop(
             source = "fallback"
 
         evals = evaluate_heuristic(expr, val, cfg, cache)
-        # The baseline's rows depend only on (val, penalty), so the feedback
-        # is a function of the same key as the candidate's rows.
-        key = (val, expr.terms, cfg.infeasibility_penalty)
-        feedback = cache.feedback.get(key)
-        if feedback is None:
-            feedback = cache.feedback[key] = make_feedback(evals, baseline_evals, val)
+        feedback = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
             {

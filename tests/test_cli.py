@@ -559,6 +559,15 @@ class TestDeskAblationScript:
         with pytest.raises(SystemExit):
             desk_script.main(["--config", str(tiny_config), "--seeds", "0,1", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize(("seeds", "repeated"), [("0,0", 0), ("3,1,2,1", 1)])
+    def test_repeated_seed_is_refused(self, desk_script, tmp_path, capsys, seeds, repeated):
+        out = tmp_path / "desk"
+        with pytest.raises(SystemExit) as excinfo:
+            desk_script.main(["--seeds", seeds, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"seed {repeated} is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_text_and_csv(self, tmp_path, capsys):

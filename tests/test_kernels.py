@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from priosynth.kernels import (
     CATEGORY_FEATURES,
     FEATURE_SIGNS,
     Kernel,
+    LibraryParams,
     build_kernel_library,
     cluster_motifs,
     dump_library,
@@ -277,6 +279,27 @@ class TestClustering:
 
 
 class TestLibrary:
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            # A float k never equals a BFS depth, so it would unbound the
+            # reconvergence search; a float budget would break its slice.
+            ("k", 2.5, "k must be of type int, got 2.5"),
+            ("k", True, "k must be of type int, got true"),
+            ("budget", 3.0, "budget must be of type int, got 3.0"),
+            ("chain_min_len", 4.0, "chain_min_len must be of type int, got 4.0"),
+            ("chain_min_len", None, "chain_min_len must be of type int, got null"),
+            ("theta", "0.9", 'theta must be of type float, got "0.9"'),
+            ("theta", True, "theta must be of type float, got true"),
+            ("theta", float("nan"), "theta must be finite, got nan"),
+        ],
+    )
+    def test_params_are_type_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            LibraryParams(**{field: value})
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build_kernel_library(corpus(count=2), **{field: value})
+
     def test_build_respects_budget_and_sorting(self):
         train = corpus()
         kernels, normalizer = build_kernel_library(train, budget=20)

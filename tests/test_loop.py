@@ -513,7 +513,7 @@ class TestRunLoop:
             LoopConfig(ablation="bogus")
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
-        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0):
+        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0, True, "1", None):
             with pytest.raises(ValueError, match="infeasibility_penalty must be finite and nonnegative"):
                 LoopConfig(infeasibility_penalty=penalty)
         assert LoopConfig(infeasibility_penalty=0.0).infeasibility_penalty == 0.0
@@ -700,7 +700,7 @@ class TestScheduleMemo:
 
 class TestSharedEvaluations:
     """An evaluation repeated in one cache returns the rows it stored, and an
-    ablation computes each distinct expression's rows and feedback once."""
+    ablation computes each distinct expression's rows once."""
 
     def test_repeated_evaluation_returns_the_stored_list(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -741,11 +741,12 @@ class TestSharedEvaluations:
         for record in records:
             seen = first.setdefault(record["expr"], record)
             assert record["evals"] is seen["evals"]
-            assert record["feedback"] is seen["feedback"]
+            assert record["feedback"] == seen["feedback"]
         # Some expression repeats, or this shows nothing.
         assert len(first) < len(records)
-        # Once per distinct expression, each time on its own rows.
-        assert len(made) == len({id(evals) for evals in made}) == len(first)
+        # Once per record, each time on the record's own rows.
+        assert len(made) == len(records)
+        assert all(evals is record["evals"] for evals, record in zip(made, records))
         baseline = histories[0]["baseline"]["evals"]
         assert all(history["baseline"]["evals"] is baseline for history in histories)
 
@@ -926,17 +927,39 @@ class TestRunCache:
         expected = fallback_synthesize(basis, batch, cheap, cache)
         sentinel = parse_expr("3*duration")
         assert expected != sentinel
+        stack = cache.stack(batch)
         # Poison everything stored under the first penalty.
-        for key in cache.winners:
-            cache.winners[key] = sentinel
-        for scores in cache.batch_scores.values():
+        for key in stack.winners:
+            stack.winners[key] = sentinel
+        for scores in stack.scores.values():
             for terms in scores:
                 scores[terms] = float("inf")
         # Another penalty reads none of it ...
         assert fallback_synthesize(basis, batch, dear, cache) == fallback_synthesize(basis, batch, dear)
-        assert len(cache.winners) == len(cache.batch_scores) == 2
+        assert list(cache.stacks) == [tuple(batch)]
+        penalties = {cheap.infeasibility_penalty, dear.infeasibility_penalty}
+        assert {penalty for _, penalty in stack.winners} == set(stack.scores) == penalties
         # ... and the first penalty is served from the store.
         assert fallback_synthesize(basis, batch, cheap, cache) is sentinel
+
+    def test_ablation_stacks_each_graph_sequence_once(self, setup, monkeypatch):
+        # The validation set and each distinct batch get one stack, which
+        # every mode and every evaluation or search on them reads.
+        train, val, vocab, kernels, normalizer = setup
+        cfg = LoopConfig(seed=4, iterations=4, batch_size=6)
+        built = []
+        real_init = loop._Stack.__init__
+
+        def counting_init(stack, dags):
+            built.append(dags)
+            real_init(stack, dags)
+
+        monkeypatch.setattr(loop._Stack, "__init__", counting_init)
+        run_ablation(train, val, kernels, normalizer, vocab, cfg)
+        batches = {tuple(sample_batch(train, cfg, iteration)) for iteration in range(cfg.iterations)}
+        assert len(batches) > 1
+        assert len(built) == len(set(built)) == 1 + len(batches)
+        assert set(built) == {tuple(val)} | batches
 
     def test_batch_scores_are_shared_across_bases(self, setup, monkeypatch):
         # A wider basis revisits the core candidates a core-only search
