@@ -22,7 +22,9 @@ The artifacts cover:
 - the same six ``large`` graphs alone, as ``dump_dag`` writes them, for input
   seeds 5-14 (the input sets of ``perfbench/run.py --workload large`` seeds 1
   and 2), so the graph builder is checked on more of the sizes it is timed on;
-- the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1;
+- the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1,
+  and its ``library.json`` and ``normalizer.json`` for desk seeds 2-4, so the
+  library build is checked on every desk seed;
 - per ablation, an ``outcomes`` digest of what it scheduled (see
   :func:`ablation_outcomes`), so a change that rewrites only expression text
   shows that no schedule moved;
@@ -136,6 +138,16 @@ def desk_artifacts(seed: int) -> dict[str, str]:
     return out
 
 
+def desk_library(seed: int) -> dict[str, str]:
+    """The library and normalizer that ``scripts/run_desk_ablation.py``
+    writes for ``seed``, without running the ablation."""
+    run = config.prepare_run(config.load_run_config(config.default_run_config_document(seed=seed)))
+    return {
+        "library.json": kernels.dump_library(run.kernels),
+        "normalizer.json": embedding.dump_normalizer(run.normalizer),
+    }
+
+
 def run_cli(*argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -173,6 +185,7 @@ def artifact_groups() -> list[tuple[str, Callable[[], dict[str, str]]]]:
     groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed)) for seed in range(5)]
     groups += [(f"large/{seed}", lambda seed=seed: graph_dumps(large_suites(seed))) for seed in range(5, 15)]
     groups += [(f"desk/{seed}", lambda seed=seed: desk_artifacts(seed)) for seed in range(2)]
+    groups += [(f"desk/{seed}", lambda seed=seed: desk_library(seed)) for seed in range(2, 5)]
     groups.append(("cli", cli_artifacts))
     return groups
 
