@@ -12,6 +12,11 @@ Layout ``v1`` concatenates, in order:
 
 The vocabulary is a sorted tuple of op types shared by every graph in a
 corpus so that all vectors have identical dimension ``19 + 2 * len(vocab)``.
+
+:func:`embed` gives a whole graph's vector from its stats table, and
+:func:`motif_matrix` the vectors of node subsets of graphs, each equal to
+the vector of the induced subgraph, without building one.  Both fill their
+rows through one builder, so the layout has one implementation.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from .graph import Dag, canonical_json
 
 LAYOUT = "v1"
 
-_FANOUT_EDGES = (0, 1, 2, 3, 5, 8, 16)
+# Upper fanout of each histogram bin but the last: bin ``i`` is the first
+# whose edge is at least the fanout, so ``np.searchsorted`` finds it.
+_FANOUT_EDGES = np.array((0, 1, 2, 3, 5, 8, 16))
 
 
 def embedding_dim(vocab: Sequence[str]) -> int:
@@ -42,47 +49,152 @@ def build_vocab(dags: Iterable[Dag]) -> tuple[str, ...]:
     return tuple(sorted(types))
 
 
-def _fanout_bin(fanout: int) -> int:
-    for index, edge in enumerate(_FANOUT_EDGES):
-        if fanout <= edge:
-            return index
-    return 7
+def _missing_type(op: str) -> ValueError:
+    return ValueError(f"op type {op!r} is not in the embedding vocabulary")
+
+
+def _fractions(n: int) -> np.ndarray:
+    """``k`` times ``1.0 / n`` added up from 0.0, for ``k`` in ``0..n``: the
+    histogram value of a bin that holds ``k`` of ``n`` nodes.  Every increment
+    is the same float, so a bin's bits depend only on ``(n, k)``; ``k / n``
+    would round differently."""
+    step = 1.0 / n
+    values = [0.0]
+    for _ in range(n):
+        values.append(values[-1] + step)
+    return np.array(values)
+
+
+def _bin_counts(bins: np.ndarray, width: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per row of a ``(rows, n)`` array of bin indices in ``0..width-1``, how
+    many fall in each bin, or the sum of their ``weights``."""
+    rows = len(bins)
+    keys = bins + width * np.arange(rows)[:, None]
+    return np.bincount(keys.ravel(), None if weights is None else weights.ravel(), width * rows).reshape(rows, width)
+
+
+def _layout_rows(level, crit, fanout, slot, duration, capacity) -> np.ndarray:
+    """Layout-``v1`` rows of graphs that have ``n >= 1`` nodes each.
+
+    This is the one implementation of the layout.  ``level``, ``crit``,
+    ``fanout``, ``slot`` (each node's op type as a vocabulary position) and
+    ``duration`` are ``(rows, n)`` int arrays, one row per graph in node-id
+    order; ``capacity`` is ``(rows, len(vocab))``, any positive value for a
+    type the graph does not have.  Each float has the bits that per-node
+    loops over one graph give: the crit ratios' sums are numpy's reductions
+    along a row, which sum a row as they sum a vector, and each histogram
+    bin comes from :func:`_fractions`."""
+    rows, n = level.shape
+    types = capacity.shape[1]
+    fractions = _fractions(n)
+    out = np.empty((rows, 19 + 2 * types))
+    cp = (level + crit).max(axis=1)
+    out[:, 0] = cp / n
+    ratios = crit / cp[:, None]
+    # ``np.mean`` and ``np.std`` (ddof 0) spelled out: the same reductions
+    # and divisions in the same order, without their per-call overhead.
+    mean = ratios.sum(axis=1) / n
+    deviation = ratios - mean[:, None]
+    out[:, 1] = mean
+    out[:, 2] = np.sqrt((deviation * deviation).sum(axis=1) / n)
+    # The fanout, level and type histograms are adjacent: one count fills them.
+    level_bins = np.minimum(7, (8 * level / cp[:, None]).astype(np.int64))
+    bins = np.concatenate((np.searchsorted(_FANOUT_EDGES, fanout), 8 + level_bins, 16 + slot), axis=1)
+    out[:, 3 : 19 + types] = fractions[_bin_counts(bins, 16 + types)]
+    # Per-type work sums integers, which float64 holds exactly.
+    out[:, 19 + types :] = _bin_counts(slot, types, duration) / (capacity * cp[:, None])
+    return out
 
 
 def embed(dag: Dag, vocab: Sequence[str]) -> np.ndarray:
-    stats = dag.stats()
+    """The layout-``v1`` vector of ``dag``.  Every capacity type, used by a
+    node or not, must be in ``vocab``."""
     n = len(dag)
-    vec = np.zeros(embedding_dim(vocab), dtype=float)
     if n == 0:
-        return vec
-    cp = stats.cp_length
-
-    vec[0] = cp / n
-    if cp > 0:
-        ratios = np.array([stats.crit[v] / cp for v in range(n)], dtype=float)
-        vec[1] = float(ratios.mean())
-        vec[2] = float(ratios.std())
-
-    for v in range(n):
-        vec[3 + _fanout_bin(stats.fanout[v])] += 1.0 / n
-
-    for v in range(n):
-        if cp > 0:
-            bin_index = min(7, int(8 * stats.level[v] / cp))
-        else:
-            bin_index = 0
-        vec[11 + bin_index] += 1.0 / n
-
+        return np.zeros(embedding_dim(vocab))
     type_index = {op: i for i, op in enumerate(vocab)}
-    # Every node's type has a capacity entry, so this covers the nodes too.
     for op in dag.capacities:
         if op not in type_index:
-            raise ValueError(f"op type {op!r} is not in the embedding vocabulary")
-    for rec in dag.nodes:
-        vec[19 + type_index[rec.op_type]] += 1.0 / n
-    for op, value in stats.pressure.items():
-        vec[19 + len(vocab) + type_index[op]] = value
-    return vec
+            raise _missing_type(op)
+    stats = dag.stats()
+    slots = [type_index[op] for op in dag.capacities]
+    columns = np.array(
+        [stats.level, stats.crit, stats.fanout, [slots[i] for i in stats.op_index], stats.duration]
+    )[:, None, :]
+    capacity = np.array([[dag.capacities.get(op, 1) for op in vocab]])
+    return _layout_rows(*columns, capacity)[0]
+
+
+def motif_matrix(graphs: Iterable[tuple[Dag, Iterable[Iterable[int]]]], vocab: Sequence[str]) -> np.ndarray:
+    """One layout-``v1`` row per node set, in order, for ``(graph, node
+    sets)`` pairs: the row of each set is bit for bit
+    ``embed(kernels.induced_subdag(graph, nodes), vocab)``, computed from the
+    graph's own columns without building the subgraph.
+
+    Levels and crit run over the set's induced edges in the graph's
+    topological order restricted to the set; they are integers, so they
+    match the subgraph's own.  Only the op types the set uses must be in
+    ``vocab``, and only their pressure slots are filled, each with the
+    graph's capacity.  Sets of one size share one :func:`_layout_rows`
+    call."""
+    type_index = {op: i for i, op in enumerate(vocab)}
+    # set size -> the sets' output rows, node columns and capacity rows
+    groups: dict[int, tuple[list, list, list]] = {}
+    count = 0
+    for dag, node_sets in graphs:
+        stats = dag.stats()
+        preds, succs, duration = dag.preds, dag.succs, stats.duration
+        slots = [type_index.get(op) for op in dag.capacities]
+        node_slot = [slots[i] for i in stats.op_index]
+        capacity = [dag.capacities.get(op, 1) for op in vocab]
+        position = None
+        if dag.topo_order != tuple(range(len(dag))):
+            position = {v: i for i, v in enumerate(dag.topo_order)}.__getitem__
+        # Per-node scratch indexed by the graph's ids: a set writes each of
+        # its nodes, in topological order, before it reads it.
+        level = [0] * len(dag)
+        crit = [0] * len(dag)
+        fanout = [0] * len(dag)
+        for nodes in node_sets:
+            chosen = sorted(set(nodes))
+            slot = [node_slot[v] for v in chosen]
+            if None in slot:
+                raise _missing_type(min(dag.nodes[v].op_type for v in chosen if node_slot[v] is None))
+            inside = set(chosen)
+            order = chosen if position is None else sorted(chosen, key=position)
+            for v in order:
+                start = 0
+                for u in preds[v]:
+                    if u in inside and level[u] + duration[u] > start:
+                        start = level[u] + duration[u]
+                level[v] = start
+            for v in reversed(order):
+                tail = out = 0
+                for w in succs[v]:
+                    if w in inside:
+                        out += 1
+                        if crit[w] > tail:
+                            tail = crit[w]
+                crit[v] = tail + duration[v]
+                fanout[v] = out
+            places, columns, capacities = groups.setdefault(len(chosen), ([], [], []))
+            places.append(count)
+            columns.append(
+                [
+                    [level[v] for v in chosen],
+                    [crit[v] for v in chosen],
+                    [fanout[v] for v in chosen],
+                    slot,
+                    [duration[v] for v in chosen],
+                ]
+            )
+            capacities.append(capacity)
+            count += 1
+    matrix = np.zeros((count, embedding_dim(vocab)))
+    for size, (places, columns, capacities) in groups.items():
+        if size:
+            matrix[places] = _layout_rows(*np.array(columns).transpose(1, 0, 2), np.array(capacities))
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -116,10 +228,12 @@ def fit_normalizer(vectors: Sequence[np.ndarray], vocab: Sequence[str] = ()) -> 
 
 
 def apply_normalizer(normalizer: Normalizer, vector: np.ndarray) -> np.ndarray:
+    """``vector`` in z-space: one vector, or a matrix whose rows are vectors
+    and are normalized in one pass."""
     mean = np.asarray(normalizer.mean)
     std = np.asarray(normalizer.std)
-    if vector.shape != mean.shape:
-        raise ValueError(f"vector dim {vector.shape} does not match normalizer dim {mean.shape}")
+    if vector.shape[-1:] != mean.shape:
+        raise ValueError(f"vector dim {vector.shape[-1:]} does not match normalizer dim {mean.shape}")
     centered = vector - mean
     scale = np.where(std > 0, std, 1.0)
     return centered / scale

@@ -5,8 +5,9 @@ per-type resource capacities.  It is built through one of two entry points
 that share one finisher: the public constructor, used by :func:`load_dag`
 and the CLI, checks every node, capacity and edge; the private
 ``Dag._from_succs`` trusts adjacency that the generators in
-:mod:`priosynth.bench` and :func:`priosynth.kernels.induced_subdag` build
-valid by construction.  The sorted edge tuple is built only when something
+:mod:`priosynth.bench` and :func:`priosynth.kernels.induced_subdag` (the
+reference for motif embeddings, which build no graph) make valid by
+construction.  The sorted edge tuple is built only when something
 reads :attr:`Dag.edges`.  All structural features used by
 priority expressions (level, remaining critical path, slack, degrees,
 reconvergence, resource pressure) are computed here, in one pass that

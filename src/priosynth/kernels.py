@@ -4,8 +4,9 @@ A kernel is a reusable scheduling hint: a centroid signature in embedding
 space (for retrieval by similarity) for one motif category, whose template
 (for synthesis) is the category's: the features of ``CATEGORY_FEATURES``,
 each with its sign from ``FEATURE_SIGNS``.  Kernels are mined from a
-training corpus in three motif categories and deduplicated by greedy leader
-clustering per category.
+training corpus in three motif categories, embedded from their parent graphs
+by :func:`priosynth.embedding.motif_matrix` without a subgraph per motif,
+and deduplicated by greedy leader clustering per category.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .embedding import (
     embed,
     fit_normalizer,
     is_number,
+    motif_matrix,
     number_list,
     reject_unknown_keys,
     row_norms,
@@ -68,7 +70,8 @@ class LibraryParams:
     """The parameters of a library build (see :func:`mine_motifs` and
     :func:`cluster_motifs`), checked when constructed: ``k``, ``budget`` and
     ``chain_min_len`` must be of type ``int`` and ``theta`` a finite int or
-    float, without coercion, as the run-config reader checks them."""
+    float, without coercion, as the run-config reader checks them; ``theta``
+    is stored as a ``float``, the value that reader widens an int to."""
 
     k: int = 2
     theta: float = 0.95
@@ -90,6 +93,7 @@ class LibraryParams:
             raise ValueError(f"budget must be nonnegative, got {self.budget!r}")
         if self.chain_min_len < 1:
             raise ValueError(f"chain_min_len must be positive, got {self.chain_min_len!r}")
+        object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,12 @@ class Kernel:
 
 def induced_subdag(dag: Dag, nodes: Iterable[int]) -> Dag:
     """Induced subgraph with ids remapped to dense 0..m-1 in ascending
-    original-id order; capacities restricted to the op types present."""
+    original-id order; capacities restricted to the op types present.
+
+    The library build does not call it: a motif's row from
+    :func:`~priosynth.embedding.motif_matrix` equals the embedding of this
+    subgraph.  It stays public as the reference the tests check those rows
+    against, and the benchmark's tracer wraps it by name."""
     chosen = sorted(set(nodes))
     remap = {v: i for i, v in enumerate(chosen)}
     records = [
@@ -302,7 +311,9 @@ def build_kernel_library(
     The four parameters are checked as a :class:`LibraryParams` first.  The
     normalizer is fitted on whole-graph embeddings of the corpus and records
     ``vocab`` (by default the corpus's), which retrieval embeds query graphs
-    with, so motif signatures and query vectors live in one z-space.
+    with, so motif signatures and query vectors live in one z-space.  Every
+    motif is embedded from its graph by one :func:`motif_matrix` call and
+    normalized with the others in one pass; no subgraph is built.
     """
     params = LibraryParams(k=k, theta=theta, budget=budget, chain_min_len=chain_min_len)
     if not train:
@@ -311,11 +322,9 @@ def build_kernel_library(
         vocab = build_vocab(train)
     normalizer = fit_normalizer([embed(dag, vocab) for dag in train], vocab=vocab)
 
-    entries: list[tuple[Motif, np.ndarray]] = []
-    for dag in train:
-        for motif in mine_motifs(dag, k=params.k, chain_min_len=params.chain_min_len):
-            vec = apply_normalizer(normalizer, embed(induced_subdag(dag, motif.nodes), vocab))
-            entries.append((motif, vec))
+    mined = [mine_motifs(dag, k=params.k, chain_min_len=params.chain_min_len) for dag in train]
+    rows = motif_matrix([(dag, [motif.nodes for motif in motifs]) for dag, motifs in zip(train, mined)], vocab)
+    entries = list(zip([motif for motifs in mined for motif in motifs], apply_normalizer(normalizer, rows)))
 
     kernels: list[Kernel] = []
     counters: dict[str, int] = {}

@@ -83,7 +83,8 @@ class LoopConfig:
     ``int`` and ``fallback_on_error`` of type ``bool``, without coercion, as
     the run-config reader checks them.  ``infeasibility_penalty`` is charged
     once per infeasible schedule; it must be a finite, nonnegative int or
-    float (not a ``bool``).
+    float (not a ``bool``), and is stored as a ``float`` so that an int
+    echoes as the run-config reader's widened value does.
     """
 
     iterations: int = 3
@@ -117,6 +118,7 @@ class LoopConfig:
         penalty = self.infeasibility_penalty
         if not (is_number(penalty) and penalty >= 0):
             raise ValueError(f"infeasibility_penalty must be finite and nonnegative, got {penalty!r}")
+        object.__setattr__(self, "infeasibility_penalty", float(penalty))
 
 
 def loop_config_to_document(cfg: LoopConfig) -> dict:

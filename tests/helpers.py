@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from typing import Mapping, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
 from priosynth.bench import FAMILIES, GeneratorSpec
@@ -750,3 +751,45 @@ def reference_induced_subdag(dag: Dag, nodes) -> Dag:
     used = {dag.nodes[v].op_type for v in chosen}
     caps = {t: dag.capacities[t] for t in used}
     return Dag(records, edges, caps)
+
+
+_REFERENCE_FANOUT_EDGES = (0, 1, 2, 3, 5, 8, 16)
+
+
+def reference_embed(dag: Dag, vocab: Sequence[str]) -> np.ndarray:
+    """``embedding.embed`` as per-node loops, before the layout had one
+    array implementation: each histogram bin adds ``1.0 / n`` once per node
+    that falls in it."""
+    stats = dag.stats()
+    n = len(dag)
+    vec = np.zeros(19 + 2 * len(vocab), dtype=float)
+    if n == 0:
+        return vec
+    cp = stats.cp_length
+
+    vec[0] = cp / n
+    if cp > 0:
+        ratios = np.array([stats.crit[v] / cp for v in range(n)], dtype=float)
+        vec[1] = float(ratios.mean())
+        vec[2] = float(ratios.std())
+
+    for v in range(n):
+        fanout_bin = next((i for i, edge in enumerate(_REFERENCE_FANOUT_EDGES) if stats.fanout[v] <= edge), 7)
+        vec[3 + fanout_bin] += 1.0 / n
+
+    for v in range(n):
+        if cp > 0:
+            bin_index = min(7, int(8 * stats.level[v] / cp))
+        else:
+            bin_index = 0
+        vec[11 + bin_index] += 1.0 / n
+
+    type_index = {op: i for i, op in enumerate(vocab)}
+    for op in dag.capacities:
+        if op not in type_index:
+            raise ValueError(f"op type {op!r} is not in the embedding vocabulary")
+    for rec in dag.nodes:
+        vec[19 + type_index[rec.op_type]] += 1.0 / n
+    for op, value in stats.pressure.items():
+        vec[19 + len(vocab) + type_index[op]] = value
+    return vec

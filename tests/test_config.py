@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from priosynth.config import (
     load_run_config,
     run_config_to_document,
 )
+from priosynth.graph import canonical_json
 from priosynth.kernels import LibraryParams
 from priosynth.loop import ABLATIONS, LoopConfig
 
@@ -93,6 +95,14 @@ def test_relative_config_path_starting_with_a_brace_is_read_as_a_file(tmp_path, 
 def test_int_widens_to_float():
     theta = load_run_config({"library": {"theta": 1}}).library.theta
     assert theta == 1.0 and type(theta) is float
+
+
+def test_an_int_float_field_echoes_as_the_reader_widens_it():
+    doc = {"library": {"theta": 1}, "loop": {"infeasibility_penalty": 1}}
+    read = load_run_config(doc)
+    built = replace(read, library=LibraryParams(theta=1), loop=LoopConfig(infeasibility_penalty=1))
+    assert type(built.library.theta) is float and type(built.loop.infeasibility_penalty) is float
+    assert canonical_json(run_config_to_document(built)) == canonical_json(run_config_to_document(read))
 
 
 def test_unknown_keys_are_ignored():

@@ -1,12 +1,14 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dags, random_dag
+from helpers import dags, generator_specs, random_dag, reference_embed, relabeled_dags
+from priosynth.bench import generate_graph
 from priosynth.embedding import (
     LAYOUT,
     Normalizer,
@@ -18,9 +20,11 @@ from priosynth.embedding import (
     embedding_dim,
     fit_normalizer,
     load_normalizer,
+    motif_matrix,
     retrieve_top_m,
 )
 from priosynth.graph import Dag, load_dag
+from priosynth.kernels import induced_subdag
 
 
 class TestEmbed:
@@ -76,6 +80,74 @@ class TestEmbed:
     def test_build_vocab_sorted_union(self, diamond, chain5):
         assert build_vocab([diamond, chain5]) == ("alu", "mem")
 
+    @given(dags(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_loop_reference(self, dag, unused_type):
+        if unused_type:
+            dag = Dag(dag.nodes, dag.edges, {**dag.capacities, "unused": 2})
+        vocab = build_vocab([dag])
+        assert embed(dag, vocab).tobytes() == reference_embed(dag, vocab).tobytes()
+
+    def test_matches_the_loop_reference_at_scale(self, scale_dags):
+        # Thousands of nodes take numpy's blocked summation path for the
+        # crit ratios' sums.
+        for dag in scale_dags:
+            vocab = build_vocab([dag]) + ("zz",)
+            assert embed(dag, vocab).tobytes() == reference_embed(dag, vocab).tobytes()
+
+
+def random_node_sets(rng: random.Random, dag: Dag) -> list[list[int]]:
+    """A few node sets of ``dag`` in random order, empty ones included."""
+    return [rng.sample(range(len(dag)), rng.randint(0, len(dag))) for _ in range(rng.randint(1, 5))]
+
+
+def assert_rows_match_built_subgraphs(graphs, vocab) -> None:
+    rows = motif_matrix(graphs, vocab)
+    node_sets = [(dag, nodes) for dag, sets in graphs for nodes in sets]
+    assert rows.shape == (len(node_sets), embedding_dim(vocab))
+    for row, (dag, nodes) in zip(rows, node_sets):
+        assert row.tobytes() == reference_embed(induced_subdag(dag, nodes), vocab).tobytes()
+
+
+class TestMotifMatrix:
+    """Each row of ``motif_matrix`` against the loop embedding of the
+    subgraph that ``induced_subdag`` builds for the same node set."""
+
+    @given(st.lists(generator_specs(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_node_sets_of_generated_graphs(self, specs, rng):
+        dags_list = [generate_graph(spec, index) for index, spec in enumerate(specs)]
+        graphs = [(dag, random_node_sets(rng, dag)) for dag in dags_list]
+        assert_rows_match_built_subgraphs(graphs, build_vocab(dags_list))
+
+    @given(relabeled_dags(max_nodes=10), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_node_sets_of_relabeled_graphs(self, dag, rng):
+        assert_rows_match_built_subgraphs([(dag, random_node_sets(rng, dag))], build_vocab([dag]))
+
+    def test_descending_ids_take_the_topological_order(self):
+        nodes = [{"id": v, "type": "a", "duration": v + 1} for v in range(4)]
+        dag = load_dag({"nodes": nodes, "edges": [[3, 1], [1, 0], [2, 0]], "capacities": {"a": 1}})
+        assert dag.topo_order != (0, 1, 2, 3)
+        assert_rows_match_built_subgraphs([(dag, [[0, 1, 3], [0, 1, 2, 3], [2, 0]])], ("a",))
+
+    @given(dags(max_types=3), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_only_the_types_a_set_uses_must_be_in_the_vocabulary(self, dag, rng):
+        nodes = rng.sample(range(len(dag)), rng.randint(1, len(dag)))
+        dropped = rng.choice(sorted(dag.capacities))
+        vocab = tuple(op for op in dag.capacities if op != dropped)
+        if dropped not in {dag.nodes[v].op_type for v in nodes}:
+            assert_rows_match_built_subgraphs([(dag, [nodes])], vocab)
+            return
+        with pytest.raises(ValueError) as expected:
+            reference_embed(induced_subdag(dag, nodes), vocab)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            motif_matrix([(dag, [nodes])], vocab)
+
+    def test_no_node_sets_give_no_rows(self, diamond):
+        assert motif_matrix([(diamond, [])], ("alu", "mem")).shape == (0, 23)
+
 
 class TestNormalizer:
     def test_fit_center_and_scale(self):
@@ -105,6 +177,16 @@ class TestNormalizer:
         norm = fit_normalizer([np.zeros(3)])
         with pytest.raises(ValueError, match="dim"):
             apply_normalizer(norm, np.zeros(4))
+
+    def test_rows_normalize_as_vectors_do(self):
+        rng = np.random.default_rng(3)
+        vectors = [rng.normal(size=5) for _ in range(4)]
+        norm = fit_normalizer(vectors[:3])
+        rows = apply_normalizer(norm, np.stack(vectors))
+        for row, vec in zip(rows, vectors):
+            assert row.tobytes() == apply_normalizer(norm, vec).tobytes()
+        with pytest.raises(ValueError, match="dim"):
+            apply_normalizer(norm, np.zeros((2, 4)))
 
     def test_json_round_trip(self):
         vocab = ("a", "b")

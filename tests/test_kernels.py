@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_dag
+from helpers import random_dag, reference_embed
 from priosynth.dsl import parse_expr, print_expr
-from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer
-from priosynth.graph import load_dag
+from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer, motif_matrix
+from priosynth.graph import Dag, load_dag
 from priosynth.kernels import (
     CATEGORY_FEATURES,
     FEATURE_SIGNS,
@@ -311,6 +311,30 @@ class TestLibrary:
             assert len(kern.signature) == dim
             assert kern.support >= 1
             assert kern.category in CATEGORY_FEATURES
+
+    def test_builds_no_graph_per_motif(self, monkeypatch):
+        finished: list[Dag] = []
+        real_finish = Dag._finish
+
+        def counting_finish(dag, *args):
+            finished.append(dag)
+            real_finish(dag, *args)
+
+        monkeypatch.setattr(Dag, "_finish", counting_finish)
+        train = corpus(count=10)
+        kernels, _ = build_kernel_library(train, budget=10**9)
+        assert sum(kern.support for kern in kernels) == sum(len(mine_motifs(dag)) for dag in train) > 0
+        assert finished == train
+
+    def test_motif_rows_match_the_built_subgraphs(self):
+        train = corpus(seed=5)
+        vocab = build_vocab(train)
+        mined = [mine_motifs(dag) for dag in train]
+        rows = motif_matrix([(dag, [motif.nodes for motif in motifs]) for dag, motifs in zip(train, mined)], vocab)
+        expected = [reference_embed(induced_subdag(dag, m.nodes), vocab) for dag, ms in zip(train, mined) for m in ms]
+        assert len(rows) == len(expected) > 100
+        for row, vec in zip(rows, expected):
+            assert row.tobytes() == vec.tobytes()
 
     def test_build_deterministic_bytes(self):
         a, _ = build_kernel_library(corpus())
