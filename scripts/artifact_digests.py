@@ -22,6 +22,9 @@ The artifacts cover:
 - the same six ``large`` graphs alone, as ``dump_dag`` writes them, for input
   seeds 5-14 (the input sets of ``perfbench/run.py --workload large`` seeds 1
   and 2), so the graph builder is checked on more of the sizes it is timed on;
+- single layered graphs on both sides of the generator's choice between
+  drawing edge coin flips in bulk and one at a time (see
+  :data:`GENERATOR_SHAPES`), as ``dump_dag`` writes them;
 - the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1,
   and its ``library.json`` and ``normalizer.json`` for desk seeds 2-4, so the
   library build is checked on every desk seed;
@@ -53,6 +56,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import run_desk_ablation  # noqa: E402
 
 LARGE_SUITES = ((60, 64, 4), (80, 96, 2))
+# (layers, width, edge_prob) of one graph each: the sparse and the empty
+# wiring leave some node without a drawn predecessor, which sends a graph
+# that would draw its flips in bulk back to drawing them one at a time; the
+# 29x32 and 25x32 graphs draw 16,036 and 15,961 flips, just above and just
+# below the 16,000 from which ``bench.generate_graph`` draws in bulk.
+GENERATOR_SHAPES = ((60, 64, 0.02), (80, 96, 0.0), (29, 32, 0.35), (25, 32, 0.35))
 CLI_EXPRESSIONS = ("1*level", "2*crit + 1*fanout - 1*level", "1*reconv - 0.5*slack + 0.25*pressure")
 
 
@@ -124,6 +133,16 @@ def graph_dumps(suites: dict[str, list]) -> dict[str, str]:
     return {f"{suite}/{dag.name}.json": dump_dag(dag) for suite, dags in suites.items() for dag in dags}
 
 
+def generator_graphs() -> dict[str, str]:
+    dumps = {}
+    for layers, width, edge_prob in GENERATOR_SHAPES:
+        spec = bench.GeneratorSpec(
+            "layered", layers=layers, width=width, edge_prob=edge_prob, label=f"generator-{layers}x{width}"
+        )
+        dumps[f"layered-{layers}x{width}-{edge_prob}.json"] = dump_dag(bench.generate_graph(spec, 0))
+    return dumps
+
+
 def large_artifacts(seed: int) -> dict[str, str]:
     suites = large_suites(seed)
     report = bench.run_campaign(suites, bench.standard_battery(seed), measure_runtime=False)
@@ -184,6 +203,7 @@ def artifact_groups() -> list[tuple[str, Callable[[], dict[str, str]]]]:
     groups = [(f"search/{seed}", lambda seed=seed: search_artifacts(seed)) for seed in range(20)]
     groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed)) for seed in range(5)]
     groups += [(f"large/{seed}", lambda seed=seed: graph_dumps(large_suites(seed))) for seed in range(5, 15)]
+    groups.append(("generator", generator_graphs))
     groups += [(f"desk/{seed}", lambda seed=seed: desk_artifacts(seed)) for seed in range(2)]
     groups += [(f"desk/{seed}", lambda seed=seed: desk_library(seed)) for seed in range(2, 5)]
     groups.append(("cli", cli_artifacts))

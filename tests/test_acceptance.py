@@ -109,7 +109,7 @@ def test_desk_ablation_outcomes_are_pinned(desk_run):
 
 # The groups of scripts/artifact_digests.py that run in about a second; CI
 # diffs the script's whole output against the same record.
-FAST_DIGEST_GROUPS = ("search/0", "search/1", "large/0", "desk/0", "cli")
+FAST_DIGEST_GROUPS = ("search/0", "search/1", "large/0", "generator", "desk/0", "cli")
 
 
 def test_artifact_digests_match_the_record():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import re
 
 import pytest
@@ -84,6 +85,8 @@ class TestGenerators:
             ("layered", 60, 64, 0.02),
             ("layered", 80, 96, 0.35),
             ("layered", 80, 96, 0.0),
+            ("layered", 41, 27, 0.35),
+            ("layered", 42, 26, 0.35),
             ("chain", 1, 1, 0.35),
             ("chain", 9, 1, 0.35),
             ("fork_join", 3, 4, 0.35),
@@ -103,6 +106,90 @@ class TestGenerators:
             spec = GeneratorSpec(family, layers=layers, width=width, edge_prob=edge_prob, seed=seed,
                                  type_weights=type_weights, label=f"ref-{family}")
             assert dump_dag(generate_graph(spec, index)) == dump_dag(reference_generate_graph(spec, index))
+
+    @pytest.mark.parametrize("words, count", [(0, 1), (0, 312), (1, 312), (623, 1), (100, 2000)])
+    def test_bulk_draws_match_random(self, words, count):
+        # The bulk path relies on getrandbits(64 * n) yielding the words of n
+        # random() calls; a generator refills its 624 words every 312 doubles,
+        # and an odd word offset splits one double across the refill.
+        ref, bulk = random.Random("stream"), random.Random("stream")
+        ref.getrandbits(32 * words)
+        bulk.getrandbits(32 * words)
+        expected = [ref.random() for _ in range(count)]
+        ints = bench._random_ints(bulk, count)
+        assert (ints / 2.0**53).tolist() == expected
+        assert bulk.getstate() == ref.getstate()
+        # random() < p exactly when k < p * 2**53, a drawn value included.
+        for p in (0.0, 0.02, 0.35, 1.0, expected[-1], expected[0]):
+            assert (ints < p * 2.0**53).tolist() == [x < p for x in expected]
+
+    @staticmethod
+    def record_draw_paths(monkeypatch) -> list[str]:
+        """Patch the bulk draw to record, per call, whether it kept its
+        graph ("bulk") or sent it back to the per-flip loop ("fallback")."""
+        taken = []
+        bulk = bench._bulk_layered_succs
+
+        def recording(rng, layers, edge_prob):
+            succs = bulk(rng, layers, edge_prob)
+            taken.append("fallback" if succs is None else "bulk")
+            return succs
+
+        monkeypatch.setattr(bench, "_bulk_layered_succs", recording)
+        return taken
+
+    @staticmethod
+    def edge_flips(spec: GeneratorSpec, index: int) -> int:
+        rng = random.Random(f"{spec.seed}:{spec.label}:{index}")
+        sizes = [rng.randint(max(1, spec.width // 2), spec.width) for _ in range(spec.layers)]
+        return sum(a * b for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize(
+        "layers, width, edge_prob, seed, index, flips, path",
+        [
+            # The sparse and empty shapes of test_bytes_match_reference_generator.
+            (60, 64, 0.02, 0, 0, 134_995, "fallback"),
+            (60, 64, 0.02, 1, 1, 133_503, "fallback"),
+            (80, 96, 0.0, 0, 0, 418_275, "fallback"),
+            (80, 96, 0.0, 1, 1, 417_190, "fallback"),
+            # Its threshold-straddling shapes.
+            (41, 27, 0.35, 0, 0, 16_851, "bulk"),
+            (41, 27, 0.35, 1, 1, 15_926, "loop"),
+            (42, 26, 0.35, 0, 0, 16_160, "bulk"),
+            (42, 26, 0.35, 1, 1, 15_509, "loop"),
+            (5, 5, 0.35, 0, 0, 59, "loop"),
+        ],
+    )
+    def test_layered_draw_path(self, monkeypatch, layers, width, edge_prob, seed, index, flips, path):
+        taken = self.record_draw_paths(monkeypatch)
+        spec = GeneratorSpec("layered", layers=layers, width=width, edge_prob=edge_prob, seed=seed, label="ref-layered")
+        assert self.edge_flips(spec, index) == flips
+        generate_graph(spec, index)
+        assert taken == ([] if path == "loop" else [path])
+
+    def test_large_graphs_draw_in_bulk(self, monkeypatch):
+        # The six graphs of each input set of the benchmark's `large`
+        # workload, for input sets 0-4.
+        taken = self.record_draw_paths(monkeypatch)
+        for seed in range(5):
+            for layers, width, graphs in ((60, 64, 4), (80, 96, 2)):
+                spec = GeneratorSpec("layered", layers=layers, width=width, seed=seed, label=f"large-{layers}x{width}")
+                for index in range(graphs):
+                    generate_graph(spec, index)
+        assert taken == ["bulk"] * 30
+
+    @pytest.mark.parametrize("edge_prob", [0.35, 0.02])
+    def test_successor_ids_share_one_int(self, monkeypatch, edge_prob):
+        # One int object per node id, on the bulk path and on the loop it
+        # falls back to: an int per edge costs memory and scheduler time.
+        taken = self.record_draw_paths(monkeypatch)
+        spec = GeneratorSpec("layered", layers=60, width=64, edge_prob=edge_prob, label="ref-layered")
+        dag = generate_graph(spec, 0)
+        assert taken == ["bulk" if edge_prob == 0.35 else "fallback"]
+        first: dict[int, int] = {}
+        for vs in dag.succs:
+            for v in vs:
+                assert first.setdefault(v, v) is v
 
     def test_every_family_hands_dag_ascending_succs(self, monkeypatch):
         # Dag's trusted path checks nothing, so the generator's successor
@@ -152,6 +239,23 @@ class TestGenerators:
             GeneratorSpec(family="chain", duration_range=(0, 3))
         with pytest.raises(ValueError):
             GeneratorSpec(family="layered", edge_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("layers", 3.0, "layers must be an int, got 3.0"),
+            ("layers", True, "layers must be an int, got True"),
+            ("width", 2.5, "width must be an int, got 2.5"),
+            ("seed", "0", "seed must be an int, got '0'"),
+            ("duration_range", (1.0, 6), "duration_range[0] must be an int, got 1.0"),
+            ("duration_range", (1, True), "duration_range[1] must be an int, got True"),
+            ("edge_prob", True, "edge_prob must be a finite real number, got True"),
+            ("edge_prob", "0.5", "edge_prob must be a finite real number, got '0.5'"),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec(**{field: value})
 
     @pytest.mark.parametrize(
         "capacities, message",
