@@ -33,7 +33,9 @@ The artifacts cover:
   shows that no schedule moved;
 - the output of ``priosynth stats``, ``report --zero-runtime`` (text and csv)
   and ``schedule --zero-runtime --verify`` under three expressions, on a
-  generated six-graph suite.
+  generated six-graph suite, the library and normalizer files that
+  ``kernels build`` writes from that suite, and ``retrieve -m 3`` for three
+  of its graphs against them.
 
 Everything runs through the package's public API and CLI.  One run takes
 about 10 s on a 2-CPU x86_64 machine.
@@ -194,6 +196,15 @@ def cli_artifacts() -> dict[str, str]:
                 run_cli("schedule", "--graph", path, "--heuristic", text, "--zero-runtime", "--verify")
                 for path in paths
             )
+        library = Path(tmp) / "library" / "library.json"
+        normalizer = Path(tmp) / "library" / "normalizer.json"
+        run_cli("kernels", "build", "--train", *paths, "--out", str(library), "--normalizer-out", str(normalizer))
+        out["kernels-build/library.json"] = library.read_text(encoding="utf-8")
+        out["kernels-build/normalizer.json"] = normalizer.read_text(encoding="utf-8")
+        out["retrieve"] = "".join(
+            run_cli("retrieve", "--library", str(library), "--normalizer", str(normalizer), "--graph", path, "-m", "3")
+            for path in paths[:3]
+        )
     return out
 
 
