@@ -90,17 +90,17 @@ def search_prompts(run: config.PreparedRun, cfg: config.RunConfig) -> str:
     iteration's batch and kernel selection (the whole-graph kernels for
     ``no_motif``) with no feedback.  A run without a provider never renders a
     prompt, so its kernel section is covered only here."""
-    vectors: kernels.QueryVectors = {}
+    vectors = kernels.query_vectors(run.train, run.normalizer)
     prompts = []
     for mode in cfg.modes:
         mode_cfg = replace(cfg.loop, ablation=mode)
         library = run.kernels
         if mode == "no_motif":
-            library = loop.whole_graph_kernels(run.train, run.normalizer, vectors)
+            library = loop.whole_graph_kernels(run.train, vectors)
         index = kernels.KernelIndex(library)
         for iteration in range(mode_cfg.iterations):
             batch = loop.sample_batch(run.train, mode_cfg, iteration)
-            selections = loop.select_kernels(batch, index, run.normalizer, mode_cfg, iteration, vectors)
+            selections = loop.select_kernels(batch, index, mode_cfg, iteration, vectors)
             prompts.append(loop.build_prompt(batch, selections, []))
     return "".join(prompts)
 

@@ -35,7 +35,7 @@ from .config import (
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
 from .embedding import dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
-from .kernels import LibraryParams, build_kernel_library, dump_library, load_library, retrieve_kernels
+from .kernels import LibraryParams, build_kernel_library, dump_library, load_library, query_vectors, retrieve_kernels
 from .loop import run_ablation, run_loop
 from .providers import ProviderError
 from .scheduler import dump_schedule, list_schedule, verify_schedule
@@ -175,15 +175,13 @@ def cmd_kernels_build(args) -> int:
 def cmd_retrieve(args) -> int:
     kernels = load_library(Path(args.library).read_text(encoding="utf-8"))
     normalizer = load_normalizer(Path(args.normalizer).read_text(encoding="utf-8"))
-    if not normalizer.vocab:
-        raise ConfigError("normalizer file does not record a vocabulary; rebuild the library")
     if kernels and len(kernels[0].signature) != len(normalizer.mean):
         raise ConfigError(
             f"kernel library signatures have {len(kernels[0].signature)} entries "
             f"but the normalizer has {len(normalizer.mean)}"
         )
     dag = load_dag_file(args.graph)
-    matches = retrieve_kernels(dag, kernels, normalizer, args.m)
+    matches = retrieve_kernels(query_vectors([dag], normalizer)[dag], kernels, args.m)
     doc = {
         "graph": dag.name,
         "m": args.m,

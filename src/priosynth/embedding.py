@@ -13,10 +13,11 @@ Layout ``v1`` concatenates, in order:
 The vocabulary is a sorted tuple of op types shared by every graph in a
 corpus so that all vectors have identical dimension ``19 + 2 * len(vocab)``.
 
-:func:`embed` gives a whole graph's vector from its stats table, and
-:func:`motif_matrix` the vectors of node subsets of graphs, each equal to
-the vector of the induced subgraph, without building one.  Both fill their
-rows through one builder, so the layout has one implementation.
+:func:`embed` gives the vectors of whole graphs from their stats tables, one
+row per graph, and :func:`motif_matrix` the vectors of node subsets of
+graphs, each equal to the vector of the induced subgraph, without building
+one.  Both group their rows by node count and fill each group through one
+builder, so the layout has one implementation.
 """
 
 from __future__ import annotations
@@ -106,41 +107,53 @@ def _layout_rows(level, crit, fanout, slot, duration, capacity) -> np.ndarray:
     return out
 
 
-def embed(dag: Dag, vocab: Sequence[str]) -> np.ndarray:
-    """The layout-``v1`` vector of ``dag``.  Every capacity type, used by a
-    node or not, must be in ``vocab``."""
-    n = len(dag)
-    if n == 0:
-        return np.zeros(embedding_dim(vocab))
+def _rows_by_size(rows: Sequence[tuple[Sequence[Sequence[int]], Sequence[int]]], vocab: Sequence[str]) -> np.ndarray:
+    """One layout-``v1`` row per ``(columns, capacity)`` pair, in order:
+    ``columns`` are one graph's five node columns for :func:`_layout_rows`
+    and ``capacity`` its capacity row.  Graphs of one node count share one
+    :func:`_layout_rows` call; a graph with no nodes gets a row of zeros."""
+    groups: dict[int, list[int]] = {}
+    for place, (columns, _) in enumerate(rows):
+        groups.setdefault(len(columns[0]), []).append(place)
+    matrix = np.zeros((len(rows), embedding_dim(vocab)))
+    for size, places in groups.items():
+        if size:
+            columns = np.array([rows[place][0] for place in places]).transpose(1, 0, 2)
+            matrix[places] = _layout_rows(*columns, np.array([rows[place][1] for place in places]))
+    return matrix
+
+
+def embed(dags: Iterable[Dag], vocab: Sequence[str]) -> np.ndarray:
+    """The layout-``v1`` rows of ``dags``, one per graph, in order.  Every
+    capacity type of every graph, used by a node or not, must be in
+    ``vocab``."""
     type_index = {op: i for i, op in enumerate(vocab)}
-    for op in dag.capacities:
-        if op not in type_index:
-            raise _missing_type(op)
-    stats = dag.stats()
-    slots = [type_index[op] for op in dag.capacities]
-    columns = np.array(
-        [stats.level, stats.crit, stats.fanout, [slots[i] for i in stats.op_index], stats.duration]
-    )[:, None, :]
-    capacity = np.array([[dag.capacities.get(op, 1) for op in vocab]])
-    return _layout_rows(*columns, capacity)[0]
+    rows = []
+    for dag in dags:
+        for op in dag.capacities:
+            if op not in type_index:
+                raise _missing_type(op)
+        stats = dag.stats()
+        slots = [type_index[op] for op in dag.capacities]
+        columns = (stats.level, stats.crit, stats.fanout, [slots[i] for i in stats.op_index], stats.duration)
+        rows.append((columns, [dag.capacities.get(op, 1) for op in vocab]))
+    return _rows_by_size(rows, vocab)
 
 
 def motif_matrix(graphs: Iterable[tuple[Dag, Iterable[Iterable[int]]]], vocab: Sequence[str]) -> np.ndarray:
     """One layout-``v1`` row per node set, in order, for ``(graph, node
     sets)`` pairs: the row of each set is bit for bit
-    ``embed(kernels.induced_subdag(graph, nodes), vocab)``, computed from the
-    graph's own columns without building the subgraph.
+    ``embed([kernels.induced_subdag(graph, nodes)], vocab)[0]``, computed
+    from the graph's own columns without building the subgraph.
 
     Levels and crit run over the set's induced edges in the graph's
     topological order restricted to the set; they are integers, so they
     match the subgraph's own.  Only the op types the set uses must be in
     ``vocab``, and only their pressure slots are filled, each with the
     graph's capacity.  Sets of one size share one :func:`_layout_rows`
-    call."""
+    call, as graphs do in :func:`embed`."""
     type_index = {op: i for i, op in enumerate(vocab)}
-    # set size -> the sets' output rows, node columns and capacity rows
-    groups: dict[int, tuple[list, list, list]] = {}
-    count = 0
+    rows = []
     for dag, node_sets in graphs:
         stats = dag.stats()
         preds, succs, duration = dag.preds, dag.succs, stats.duration
@@ -177,24 +190,15 @@ def motif_matrix(graphs: Iterable[tuple[Dag, Iterable[Iterable[int]]]], vocab: S
                             tail = crit[w]
                 crit[v] = tail + duration[v]
                 fanout[v] = out
-            places, columns, capacities = groups.setdefault(len(chosen), ([], [], []))
-            places.append(count)
-            columns.append(
-                [
-                    [level[v] for v in chosen],
-                    [crit[v] for v in chosen],
-                    [fanout[v] for v in chosen],
-                    slot,
-                    [duration[v] for v in chosen],
-                ]
+            columns = (
+                [level[v] for v in chosen],
+                [crit[v] for v in chosen],
+                [fanout[v] for v in chosen],
+                slot,
+                [duration[v] for v in chosen],
             )
-            capacities.append(capacity)
-            count += 1
-    matrix = np.zeros((count, embedding_dim(vocab)))
-    for size, (places, columns, capacities) in groups.items():
-        if size:
-            matrix[places] = _layout_rows(*np.array(columns).transpose(1, 0, 2), np.array(capacities))
-    return matrix
+            rows.append((columns, capacity))
+    return _rows_by_size(rows, vocab)
 
 
 @dataclass(frozen=True)
@@ -206,15 +210,16 @@ class Normalizer:
 
     mean: tuple[float, ...]
     std: tuple[float, ...]
-    vocab: tuple[str, ...] = ()
+    vocab: tuple[str, ...]
 
 
-def fit_normalizer(vectors: Sequence[np.ndarray], vocab: Sequence[str] = ()) -> Normalizer:
-    """Sample statistics (ddof=1); a single vector or a constant dimension
+def fit_normalizer(rows: np.ndarray, vocab: Sequence[str]) -> Normalizer:
+    """Sample statistics (ddof=1) of the rows of a matrix, such as
+    :func:`embed` gives under ``vocab``; a single row or a constant dimension
     yields std 0, which :func:`apply_normalizer` treats as center-only."""
-    if not vectors:
+    matrix = np.asarray(rows)
+    if not len(matrix):
         raise ValueError("cannot fit a normalizer on zero vectors")
-    matrix = np.stack(vectors)
     mean = matrix.mean(axis=0)
     if matrix.shape[0] > 1:
         std = matrix.std(axis=0, ddof=1)
@@ -240,14 +245,12 @@ def apply_normalizer(normalizer: Normalizer, vector: np.ndarray) -> np.ndarray:
 
 
 def normalizer_to_document(normalizer: Normalizer) -> dict:
-    doc = {
+    return {
         "mean": list(normalizer.mean),
         "std": list(normalizer.std),
         "layout": LAYOUT,
+        "vocab": list(normalizer.vocab),
     }
-    if normalizer.vocab:
-        doc["vocab"] = list(normalizer.vocab)
-    return doc
 
 
 def dump_normalizer(normalizer: Normalizer) -> str:
@@ -294,14 +297,16 @@ def load_normalizer(document) -> Normalizer:
     for index, value in enumerate(std):
         if value < 0:
             raise ValueError(f"normalizer 'std' entry {index} is negative ({value!r})")
-    vocab = document.get("vocab", [])
+    if "vocab" not in document:
+        raise ValueError("normalizer has no 'vocab' array")
+    vocab = document["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(op, str) for op in vocab):
         raise ValueError("normalizer 'vocab' must be a list of strings")
     if len(set(vocab)) < len(vocab):
         raise ValueError(f"normalizer 'vocab' repeats an op type: {vocab}")
     if vocab != sorted(vocab):
         raise ValueError(f"normalizer 'vocab' is not in sorted order: {vocab}")
-    if vocab and len(mean) != embedding_dim(vocab):
+    if len(mean) != embedding_dim(vocab):
         raise ValueError(
             f"normalizer 'vocab' of {len(vocab)} op types needs {embedding_dim(vocab)} 'mean' and 'std' "
             f"entries but the normalizer has {len(mean)}"

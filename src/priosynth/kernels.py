@@ -309,18 +309,19 @@ def build_kernel_library(
     """Mine, embed, cluster, and budget kernels from a training corpus.
 
     The four parameters are checked as a :class:`LibraryParams` first.  The
-    normalizer is fitted on whole-graph embeddings of the corpus and records
-    ``vocab`` (by default the corpus's), which retrieval embeds query graphs
-    with, so motif signatures and query vectors live in one z-space.  Every
-    motif is embedded from its graph by one :func:`motif_matrix` call and
-    normalized with the others in one pass; no subgraph is built.
+    normalizer is fitted on the corpus's whole-graph rows from one
+    :func:`embed` call and records ``vocab`` (by default the corpus's), which
+    :func:`query_vectors` embeds query graphs with, so motif signatures and
+    query vectors live in one z-space.  Every motif is embedded from its
+    graph by one :func:`motif_matrix` call and normalized with the others in
+    one pass; no subgraph is built.
     """
     params = LibraryParams(k=k, theta=theta, budget=budget, chain_min_len=chain_min_len)
     if not train:
         raise ValueError("cannot build a kernel library from zero graphs")
     if vocab is None:
         vocab = build_vocab(train)
-    normalizer = fit_normalizer([embed(dag, vocab) for dag in train], vocab=vocab)
+    normalizer = fit_normalizer(embed(train, vocab), vocab)
 
     mined = [mine_motifs(dag, k=params.k, chain_min_len=params.chain_min_len) for dag in train]
     rows = motif_matrix([(dag, [motif.nodes for motif in motifs]) for dag, motifs in zip(train, mined)], vocab)
@@ -418,19 +419,17 @@ def _kernel_from_document(entry, index: int) -> Kernel:
 
 
 # Dag -> its embedding in one normalizer's z-space, keyed on the graph object
-# like loop.ScheduleMemo, so a run embeds each query graph once.
+# like loop.ScheduleMemo.
 QueryVectors = dict[Dag, np.ndarray]
 
 
-def query_vector(dag: Dag, normalizer: Normalizer, vectors: QueryVectors) -> np.ndarray:
-    """``dag``'s embedding under the normalizer's vocabulary, normalized,
-    computed on first use and then read from ``vectors``; the vector is
-    read-only because callers share it."""
-    vec = vectors.get(dag)
-    if vec is None:
-        vec = vectors[dag] = apply_normalizer(normalizer, embed(dag, normalizer.vocab))
-        vec.flags.writeable = False
-    return vec
+def query_vectors(dags: Sequence[Dag], normalizer: Normalizer) -> QueryVectors:
+    """Each graph's embedding under the normalizer's vocabulary, normalized:
+    one :func:`embed` call and one :func:`apply_normalizer` pass.  The rows
+    are read-only because callers share them."""
+    rows = apply_normalizer(normalizer, embed(dags, normalizer.vocab))
+    rows.flags.writeable = False
+    return dict(zip(dags, rows))
 
 
 class KernelIndex(Sequence):
@@ -456,17 +455,10 @@ class KernelIndex(Sequence):
         return [(self._by_id[kern_id], sim) for kern_id, sim in top_m(self._ids, sims, m)]
 
 
-def retrieve_kernels(
-    dag: Dag,
-    kernels: Sequence[Kernel],
-    normalizer: Normalizer,
-    m: int,
-    vectors: QueryVectors | None = None,
-) -> list[tuple[Kernel, float]]:
-    """Top-m kernels for one query graph: cosine similarity in z-space,
-    descending, kernel id ascending on ties.  Callers that query many graphs
-    pass a :class:`KernelIndex` built once and a ``vectors`` dict that lives
-    for the run."""
+def retrieve_kernels(query: np.ndarray, kernels: Sequence[Kernel], m: int) -> list[tuple[Kernel, float]]:
+    """Top-m kernels for one query graph's vector from :func:`query_vectors`:
+    cosine similarity in z-space, descending, kernel id ascending on ties.
+    Callers that query many graphs pass a :class:`KernelIndex` built once."""
     if not isinstance(kernels, KernelIndex):
         kernels = KernelIndex(kernels)
-    return kernels.retrieve(query_vector(dag, normalizer, {} if vectors is None else vectors), m)
+    return kernels.retrieve(query, m)

@@ -40,8 +40,9 @@ the same graphs and batches:
   the same row list, so every record that holds it refers to one list, which
   :func:`~priosynth.graph.canonical_json` writes once; a fallback search
   repeated on the same batch, basis and penalty returns its stored winner.
-- Each query graph is embedded once per run, and ranked against the library
-  once per :func:`run_loop` call.
+- The training graphs, every graph retrieval can query, are embedded in one
+  batch per cache, and each is ranked against the library once per
+  :func:`run_loop` call.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .kernels import (
     Kernel,
     KernelIndex,
     QueryVectors,
-    query_vector,
+    query_vectors,
     retrieve_kernels,
     template_expr,
 )
@@ -238,14 +239,15 @@ class RunCache:
     """What one run computes once and reads again, each keyed by what it
     depends on: the schedule memo per graph, a :class:`_Stack` per scored
     graph sequence (with that sequence's history rows, fallback scores and
-    fallback winners), and the query vectors per graph.  Everything in it is
-    a pure function of its key, the graphs and the normalizer, so one cache
-    serves every mode of an ablation over the same corpora, library and
+    fallback winners), and the query vectors of the training graphs, which
+    the first :func:`run_loop` call fills.  Everything in it is a pure
+    function of its key, the graphs and the normalizer, so one cache serves
+    every mode of an ablation over the same corpora, library and
     normalizer."""
 
     schedules: ScheduleMemo = field(default_factory=dict)
     stacks: dict[tuple[Dag, ...], _Stack] = field(default_factory=dict)
-    vectors: QueryVectors = field(default_factory=dict)
+    vectors: QueryVectors | None = None
 
     def stack(self, dags: Sequence[Dag]) -> _Stack:
         key = tuple(dags)
@@ -294,44 +296,35 @@ def mean_score(evals: Sequence[dict]) -> float:
     return sum(e["score"] for e in evals) / len(evals)
 
 
-def whole_graph_kernels(
-    train: Sequence[Dag],
-    normalizer: Normalizer,
-    vectors: QueryVectors | None = None,
-) -> list[Kernel]:
+def whole_graph_kernels(train: Sequence[Dag], vectors: QueryVectors) -> list[Kernel]:
     """Substitute library for the no_motif ablation: one kernel per training
-    graph, signature = that graph's own embedding (shared with retrieval
-    through ``vectors``), no budget applied."""
-    if vectors is None:
-        vectors = {}
-    kernels = []
-    for index, dag in enumerate(train):
-        vec = query_vector(dag, normalizer, vectors)
-        kernels.append(
-            Kernel(
-                id=f"whole_graph-{index:04d}",
-                category="whole_graph",
-                signature=tuple(float(x) for x in vec),
-                support=1,
-            )
+    graph, signature = that graph's query vector from ``vectors`` (see
+    :func:`~priosynth.kernels.query_vectors`), no budget applied."""
+    return [
+        Kernel(
+            id=f"whole_graph-{index:04d}",
+            category="whole_graph",
+            signature=tuple(float(x) for x in vectors[dag]),
+            support=1,
         )
-    return kernels
+        for index, dag in enumerate(train)
+    ]
 
 
 def select_kernels(
     batch: Sequence[Dag],
     kernels: Sequence[Kernel],
-    normalizer: Normalizer,
     cfg: LoopConfig,
     iteration: int,
-    vectors: QueryVectors | None = None,
+    vectors: QueryVectors,
     ranked: dict[Dag, list[Kernel]] | None = None,
 ) -> list[tuple[Dag, list[Kernel]]]:
-    """Per-graph kernel choice under the configured ablation mode.  A run
-    passes its library as a :class:`KernelIndex` and its query ``vectors``,
-    so neither is rebuilt per call, and a ``ranked`` dict that keeps each
-    graph's top-m kernels, so a graph is ranked once while the library, the
-    normalizer and ``top_m`` stay the same."""
+    """Per-graph kernel choice under the configured ablation mode; retrieval
+    ranks each graph by its vector in ``vectors`` (see
+    :func:`~priosynth.kernels.query_vectors`).  A run passes its library as a
+    :class:`KernelIndex`, so it is not rebuilt per call, and a ``ranked``
+    dict that keeps each graph's top-m kernels, so a graph is ranked once
+    while the library, the normalizer and ``top_m`` stay the same."""
     if cfg.ablation == "no_retrieval":
         return [(dag, []) for dag in batch]
     if cfg.ablation == "random_kernel":
@@ -347,7 +340,7 @@ def select_kernels(
     for dag in batch:
         kerns = ranked.get(dag)
         if kerns is None:
-            kerns = ranked[dag] = [kern for kern, _ in retrieve_kernels(dag, kernels, normalizer, cfg.top_m, vectors)]
+            kerns = ranked[dag] = [kern for kern, _ in retrieve_kernels(vectors[dag], kernels, cfg.top_m)]
         out.append((dag, kerns))
     return out
 
@@ -605,8 +598,10 @@ def run_loop(
         cache = RunCache()
     if provider is None:
         provider = make_provider(cfg.provider)
+    if cache.vectors is None:
+        cache.vectors = query_vectors(train, normalizer)
     if cfg.ablation == "no_motif":
-        kernels = whole_graph_kernels(train, normalizer, cache.vectors)
+        kernels = whole_graph_kernels(train, cache.vectors)
     index = KernelIndex(kernels)
     # Each training graph's top-m kernels under this run's library,
     # normalizer and top_m.
@@ -619,7 +614,7 @@ def run_loop(
     records: list[dict] = []
     for iteration in range(cfg.iterations):
         batch = sample_batch(train, cfg, iteration)
-        selections = select_kernels(batch, index, normalizer, cfg, iteration, cache.vectors, ranked)
+        selections = select_kernels(batch, index, cfg, iteration, cache.vectors, ranked)
 
         expr: PriorityExpr | None = None
         source = "fallback"

@@ -244,7 +244,7 @@ class TestKernelsAndRetrieve:
             ("repeated_id", "normalizer", "kernel library entry 1 (x): id 'x' repeats entry 0"),
             ("ragged_signatures", "normalizer", "entry 1 (y): 'signature' has 2 entries but entry 0 has 1"),
             ("library", "short_normalizer", "but the normalizer has 1"),
-            ("library", "no_vocab_normalizer", "normalizer file does not record a vocabulary; rebuild the library"),
+            ("library", "no_vocab_normalizer", "normalizer has no 'vocab' array"),
             ("library", "negative_std_normalizer", "normalizer 'std' entry 0 is negative"),
             ("library", "long_vocab_normalizer", "needs 27 'mean' and 'std' entries but the normalizer has 25"),
             ("library", "other_vocab_normalizer", "kernel library signatures have 25 entries but the normalizer has 21"),

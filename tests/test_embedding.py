@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dags, generator_specs, random_dag, reference_embed, relabeled_dags
+from priosynth import embedding
 from priosynth.bench import generate_graph
 from priosynth.embedding import (
     LAYOUT,
@@ -27,15 +28,31 @@ from priosynth.graph import Dag, load_dag
 from priosynth.kernels import induced_subdag
 
 
+# No nodes, and a capacity type without nodes.
+EMPTY = load_dag({"nodes": [], "edges": [], "capacities": {"t0": 1, "unused": 2}})
+
+
+def graph_sequences():
+    """Lists of up to 12 graphs of at most five nodes, so node counts both
+    repeat and differ; some graphs are empty and some have a capacity type
+    that no node uses."""
+    graph = st.one_of(
+        dags(max_nodes=5),
+        dags(max_nodes=5).map(lambda dag: Dag(dag.nodes, dag.edges, {**dag.capacities, "unused": 2})),
+        st.just(EMPTY),
+    )
+    return st.lists(graph, max_size=12)
+
+
 class TestEmbed:
     def test_dimension_formula(self, diamond):
         vocab = ("alu", "mem")
-        assert embed(diamond, vocab).shape == (19 + 2 * len(vocab),)
+        assert embed([diamond], vocab).shape == (1, 19 + 2 * len(vocab))
         assert embedding_dim(("a",)) == 21
 
     def test_layout_sections(self, diamond):
         vocab = ("alu", "mem")
-        vec = embed(diamond, vocab)
+        vec = embed([diamond], vocab)[0]
         stats = diamond.stats()
         assert vec[0] == pytest.approx(stats.cp_length / 4)
         ratios = [stats.crit[v] / stats.cp_length for v in range(4)]
@@ -57,23 +74,23 @@ class TestEmbed:
 
     def test_unknown_type_rejected(self, diamond):
         with pytest.raises(ValueError, match="vocabulary"):
-            embed(diamond, ("alu",))
+            embed([diamond], ("alu",))
 
     def test_unused_capacity_outside_the_vocabulary_rejected(self, diamond):
         extra = Dag(diamond.nodes, diamond.edges, {**diamond.capacities, "dsp": 1})
         with pytest.raises(ValueError, match="op type 'dsp' is not in the embedding vocabulary"):
-            embed(extra, ("alu", "mem"))
+            embed([extra], ("alu", "mem"))
 
     def test_empty_graph_is_zero_vector(self):
         dag = load_dag({"nodes": [], "edges": [], "capacities": {}})
-        assert not embed(dag, ("a",)).any()
+        assert not embed([dag], ("a",)).any()
 
     @given(dags())
     @settings(max_examples=60, deadline=None)
     def test_deterministic_and_finite(self, dag):
         vocab = build_vocab([dag])
-        a = embed(dag, vocab)
-        b = embed(dag, vocab)
+        a = embed([dag], vocab)
+        b = embed([dag], vocab)
         assert np.array_equal(a, b)
         assert np.isfinite(a).all()
 
@@ -86,14 +103,46 @@ class TestEmbed:
         if unused_type:
             dag = Dag(dag.nodes, dag.edges, {**dag.capacities, "unused": 2})
         vocab = build_vocab([dag])
-        assert embed(dag, vocab).tobytes() == reference_embed(dag, vocab).tobytes()
+        assert embed([dag], vocab)[0].tobytes() == reference_embed(dag, vocab).tobytes()
+
+    @given(graph_sequences())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_the_reference_per_graph(self, dags_list):
+        vocab = build_vocab(dags_list)
+        rows = embed(dags_list, vocab)
+        assert rows.shape == (len(dags_list), embedding_dim(vocab))
+        for row, dag in zip(rows, dags_list):
+            assert row.tobytes() == reference_embed(dag, vocab).tobytes()
+
+    @given(graph_sequences(), st.one_of(dags(max_nodes=5), st.just(EMPTY)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_type_outside_the_vocabulary_raises_at_any_position(self, dags_list, base, data):
+        vocab = build_vocab([*dags_list, base])
+        stray = Dag(base.nodes, base.edges, {**base.capacities, "stray": 1})
+        position = data.draw(st.integers(0, len(dags_list)))
+        with pytest.raises(ValueError, match="^op type 'stray' is not in the embedding vocabulary$"):
+            embed([*dags_list[:position], stray, *dags_list[position:]], vocab)
+
+    def test_graphs_of_one_size_share_one_row_build(self, monkeypatch):
+        rng = random.Random(4)
+        dags_list = [random_dag(rng, n) for n in (3, 5, 3, 4, 5, 3)] + [EMPTY]
+        sizes = []
+        real_layout_rows = embedding._layout_rows
+
+        def counting_layout_rows(level, *rest):
+            sizes.append(level.shape)
+            return real_layout_rows(level, *rest)
+
+        monkeypatch.setattr(embedding, "_layout_rows", counting_layout_rows)
+        embed(dags_list, build_vocab(dags_list))
+        assert sorted(sizes) == [(1, 4), (2, 5), (3, 3)]
 
     def test_matches_the_loop_reference_at_scale(self, scale_dags):
         # Thousands of nodes take numpy's blocked summation path for the
         # crit ratios' sums.
         for dag in scale_dags:
             vocab = build_vocab([dag]) + ("zz",)
-            assert embed(dag, vocab).tobytes() == reference_embed(dag, vocab).tobytes()
+            assert embed([dag], vocab)[0].tobytes() == reference_embed(dag, vocab).tobytes()
 
 
 def random_node_sets(rng: random.Random, dag: Dag) -> list[list[int]]:
@@ -152,36 +201,36 @@ class TestMotifMatrix:
 class TestNormalizer:
     def test_fit_center_and_scale(self):
         vectors = [np.array([0.0, 1.0]), np.array([2.0, 1.0]), np.array([4.0, 1.0])]
-        norm = fit_normalizer(vectors)
+        norm = fit_normalizer(vectors, ())
         assert norm.mean == (2.0, 1.0)
         assert norm.std[0] == pytest.approx(2.0)
         assert norm.std[1] == 0.0
 
     def test_constant_dimension_centered_only(self):
-        norm = fit_normalizer([np.array([3.0, 5.0]), np.array([3.0, 7.0])])
+        norm = fit_normalizer([np.array([3.0, 5.0]), np.array([3.0, 7.0])], ())
         out = apply_normalizer(norm, np.array([4.0, 6.0]))
         assert out[0] == pytest.approx(1.0)  # centered, not scaled
         assert out[1] == pytest.approx(0.0)
 
     def test_single_vector_center_only(self):
-        norm = fit_normalizer([np.array([2.0, -1.0])])
+        norm = fit_normalizer([np.array([2.0, -1.0])], ())
         assert norm.std == (0.0, 0.0)
         out = apply_normalizer(norm, np.array([3.0, -1.0]))
         assert out.tolist() == [1.0, 0.0]
 
     def test_fit_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalizer([])
+            fit_normalizer(np.zeros((0, 19)), ())
 
     def test_dimension_mismatch_rejected(self):
-        norm = fit_normalizer([np.zeros(3)])
+        norm = fit_normalizer([np.zeros(3)], ())
         with pytest.raises(ValueError, match="dim"):
             apply_normalizer(norm, np.zeros(4))
 
     def test_rows_normalize_as_vectors_do(self):
         rng = np.random.default_rng(3)
         vectors = [rng.normal(size=5) for _ in range(4)]
-        norm = fit_normalizer(vectors[:3])
+        norm = fit_normalizer(vectors[:3], ())
         rows = apply_normalizer(norm, np.stack(vectors))
         for row, vec in zip(rows, vectors):
             assert row.tobytes() == apply_normalizer(norm, vec).tobytes()
@@ -191,7 +240,7 @@ class TestNormalizer:
     def test_json_round_trip(self):
         vocab = ("a", "b")
         base = np.linspace(0.0, 1.0, embedding_dim(vocab))
-        norm = fit_normalizer([base, 3.0 * base], vocab=vocab)
+        norm = fit_normalizer([base, 3.0 * base], vocab)
         text = dump_normalizer(norm)
         doc = json.loads(text)
         assert doc["layout"] == LAYOUT
@@ -213,6 +262,7 @@ class TestNormalizer:
             ({"mean": [0.0, 1.0], "std": [1.0]}, "'mean' has 2 entries but 'std' has 1"),
             ({"mean": [0.0], "std": [1.0], "vocab": "ab"}, "'vocab' must be a list of strings"),
             ({"mean": [0.0], "std": [1.0], "stdev": [1.0]}, "normalizer: unknown key 'stdev'"),
+            ({"mean": [0.0] * 19, "std": [1.0] * 19}, "normalizer has no 'vocab' array"),
         ],
     )
     def test_fields_are_checked_not_coerced(self, fields, message):
@@ -220,15 +270,16 @@ class TestNormalizer:
             load_normalizer({"layout": LAYOUT, **fields})
 
     def test_integers_are_numbers(self):
-        norm = load_normalizer({"layout": LAYOUT, "mean": [1, 2], "std": [0, 3.5]})
-        assert norm.mean == (1.0, 2.0) and norm.std == (0.0, 3.5)
+        norm = load_normalizer({"layout": LAYOUT, "mean": [1, 2] + [0] * 19, "std": [0, 3.5] + [1] * 19, "vocab": ["a"]})
+        assert norm.mean[:2] == (1.0, 2.0) and norm.std[:2] == (0.0, 3.5)
+        assert all(type(x) is float for x in norm.mean + norm.std)
 
     def test_zscore_statistics(self):
         rng = random.Random(5)
         dags_list = [random_dag(rng, rng.randint(3, 9)) for _ in range(30)]
         vocab = build_vocab(dags_list)
-        vectors = [embed(dag, vocab) for dag in dags_list]
-        norm = fit_normalizer(vectors)
+        vectors = embed(dags_list, vocab)
+        norm = fit_normalizer(vectors, vocab)
         transformed = np.stack([apply_normalizer(norm, vec) for vec in vectors])
         means = transformed.mean(axis=0)
         assert np.allclose(means, 0.0, atol=1e-9)

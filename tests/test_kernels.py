@@ -21,6 +21,7 @@ from priosynth.kernels import (
     Motif,
     load_library,
     mine_motifs,
+    query_vectors,
     retrieve_kernels,
     template_expr,
 )
@@ -191,11 +192,11 @@ def toy_motif(category, index):
 class TestClustering:
     def _embedded(self, dags_list):
         vocab = build_vocab(dags_list)
-        normalizer = fit_normalizer([embed(d, vocab) for d in dags_list], vocab=vocab)
+        normalizer = fit_normalizer(embed(dags_list, vocab), vocab)
         entries = []
         for dag in dags_list:
             for motif in mine_motifs(dag):
-                vec = apply_normalizer(normalizer, embed(induced_subdag(dag, motif.nodes), vocab))
+                vec = apply_normalizer(normalizer, embed([induced_subdag(dag, motif.nodes)], vocab)[0])
                 entries.append((motif, vec))
         return entries
 
@@ -306,7 +307,7 @@ class TestLibrary:
         assert len(kernels) <= 20
         assert [k.id for k in kernels] == sorted(k.id for k in kernels)
         assert normalizer.vocab == build_vocab(train)
-        dim = len(embed(train[0], normalizer.vocab))
+        dim = embed(train[:1], normalizer.vocab).shape[1]
         for kern in kernels:
             assert len(kern.signature) == dim
             assert kern.support >= 1
@@ -427,11 +428,29 @@ class TestLibrary:
             build_kernel_library([])
 
 
+class TestQueryVectors:
+    def test_normalizer_fits_the_per_graph_rows(self):
+        train = corpus()
+        vocab = build_vocab(train)
+        _, normalizer = build_kernel_library(train)
+        assert normalizer == fit_normalizer(np.stack([reference_embed(dag, vocab) for dag in train]), vocab)
+
+    def test_rows_are_the_normalized_embeddings_and_read_only(self):
+        train = corpus(count=12)
+        _, normalizer = build_kernel_library(train)
+        vectors = query_vectors(train, normalizer)
+        assert list(vectors) == train
+        for dag in train:
+            expected = apply_normalizer(normalizer, reference_embed(dag, normalizer.vocab))
+            assert vectors[dag].tobytes() == expected.tobytes()
+            assert not vectors[dag].flags.writeable
+
+
 class TestRetrieveKernels:
     def test_self_similarity_tops_for_member_graph(self):
         train = corpus(count=12)
         kernels, normalizer = build_kernel_library(train)
-        picked = retrieve_kernels(train[0], kernels, normalizer, 5)
+        picked = retrieve_kernels(query_vectors(train[:1], normalizer)[train[0]], kernels, 5)
         assert len(picked) == 5
         sims = [sim for _, sim in picked]
         assert sims == sorted(sims, reverse=True)
@@ -439,5 +458,5 @@ class TestRetrieveKernels:
     def test_m_larger_than_library(self):
         train = corpus(count=6)
         kernels, normalizer = build_kernel_library(train, budget=3)
-        picked = retrieve_kernels(train[0], kernels, normalizer, 10)
+        picked = retrieve_kernels(query_vectors(train[:1], normalizer)[train[0]], kernels, 10)
         assert len(picked) == len(kernels)

@@ -16,7 +16,7 @@ from priosynth import config, loop
 from priosynth.dsl import FEATURES, ExprError, eval_expr, make_expr, parse_expr, print_expr
 from priosynth.embedding import build_vocab
 from priosynth.graph import Dag, canonical_json, load_dag
-from priosynth.kernels import CATEGORY_FEATURES, Kernel, build_kernel_library
+from priosynth.kernels import CATEGORY_FEATURES, Kernel, build_kernel_library, query_vectors
 from priosynth.loop import (
     ABLATIONS,
     LoopConfig,
@@ -109,7 +109,7 @@ class TestSelection:
     def test_full_uses_similarity(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="full", top_m=3)
-        picks = select_kernels(train[:2], kernels, normalizer, cfg, 0)
+        picks = select_kernels(train[:2], kernels, cfg, 0, query_vectors(train, normalizer))
         assert len(picks) == 2
         for _, kerns in picks:
             assert len(kerns) == 3
@@ -117,21 +117,22 @@ class TestSelection:
     def test_no_retrieval_empty(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="no_retrieval")
-        for _, kerns in select_kernels(train[:3], kernels, normalizer, cfg, 0):
+        for _, kerns in select_kernels(train[:3], kernels, cfg, 0, query_vectors(train, normalizer)):
             assert kerns == []
 
     def test_random_kernel_seeded(self, setup):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(ablation="random_kernel", top_m=4, seed=9)
-        a = select_kernels(train[:3], kernels, normalizer, cfg, 1)
-        b = select_kernels(train[:3], kernels, normalizer, cfg, 1)
+        vectors = query_vectors(train, normalizer)
+        a = select_kernels(train[:3], kernels, cfg, 1, vectors)
+        b = select_kernels(train[:3], kernels, cfg, 1, vectors)
         assert [[k.id for k in ks] for _, ks in a] == [[k.id for k in ks] for _, ks in b]
-        c = select_kernels(train[:3], kernels, normalizer, cfg, 2)
+        c = select_kernels(train[:3], kernels, cfg, 2, vectors)
         assert [[k.id for k in ks] for _, ks in a] != [[k.id for k in ks] for _, ks in c]
 
     def test_whole_graph_kernels_one_per_graph(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        whole = whole_graph_kernels(train, normalizer)
+        whole = whole_graph_kernels(train, query_vectors(train, normalizer))
         assert len(whole) == len(train)
         assert all(k.category == "whole_graph" for k in whole)
         assert all(CATEGORY_FEATURES[k.category] == ("crit", "fanout") for k in whole)
@@ -142,7 +143,7 @@ class TestPrompt:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=2)
         batch = train[:3]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         prompt = build_prompt(batch, selections, ["earlier feedback"])
         order = [
             prompt.index("# Task"),
@@ -165,7 +166,7 @@ class TestPrompt:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=2)
         batch = train[:3]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         assert build_prompt(batch, selections, []) == build_prompt(batch, selections, [])
 
     def test_types_list_matches_the_vocabulary_rendering(self, setup):
@@ -213,7 +214,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         expr = fallback_synthesize(fallback_basis(selections), batch, cfg)
         base = parse_expr("1*crit + 1*fanout - 1*level")
 
@@ -226,19 +227,20 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         basis = fallback_basis(selections)
         assert fallback_synthesize(basis, batch, cfg) == fallback_synthesize(basis, batch, cfg)
 
     @pytest.mark.parametrize("mode", ABLATIONS)
     def test_matches_reference_synthesizer(self, setup, mode):
         train, val, vocab, kernels, normalizer = setup
+        vectors = query_vectors(train, normalizer)
         if mode == "no_motif":
-            kernels = whole_graph_kernels(train, normalizer)
+            kernels = whole_graph_kernels(train, vectors)
         for iteration in range(3):
             cfg = LoopConfig(seed=iteration, top_m=2 + iteration, batch_size=4 + 3 * iteration, ablation=mode)
             batch = sample_batch(train, cfg, iteration)
-            selections = select_kernels(batch, kernels, normalizer, cfg, iteration)
+            selections = select_kernels(batch, kernels, cfg, iteration, vectors)
             expected = reference_fallback_synthesize(selections, batch, cfg)
             # The reference still searches pressure; its winner equals ours
             # once the per-type terms are dropped.
@@ -307,7 +309,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         assert all(kerns for _, kerns in selections)
         candidates = []
         real_make_expr = loop.make_expr
@@ -330,7 +332,7 @@ class TestFallback:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
-        selections = select_kernels(batch, kernels, normalizer, cfg, 0)
+        selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         visited, made, scored = [], [], []
 
         def recording(made_list, real):
@@ -752,33 +754,26 @@ class TestSharedEvaluations:
 
 
 class TestQueryVectors:
-    """One run embeds each query graph once and stacks each library once; the
-    shared vectors must not change any mode's history."""
+    """One ablation embeds its query graphs in one batch and stacks each
+    library once; the shared vectors must not change any mode's history."""
 
     def test_ablation_embeds_each_query_graph_once(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(seed=4, batch_size=8)
-        selecting: list[str] = []
-        embedded: Counter = Counter()
-        real_select, real_embed = loop.select_kernels, kernels_module.embed
+        batches: list[list[Dag]] = []
+        real_embed = kernels_module.embed
 
-        def tracking_select(batch, library, normalizer, cfg, iteration, *rest):
-            selecting.append(cfg.ablation)
-            try:
-                return real_select(batch, library, normalizer, cfg, iteration, *rest)
-            finally:
-                selecting.pop()
+        def recording_embed(dags, vocab):
+            batches.append(list(dags))
+            return real_embed(dags, vocab)
 
-        def counting_embed(dag, vocab):
-            if selecting:
-                embedded[(selecting[-1], dag)] += 1
-            return real_embed(dag, vocab)
-
-        monkeypatch.setattr(loop, "select_kernels", tracking_select)
-        monkeypatch.setattr(kernels_module, "embed", counting_embed)
+        monkeypatch.setattr(kernels_module, "embed", recording_embed)
         report = run_ablation(train, val, kernels, normalizer, vocab, cfg)
         monkeypatch.undo()
-        assert embedded and max(embedded.values()) == 1
+        # One call, holding each training graph once, in corpus order.
+        assert len(batches) == 1
+        assert len(batches[0]) == len(train)
+        assert all(embedded is dag for embedded, dag in zip(batches[0], train))
         for mode in ABLATIONS:
             alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
             assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
@@ -986,12 +981,19 @@ class TestRunCache:
         train, val, vocab, kernels, normalizer = setup
         cfg = LoopConfig(seed=4, iterations=5, batch_size=8)
         ranked = Counter()
-        real_retrieve = loop.retrieve_kernels
+        runs: list[dict] = []
+        real_query_vectors, real_retrieve = loop.query_vectors, loop.retrieve_kernels
 
-        def counting_retrieve(dag, *args):
-            ranked[dag] += 1
-            return real_retrieve(dag, *args)
+        def recording_query_vectors(dags, normalizer):
+            runs.append(real_query_vectors(dags, normalizer))
+            return runs[-1]
 
+        def counting_retrieve(query, *args):
+            # The run's own vector object tells which graph is queried.
+            ranked[next(dag for dag, vec in runs[-1].items() if vec is query)] += 1
+            return real_retrieve(query, *args)
+
+        monkeypatch.setattr(loop, "query_vectors", recording_query_vectors)
         monkeypatch.setattr(loop, "retrieve_kernels", counting_retrieve)
         for mode in ("full", "no_motif"):
             ranked.clear()
