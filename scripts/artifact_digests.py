@@ -62,8 +62,17 @@ LARGE_SUITES = ((60, 64, 4), (80, 96, 2))
 # wiring leave some node without a drawn predecessor, which sends a graph
 # that would draw its flips in bulk back to drawing them one at a time; the
 # 29x32 and 25x32 graphs draw 16,036 and 15,961 flips, just above and just
-# below the 16,000 from which ``bench.generate_graph`` draws in bulk.
-GENERATOR_SHAPES = ((60, 64, 0.02), (80, 96, 0.0), (29, 32, 0.35), (25, 32, 0.35))
+# below the 16,000 from which ``bench.generate_graph`` draws in bulk; the
+# narrow 100x24 and 200x16 graphs draw 31,154 and 28,825 flips in bulk, and
+# at these layer widths most indices fall back to one flip at a time.
+GENERATOR_SHAPES = (
+    (60, 64, 0.02),
+    (80, 96, 0.0),
+    (29, 32, 0.35),
+    (25, 32, 0.35),
+    (100, 24, 0.35),
+    (200, 16, 0.35),
+)
 CLI_EXPRESSIONS = ("1*level", "2*crit + 1*fanout - 1*level", "1*reconv - 0.5*slack + 0.25*pressure")
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dsl import FEATURES, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
-from .embedding import is_number
+from .embedding import check_type
 from .graph import Dag, NodeRecord
 from .kernels import template_expr
 from .scheduler import baseline_expr_text, list_schedule, verify_schedule
@@ -56,20 +56,19 @@ class GeneratorSpec:
     label: str = "suite"
 
     def __post_init__(self):
+        for name, kind in (("family", str), ("layers", int), ("width", int), ("edge_prob", float), ("seed", int),
+                           ("label", str)):
+            object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
+        for name, kind in (("type_weights", float), ("capacities", int)):
+            pairs = enumerate(check_type(name, getattr(self, name), tuple))
+            object.__setattr__(self, name, tuple(_check_items(f"{name}[{i}]", pair, (str, kind)) for i, pair in pairs))
+        lo, hi = _check_items("duration_range", self.duration_range, (int, int))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}")
-        int_fields = [("layers", self.layers), ("width", self.width), ("seed", self.seed)]
-        int_fields += [(f"duration_range[{i}]", end) for i, end in enumerate(self.duration_range)]
-        for name, value in int_fields:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if not is_number(self.edge_prob):
-            raise ValueError(f"edge_prob must be a finite real number, got {self.edge_prob!r}")
         if self.layers < 1 or self.width < 1:
             raise ValueError("layers and width must be positive")
         if not (0.0 <= self.edge_prob <= 1.0):
             raise ValueError("edge_prob must lie in [0, 1]")
-        lo, hi = self.duration_range
         if lo < 1 or hi < lo:
             raise ValueError("duration_range must satisfy 1 <= lo <= hi")
         weights = [weight for _, weight in self.type_weights]
@@ -81,13 +80,21 @@ class GeneratorSpec:
         # that Dag makes of op types and capacities are made here, once.
         caps = dict(self.capacities)
         for name, cap in caps.items():
-            if not isinstance(name, str) or not name:
+            if not name:
                 raise ValueError(f"op type {name!r} must be a non-empty string")
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            if cap < 1:
                 raise ValueError(f"capacity for {name!r} must be a positive integer, got {cap!r}")
         for name, weight in self.type_weights:
             if weight > 0 and name not in caps:
                 raise ValueError(f"op type {name!r} has positive weight but no capacity")
+
+
+def _check_items(name: str, items, kinds: tuple) -> tuple:
+    """``items``, a tuple of ``len(kinds)`` values, item ``i`` checked as ``kinds[i]``."""
+    check_type(name, items, tuple)
+    if len(items) != len(kinds):
+        raise ValueError(f"{name} must hold {len(kinds)} items, got {len(items)}")
+    return tuple(check_type(f"{name}[{i}]", item, kind) for i, (item, kind) in enumerate(zip(items, kinds)))
 
 
 def generate_graph(spec: GeneratorSpec, index: int) -> Dag:

@@ -5,21 +5,28 @@ parameters, and loop hyperparameters.  A single top-level seed feeds the
 generators and the loop unless a section overrides it.  Provider credentials
 are never part of the document; an ``auth_env`` name points at the
 environment instead.
+
+The reader only maps document keys to the fields of the run-input
+dataclasses (``GeneratorSpec``, ``LibraryParams``, ``LoopConfig``,
+``ProviderSpec``); each checks its own values with
+:func:`~priosynth.embedding.check_type` when constructed, so a config and
+the Python API share one type rule and one message, which the reader
+prefixes with ``bad <section>:``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, is_dataclass
-from functools import cache
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import Mapping
 
 from .bench import GeneratorSpec, generate_suite
-from .embedding import Normalizer, build_vocab
+from .embedding import Normalizer, build_vocab, check_type
 from .graph import Dag
 from .kernels import Kernel, LibraryParams, build_kernel_library
 from .loop import ABLATIONS, LoopConfig, check_modes, loop_config_to_document
+from .providers import ProviderSpec
 
 
 class ConfigError(ValueError):
@@ -38,47 +45,40 @@ class RunConfig:
     modes: tuple[str, ...]
 
 
-# Resolving a class's string annotations takes ~0.1 ms, so it is done once per class.
-_field_types = cache(get_type_hints)
-
-
-def _check(kind, value, name: str):
-    """``value`` if it has type ``kind``, without coercion: only an int widens
-    to a float, and a bool is neither an int nor a float."""
-    if is_dataclass(kind):
-        return _read(kind, value, name)
-    if kind is float and type(value) is int:
-        return float(value)
-    if kind == tuple[str, ...] and isinstance(value, (list, tuple)) and all(type(v) is str for v in value):
-        return tuple(value)
-    if type(value) is kind or (kind == str | None and (value is None or type(value) is str)):
-        return value
-    kind_name = kind.__name__ if kind in (int, float, bool, str) else kind
-    raise ConfigError(f"{name} must be of type {kind_name}, got {json.dumps(value, default=repr)}")
+def _int(name: str, value) -> int:
+    """A document value that no dataclass field holds (the seed, a count)."""
+    try:
+        return check_type(name, value, int)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _read(cls, doc, what: str, **defaults):
-    """Build the dataclass ``cls`` from the JSON object ``doc``.
+    """Build the dataclass ``cls`` from the JSON object ``doc``, whose keys
+    are already the field names.
 
     A field missing from ``doc`` takes its value from ``defaults``, else its
-    dataclass default.  Keys that name no field are ignored."""
+    dataclass default.  Keys that name no field are ignored.  The dataclass
+    checks every value; its ``ValueError`` becomes ``bad <what>: ...``."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{what} must be an object")
-    hints = _field_types(cls)
     kwargs = dict(defaults)
     for f in fields(cls):
         if f.name in doc:
-            kwargs[f.name] = _check(hints[f.name], doc[f.name], f"{what}.{f.name}")
+            value = doc[f.name]
+            # JSON has no tuples: an array fills a tuple field.
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
 
 
-def _pairs(doc, name: str, kind) -> tuple:
+def _pairs(doc, name: str) -> tuple:
+    """A ``{name: value}`` object as name-sorted pairs."""
     if not isinstance(doc, Mapping) or not doc:
         raise ConfigError(f"{name} must be a non-empty object")
-    return tuple(sorted((str(key), _check(kind, value, f"{name}.{key}")) for key, value in doc.items()))
+    return tuple(sorted(doc.items(), key=lambda item: str(item[0])))
 
 
 def _generator_from_document(doc, seed: int, label: str) -> tuple[GeneratorSpec, int]:
@@ -86,21 +86,24 @@ def _generator_from_document(doc, seed: int, label: str) -> tuple[GeneratorSpec,
     ``types`` and ``capacities`` are objects, ``durations`` is [lo, hi]."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{label} must be an object")
-    data = dict(doc)
-    count = _check(int, data.pop("count", 50), f"{label}.count")
+    # One spelling per field: the field names of the renamed keys are not document keys.
+    data = {key: value for key, value in doc.items() if key not in ("type_weights", "duration_range")}
+    count = _int(f"{label}.count", data.pop("count", 50))
     if count < 1:
         raise ConfigError(f"{label}.count must be a positive integer")
-    renamed: dict = {}
-    if "types" in data:
-        renamed["type_weights"] = _pairs(data.pop("types"), f"{label}.types", float)
-    if "capacities" in data:
-        renamed["capacities"] = _pairs(data.pop("capacities"), f"{label}.capacities", int)
+    for key, name in (("types", "type_weights"), ("capacities", "capacities")):
+        if key in data:
+            data[name] = _pairs(data.pop(key), f"{label}.{key}")
     if "durations" in data:
-        durations = data.pop("durations")
-        if not isinstance(durations, (list, tuple)) or len(durations) != 2:
-            raise ConfigError(f"{label}.durations must be [lo, hi]")
-        renamed["duration_range"] = tuple(_check(int, d, f"{label}.durations") for d in durations)
-    return _read(GeneratorSpec, data, label, seed=seed, label=label, **renamed), count
+        data["duration_range"] = data.pop("durations")
+    return _read(GeneratorSpec, data, label, seed=seed, label=label), count
+
+
+def _loop_from_document(doc, seed: int) -> LoopConfig:
+    """The document gives the provider as an object."""
+    if isinstance(doc, Mapping) and isinstance(doc.get("provider"), Mapping):
+        doc = {**doc, "provider": _read(ProviderSpec, doc["provider"], "loop.provider")}
+    return _read(LoopConfig, doc, "loop", seed=seed)
 
 
 def load_run_config(document) -> RunConfig:
@@ -117,7 +120,7 @@ def load_run_config(document) -> RunConfig:
     if not isinstance(document, Mapping):
         raise ConfigError("run config must be a JSON object")
 
-    seed = _check(int, document.get("seed", 0), "seed")
+    seed = _int("seed", document.get("seed", 0))
     train_spec, train_count = _generator_from_document(document.get("train", {}), seed, "train")
     val_spec, val_count = _generator_from_document(document.get("val", {}), seed, "val")
     if train_spec.label == val_spec.label and train_spec.seed == val_spec.seed:
@@ -136,7 +139,7 @@ def load_run_config(document) -> RunConfig:
         val_spec=val_spec,
         val_count=val_count,
         library=_read(LibraryParams, document.get("library", {}), "library"),
-        loop=_read(LoopConfig, document.get("loop", {}), "loop", seed=seed),
+        loop=_loop_from_document(document.get("loop", {}), seed),
         modes=tuple(modes_doc),
     )
 

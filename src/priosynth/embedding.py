@@ -22,6 +22,7 @@ builder, so the layout has one implementation.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from heapq import nsmallest
@@ -263,6 +264,22 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def check_type(name: str, value, kind):
+    """``value`` if its type is exactly ``kind`` (one of the classes of a
+    union such as ``str | None``), without coercion: only an int widens, to
+    a float, and a bool is neither an int nor a float."""
+    kinds = getattr(kind, "__args__", (kind,))
+    if type(value) in kinds:
+        return value
+    if float in kinds and type(value) is int:
+        return float(value)
+    try:
+        got = json.dumps(value, default=repr)
+    except TypeError:  # a mapping key that JSON cannot hold
+        got = repr(value)
+    raise ValueError(f"{name} must be of type {getattr(kind, '__name__', kind)}, got {got}")
+
+
 def number_list(value, what: str) -> tuple[float, ...]:
     """``value`` as floats if it is a list of numbers (see :func:`is_number`);
     nothing is coerced, so ``"12"`` is an error rather than ``(1.0, 2.0)``."""
@@ -279,8 +296,6 @@ def reject_unknown_keys(document: dict, known: Sequence[str], where: str) -> Non
 
 
 def load_normalizer(document) -> Normalizer:
-    import json
-
     if isinstance(document, str):
         document = json.loads(document)
     if not isinstance(document, dict):

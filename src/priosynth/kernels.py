@@ -15,6 +15,7 @@ import json
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -23,10 +24,10 @@ from .embedding import (
     Normalizer,
     apply_normalizer,
     build_vocab,
+    check_type,
     cosine_rows,
     embed,
     fit_normalizer,
-    is_number,
     motif_matrix,
     number_list,
     reject_unknown_keys,
@@ -68,10 +69,8 @@ def template_expr(category: str) -> PriorityExpr:
 @dataclass(frozen=True)
 class LibraryParams:
     """The parameters of a library build (see :func:`mine_motifs` and
-    :func:`cluster_motifs`), checked when constructed: ``k``, ``budget`` and
-    ``chain_min_len`` must be of type ``int`` and ``theta`` a finite int or
-    float, without coercion, as the run-config reader checks them; ``theta``
-    is stored as a ``float``, the value that reader widens an int to."""
+    :func:`cluster_motifs`), checked when constructed by :func:`check_type`:
+    ``theta`` is a finite float, to which an int widens, and the rest ints."""
 
     k: int = 2
     theta: float = 0.95
@@ -79,21 +78,16 @@ class LibraryParams:
     chain_min_len: int = 4
 
     def __post_init__(self):
-        for name in ("k", "budget", "chain_min_len"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be of type int, got {json.dumps(value, default=repr)}")
-        if not is_number(self.theta):
-            if type(self.theta) is float:
-                raise ValueError(f"theta must be finite, got {self.theta!r}")
-            raise ValueError(f"theta must be of type float, got {json.dumps(self.theta, default=repr)}")
+        for name, kind in (("k", int), ("theta", float), ("budget", int), ("chain_min_len", int)):
+            object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
+        if not isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.k < 0:
             raise ValueError(f"k must be nonnegative, got {self.k!r}")
         if self.budget < 0:
             raise ValueError(f"budget must be nonnegative, got {self.budget!r}")
         if self.chain_min_len < 1:
             raise ValueError(f"chain_min_len must be positive, got {self.chain_min_len!r}")
-        object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)

@@ -47,16 +47,16 @@ the same graphs and batches:
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, chain
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
 
 from .dsl import FEATURES, ExprError, PriorityExpr, Terms, feature_column, make_expr, parse_expr, print_expr, priorities
-from .embedding import Normalizer, is_number
+from .embedding import Normalizer, check_type
 from .graph import Dag
 from .kernels import (
     CATEGORY_FEATURES,
@@ -78,15 +78,9 @@ _PROVIDER_ATTEMPTS = 3
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Hyperparameters of one synthesis run.
-
-    ``iterations``, ``top_m``, ``batch_size`` and ``seed`` must be of type
-    ``int`` and ``fallback_on_error`` of type ``bool``, without coercion, as
-    the run-config reader checks them.  ``infeasibility_penalty`` is charged
-    once per infeasible schedule; it must be a finite, nonnegative int or
-    float (not a ``bool``), and is stored as a ``float`` so that an int
-    echoes as the run-config reader's widened value does.
-    """
+    """Hyperparameters of one synthesis run, checked when constructed by
+    :func:`check_type`; ``infeasibility_penalty``, charged once per
+    infeasible schedule, must be finite and nonnegative."""
 
     iterations: int = 3
     top_m: int = 5
@@ -98,16 +92,9 @@ class LoopConfig:
     provider: ProviderSpec = field(default_factory=ProviderSpec)
 
     def __post_init__(self):
-        for name, kind in (
-            ("iterations", int),
-            ("top_m", int),
-            ("batch_size", int),
-            ("seed", int),
-            ("fallback_on_error", bool),
-        ):
-            value = getattr(self, name)
-            if type(value) is not kind:
-                raise ValueError(f"{name} must be of type {kind.__name__}, got {json.dumps(value, default=repr)}")
+        for name, kind in (("iterations", int), ("top_m", int), ("batch_size", int), ("infeasibility_penalty", float),
+                           ("seed", int), ("ablation", str), ("fallback_on_error", bool), ("provider", ProviderSpec)):
+            object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
         if self.iterations < 1:
@@ -117,22 +104,12 @@ class LoopConfig:
         if self.top_m < 0:
             raise ValueError("top_m must be nonnegative")
         penalty = self.infeasibility_penalty
-        if not (is_number(penalty) and penalty >= 0):
+        if not (isfinite(penalty) and penalty >= 0):
             raise ValueError(f"infeasibility_penalty must be finite and nonnegative, got {penalty!r}")
-        object.__setattr__(self, "infeasibility_penalty", float(penalty))
 
 
 def loop_config_to_document(cfg: LoopConfig) -> dict:
-    return {
-        "iterations": cfg.iterations,
-        "top_m": cfg.top_m,
-        "batch_size": cfg.batch_size,
-        "infeasibility_penalty": cfg.infeasibility_penalty,
-        "seed": cfg.seed,
-        "ablation": cfg.ablation,
-        "fallback_on_error": cfg.fallback_on_error,
-        "provider": provider_spec_to_document(cfg.provider),
-    }
+    return {**asdict(cfg), "provider": provider_spec_to_document(cfg.provider)}
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
+
+from .embedding import check_type
 
 
 class ProviderError(RuntimeError):
@@ -21,13 +23,22 @@ class ProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProviderSpec:
+    """A provider descriptor, checked when constructed by
+    :func:`~priosynth.embedding.check_type`: ``endpoint``, ``model`` and
+    ``auth_env`` are strings or None, and ``replies`` a tuple of strings."""
+
     kind: str = "fallback"
     endpoint: str | None = None
     model: str | None = None
     auth_env: str | None = None
-    replies: tuple[str, ...] = field(default_factory=tuple)
+    replies: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_type("kind", self.kind, str)
+        for name in ("endpoint", "model", "auth_env"):
+            check_type(name, getattr(self, name), str | None)
+        for i, reply in enumerate(check_type("replies", self.replies, tuple)):
+            check_type(f"replies[{i}]", reply, str)
         if self.kind not in ("http", "scripted", "fallback"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
@@ -35,16 +46,8 @@ class ProviderSpec:
 
 
 def provider_spec_to_document(spec: ProviderSpec) -> dict:
-    doc: dict = {"kind": spec.kind}
-    if spec.endpoint:
-        doc["endpoint"] = spec.endpoint
-    if spec.model:
-        doc["model"] = spec.model
-    if spec.auth_env:
-        doc["auth_env"] = spec.auth_env
-    if spec.replies:
-        doc["replies"] = list(spec.replies)
-    return doc
+    """The fields that are set; ``kind`` always is."""
+    return {name: value for name, value in asdict(spec).items() if value}
 
 
 class ScriptedProvider:

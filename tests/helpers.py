@@ -1,4 +1,4 @@
-"""Shared test oracles and data builders.
+"""Shared test oracles, data builders, and the run-input type rule.
 
 Every oracle here recomputes a quantity by a different algorithm than the
 implementation under test: exhaustive path walks for level and crit, literal
@@ -13,17 +13,20 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 import time
 from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from priosynth.bench import FAMILIES, GeneratorSpec
+from priosynth.config import ConfigError, load_run_config
 from priosynth.dsl import PriorityExpr, eval_expr, make_expr, parse_expr
 from priosynth.graph import Dag, GraphFormatError, NodeRecord, load_dag
-from priosynth.kernels import CATEGORY_FEATURES, Kernel
+from priosynth.kernels import CATEGORY_FEATURES, Kernel, LibraryParams
 from priosynth.loop import (
     _CORE_FEATURES,
     _GRID,
@@ -32,6 +35,7 @@ from priosynth.loop import (
     ScheduleMemo,
     score_schedule,
 )
+from priosynth.providers import ProviderSpec
 from priosynth.scheduler import Schedule, list_schedule
 
 
@@ -297,6 +301,43 @@ def schedule_mutants(dag: Dag, starts: Mapping[int, int]) -> dict[str, dict]:
         v = min(waited, key=starts.__getitem__)
         mutants["capacity_by_one"] = {**starts, v: starts[v] - 1}
     return mutants
+
+
+# The run-input dataclass each run-config section is read into.
+SECTION_CLASSES = {
+    "train": GeneratorSpec,
+    "library": LibraryParams,
+    "loop": LoopConfig,
+    "loop.provider": ProviderSpec,
+}
+# GeneratorSpec fields that a run config spells differently.
+_DOCUMENT_KEYS = {
+    "type_weights": ("types", dict),
+    "capacities": ("capacities", dict),
+    "duration_range": ("durations", list),
+}
+
+
+def section_document(section: str, kwargs: Mapping) -> dict:
+    """The run config that sets the fields ``kwargs`` of ``section``'s
+    dataclass, as JSON spells them (a tuple is an array, pairs an object)."""
+    doc: dict = {}
+    for name, value in kwargs.items():
+        key, spell = _DOCUMENT_KEYS.get(name, (name, list))
+        doc[key] = spell(value) if type(value) is tuple else value
+    for key in reversed(section.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+def assert_type_rule(section: str, kwargs: Mapping, message: str) -> None:
+    """Constructing ``section``'s dataclass from ``kwargs`` fails with
+    ``message``, and reading the same values from a run config fails with
+    ``bad <section>: <message>``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SECTION_CLASSES[section](**kwargs)
+    with pytest.raises(ConfigError, match=f"^bad {re.escape(section)}: {re.escape(message)}$"):
+        load_run_config(section_document(section, kwargs))
 
 
 def reference_compute_levels(dag: Dag) -> tuple[int, ...]:

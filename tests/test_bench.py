@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_generate_graph, schedule_mutants
+from helpers import assert_type_rule, reference_generate_graph, schedule_mutants
 from priosynth import bench
 from priosynth.bench import (
     FAMILIES,
@@ -243,33 +243,39 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("layers", 3.0, "layers must be an int, got 3.0"),
-            ("layers", True, "layers must be an int, got True"),
-            ("width", 2.5, "width must be an int, got 2.5"),
-            ("seed", "0", "seed must be an int, got '0'"),
-            ("duration_range", (1.0, 6), "duration_range[0] must be an int, got 1.0"),
-            ("duration_range", (1, True), "duration_range[1] must be an int, got True"),
-            ("edge_prob", True, "edge_prob must be a finite real number, got True"),
-            ("edge_prob", "0.5", "edge_prob must be a finite real number, got '0.5'"),
+            ("family", 5, "family must be of type str, got 5"),
+            ("layers", 3.0, "layers must be of type int, got 3.0"),
+            ("layers", True, "layers must be of type int, got true"),
+            ("width", 2.5, "width must be of type int, got 2.5"),
+            ("seed", "0", 'seed must be of type int, got "0"'),
+            ("label", 5, "label must be of type str, got 5"),
+            ("duration_range", (1.0, 6), "duration_range[0] must be of type int, got 1.0"),
+            ("duration_range", (1, True), "duration_range[1] must be of type int, got true"),
+            ("duration_range", (1, 2, 3), "duration_range must hold 2 items, got 3"),
+            ("edge_prob", True, "edge_prob must be of type float, got true"),
+            ("edge_prob", "0.5", 'edge_prob must be of type float, got "0.5"'),
+            (
+                "type_weights",
+                (("alu", "3"), ("mem", 1.0), ("mul", 1.0)),
+                'type_weights[0][1] must be of type float, got "3"',
+            ),
         ],
     )
     def test_rejects_mistyped_fields(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GeneratorSpec(**{field: value})
+        assert_type_rule("train", {field: value}, message)
 
     @pytest.mark.parametrize(
         "capacities, message",
         [
-            ((("alu", 2), ("mem", True), ("mul", 1)), "capacity for 'mem' must be a positive integer, got True"),
-            ((("alu", 2.0), ("mem", 1), ("mul", 1)), "capacity for 'alu' must be a positive integer, got 2.0"),
+            ((("alu", 2), ("mem", True), ("mul", 1)), "capacities[1][1] must be of type int, got true"),
+            ((("alu", 2.0), ("mem", 1), ("mul", 1)), "capacities[0][1] must be of type int, got 2.0"),
             ((("alu", 2), ("mem", 0), ("mul", 1)), "capacity for 'mem' must be a positive integer, got 0"),
             ((("alu", 2), ("mem", 1)), "op type 'mul' has positive weight but no capacity"),
             ((("", 1), ("alu", 2), ("mem", 1), ("mul", 1)), "op type '' must be a non-empty string"),
         ],
     )
     def test_rejects_bad_capacities(self, capacities, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GeneratorSpec(capacities=capacities)
+        assert_type_rule("train", {"capacities": capacities}, message)
 
 
 class TestSummarize:

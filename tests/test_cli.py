@@ -10,7 +10,7 @@ import pytest
 
 from priosynth.bench import GeneratorSpec
 from priosynth.cli import main
-from priosynth.config import _generator_to_document
+from priosynth.config import ConfigError, _generator_to_document, load_run_config
 from priosynth.graph import canonical_json, load_dag
 from priosynth.kernels import CATEGORY_FEATURES
 
@@ -459,7 +459,9 @@ class TestSynthesize:
         bad.write_text(json.dumps({"train": {"layers": 2.5}}), encoding="utf-8")
         code, _, err = run_cli(capsys, "synthesize", "--config", str(bad), "--out", str(tmp_path / "o"))
         assert code == 3
-        assert "train.layers must be of type int, got 2.5" in err
+        with pytest.raises(ConfigError) as raised:
+            load_run_config(str(bad))
+        assert str(raised.value) in err
 
     def test_provider_failure_exits_4(self, tmp_path, capsys):
         config = {

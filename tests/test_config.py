@@ -12,6 +12,7 @@ from priosynth.config import (
     load_run_config,
     run_config_to_document,
 )
+from priosynth.bench import GeneratorSpec
 from priosynth.graph import canonical_json
 from priosynth.kernels import LibraryParams
 from priosynth.loop import ABLATIONS, LoopConfig
@@ -42,7 +43,10 @@ def nested(path: str, value) -> dict:
     ],
 )
 def test_mistyped_value_is_rejected_by_name(path, value):
-    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be"):
+    # The message is the dataclass's, naming the field a document key fills.
+    section, key = path.rsplit(".", 1)
+    field = {"durations": "duration_range"}.get(key, key)
+    with pytest.raises(ConfigError, match=rf"^bad {re.escape(section)}: {field}(\[\d+\])? must be of type "):
         load_run_config(nested(path, value))
 
 
@@ -98,16 +102,25 @@ def test_int_widens_to_float():
 
 
 def test_an_int_float_field_echoes_as_the_reader_widens_it():
-    doc = {"library": {"theta": 1}, "loop": {"infeasibility_penalty": 1}}
+    types = {"alu": 3, "mem": 1, "mul": 1}
+    doc = {"train": {"edge_prob": 1, "types": types}, "library": {"theta": 1}, "loop": {"infeasibility_penalty": 1}}
     read = load_run_config(doc)
-    built = replace(read, library=LibraryParams(theta=1), loop=LoopConfig(infeasibility_penalty=1))
+    built = replace(
+        read,
+        train_spec=GeneratorSpec(edge_prob=1, type_weights=tuple(types.items()), label="train"),
+        library=LibraryParams(theta=1),
+        loop=LoopConfig(infeasibility_penalty=1),
+    )
+    assert type(built.train_spec.edge_prob) is float
+    assert {type(weight) for _, weight in built.train_spec.type_weights} == {float}
     assert type(built.library.theta) is float and type(built.loop.infeasibility_penalty) is float
     assert canonical_json(run_config_to_document(built)) == canonical_json(run_config_to_document(read))
 
 
 def test_unknown_keys_are_ignored():
-    cfg = load_run_config({"extra": 1, "train": {"widht": 9}, "loop": {"jobs": 1, "iterations": 2}})
+    cfg = load_run_config({"extra": 1, "train": {"widht": 9, "duration_range": [2, 3]}, "loop": {"jobs": 1, "iterations": 2}})
     assert cfg.train_spec.width == 4
+    assert cfg.train_spec.duration_range == (1, 6)  # the document spells it "durations"
     assert cfg.loop.iterations == 2
 
 

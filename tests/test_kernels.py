@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_dag, reference_embed
+from helpers import assert_type_rule, random_dag, reference_embed
 from priosynth.dsl import parse_expr, print_expr
 from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer, motif_matrix
 from priosynth.graph import Dag, load_dag
@@ -13,7 +13,6 @@ from priosynth.kernels import (
     CATEGORY_FEATURES,
     FEATURE_SIGNS,
     Kernel,
-    LibraryParams,
     build_kernel_library,
     cluster_motifs,
     dump_library,
@@ -296,8 +295,7 @@ class TestLibrary:
         ],
     )
     def test_params_are_type_checked(self, field, value, message):
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            LibraryParams(**{field: value})
+        assert_type_rule("library", {field: value}, message)
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             build_kernel_library(corpus(count=2), **{field: value})
 

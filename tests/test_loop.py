@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import dags, random_dag, reference_eval_expr, reference_fallback_synthesize, type_order
+from helpers import assert_type_rule, dags, random_dag, reference_eval_expr, reference_fallback_synthesize, type_order
 from priosynth import kernels as kernels_module
 from priosynth import config, loop
 from priosynth.dsl import FEATURES, ExprError, eval_expr, make_expr, parse_expr, print_expr
@@ -515,11 +515,15 @@ class TestRunLoop:
             LoopConfig(ablation="bogus")
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
-        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0, True, "1", None):
+        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0):
             with pytest.raises(ValueError, match="infeasibility_penalty must be finite and nonnegative"):
                 LoopConfig(infeasibility_penalty=penalty)
         assert LoopConfig(infeasibility_penalty=0.0).infeasibility_penalty == 0.0
-
+        # The provider's document is not a ProviderSpec; only the reader makes
+        # one of it.  A key that JSON cannot hold is shown by repr.
+        for provider in ({"kind": "http"}, {(1, 2): 3}):
+            with pytest.raises(ValueError, match=r"^provider must be of type ProviderSpec, got \{"):
+                LoopConfig(provider=provider)
 
     @pytest.mark.parametrize(
         ("name", "value", "message"),
@@ -534,17 +538,19 @@ class TestRunLoop:
             ("seed", None, "seed must be of type int, got null"),
             ("fallback_on_error", 1, "fallback_on_error must be of type bool, got 1"),
             ("fallback_on_error", "false", 'fallback_on_error must be of type bool, got "false"'),
+            ("infeasibility_penalty", True, "infeasibility_penalty must be of type float, got true"),
+            ("infeasibility_penalty", "1", 'infeasibility_penalty must be of type float, got "1"'),
+            ("infeasibility_penalty", None, "infeasibility_penalty must be of type float, got null"),
+            ("ablation", 1, "ablation must be of type str, got 1"),
+            ("provider", "fallback", 'provider must be of type ProviderSpec, got "fallback"'),
         ],
     )
     def test_mistyped_field_is_rejected(self, name, value, message):
-        # The run-config reader's rule and wording: no coercion, and a bool
-        # is not an int.
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            LoopConfig(**{name: value})
+        # No coercion, and a bool is not an int.
+        assert_type_rule("loop", {name: value}, message)
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(LoopConfig(), **{name: value})
-        with pytest.raises(config.ConfigError, match=f"^loop.{message}$"):
-            config.load_run_config({"loop": {name: value}})
+
 
 class TestAblation:
     def test_all_modes_present_and_deterministic(self, setup):

@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from helpers import assert_type_rule
 from priosynth.providers import HttpProvider, ProviderError
 
 
@@ -156,3 +157,20 @@ def test_non_string_content_is_a_provider_error(content, monkeypatch):
     assert opened == ["http://provider.invalid/v1/chat/completions"]
     monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: CannedResponse(reply_body("1*crit")))
     assert provider.complete("p") == "1*crit"
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        # A string of replies would replay one character per call.
+        ({"kind": "scripted", "replies": "abc"}, 'replies must be of type tuple, got "abc"'),
+        ({"kind": "scripted", "replies": ("1*crit", 2)}, "replies[1] must be of type str, got 2"),
+        # An int endpoint would fail inside complete(), outside ProviderError.
+        ({"kind": "http", "endpoint": 5}, "endpoint must be of type str | None, got 5"),
+        ({"kind": "http", "endpoint": "http://x", "model": 4}, "model must be of type str | None, got 4"),
+        ({"kind": "http", "endpoint": "http://x", "auth_env": ["T"]}, 'auth_env must be of type str | None, got ["T"]'),
+        ({"kind": None}, "kind must be of type str, got null"),
+    ],
+)
+def test_spec_fields_are_type_checked(kwargs, message):
+    assert_type_rule("loop.provider", kwargs, message)
