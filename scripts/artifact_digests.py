@@ -18,7 +18,9 @@ The artifacts cover:
 - ``large``-shaped campaigns (four 60x64 and two 80x96 layered graphs through
   the standard battery) for input seeds 0-4: ``campaign.json``, and each
   generated graph as ``dump_dag`` writes it, so the generator's bytes are
-  compared directly and not only through the campaign;
+  compared directly and not only through the campaign; for input seed 0
+  also each graph's ``Dag.stats`` table (see :func:`stats_dumps`), so the
+  structural passes are compared directly and not only through schedules;
 - the same six ``large`` graphs alone, as ``dump_dag`` writes them, for input
   seeds 5-14 (the input sets of ``perfbench/run.py --workload large`` seeds 1
   and 2), so the graph builder is checked on more of the sizes it is timed on;
@@ -47,7 +49,7 @@ import io
 import json
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -154,10 +156,21 @@ def generator_graphs() -> dict[str, str]:
     return dumps
 
 
-def large_artifacts(seed: int) -> dict[str, str]:
+def stats_dumps(suites: dict[str, list]) -> dict[str, str]:
+    """Each graph's stats table, every column and aggregate of it, as
+    ``canonical_json`` writes the fields by name."""
+    return {
+        f"{suite}/{dag.name}.stats": canonical_json(asdict(dag.stats())) for suite, dags in suites.items() for dag in dags
+    }
+
+
+def large_artifacts(seed: int, stats: bool = False) -> dict[str, str]:
     suites = large_suites(seed)
     report = bench.run_campaign(suites, bench.standard_battery(seed), measure_runtime=False)
-    return {"campaign.json": canonical_json(report), **graph_dumps(suites)}
+    out = {"campaign.json": canonical_json(report), **graph_dumps(suites)}
+    if stats:
+        out.update(stats_dumps(suites))
+    return out
 
 
 def desk_artifacts(seed: int) -> dict[str, str]:
@@ -221,7 +234,7 @@ def artifact_groups() -> list[tuple[str, Callable[[], dict[str, str]]]]:
     """Every ``(prefix, build)`` pair this script digests, in output order;
     ``build()`` returns the group's artifacts by name."""
     groups = [(f"search/{seed}", lambda seed=seed: search_artifacts(seed)) for seed in range(20)]
-    groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed)) for seed in range(5)]
+    groups += [(f"large/{seed}", lambda seed=seed: large_artifacts(seed, stats=seed == 0)) for seed in range(5)]
     groups += [(f"large/{seed}", lambda seed=seed: graph_dumps(large_suites(seed))) for seed in range(5, 15)]
     groups.append(("generator", generator_graphs))
     groups += [(f"desk/{seed}", lambda seed=seed: desk_artifacts(seed)) for seed in range(2)]
