@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import heapq
 import json
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Sequence
 
 
@@ -242,8 +243,9 @@ class Dag:
     def stats(self) -> StatsTable:
         """Compute (once) and return the full stats table for this graph."""
         if self._stats is None:
-            level = compute_levels(self)
-            crit = compute_crit(self)
+            duration = tuple(rec.duration for rec in self.nodes)
+            level = compute_levels(self, duration)
+            crit = compute_crit(self, duration)
             cp = max((lv + cr for lv, cr in zip(level, crit)), default=0)
             type_index = {t: i for i, t in enumerate(self.capacities)}
             op_index = []
@@ -261,7 +263,7 @@ class Dag:
                 fanout=tuple(map(len, self.succs)),
                 fanin=tuple(map(len, self.preds)),
                 reconv=compute_reconv(self),
-                duration=tuple(rec.duration for rec in self.nodes),
+                duration=duration,
                 op_index=tuple(op_index),
                 members=tuple(map(tuple, members)),
                 work=tuple(work),
@@ -271,29 +273,36 @@ class Dag:
         return self._stats
 
 
-def compute_levels(dag: Dag) -> tuple[int, ...]:
+def compute_levels(dag: Dag, duration: Sequence[int] | None = None) -> tuple[int, ...]:
     """Unconstrained ASAP start times: 0 for sources, else max over
-    predecessors of ``level(u) + duration(u)``."""
+    predecessors of ``level(u) + duration(u)``.  ``duration`` is the
+    duration column when the caller has it; it is built from the nodes
+    otherwise."""
     level = [0] * len(dag)
     # Each node's ASAP finish: its duration until its level is added.
-    finish = [rec.duration for rec in dag.nodes]
+    finish = [rec.duration for rec in dag.nodes] if duration is None else list(duration)
     preds = dag.preds
     for v in dag.topo_order:
-        if preds[v]:
-            level[v] = max(map(finish.__getitem__, preds[v]))
-            finish[v] += level[v]
+        ps = preds[v]
+        if ps:
+            # One C call reads every predecessor's finish.
+            lv = finish[ps[0]] if len(ps) == 1 else max(itemgetter(*ps)(finish))
+            level[v] = lv
+            finish[v] += lv
     return tuple(level)
 
 
-def compute_crit(dag: Dag) -> tuple[int, ...]:
+def compute_crit(dag: Dag, duration: Sequence[int] | None = None) -> tuple[int, ...]:
     """Remaining critical-path length: the largest duration sum over any
-    directed path from ``v`` to a sink, including ``v`` itself."""
+    directed path from ``v`` to a sink, including ``v`` itself.
+    ``duration`` is as for :func:`compute_levels`."""
     # Starts as the duration column; a sink keeps its duration.
-    crit = [rec.duration for rec in dag.nodes]
+    crit = [rec.duration for rec in dag.nodes] if duration is None else list(duration)
     succs = dag.succs
     for v in reversed(dag.topo_order):
-        if succs[v]:
-            crit[v] += max(map(crit.__getitem__, succs[v]))
+        ws = succs[v]
+        if ws:
+            crit[v] += crit[ws[0]] if len(ws) == 1 else max(itemgetter(*ws)(crit))
     return tuple(crit)
 
 
@@ -309,18 +318,19 @@ def compute_reconv(dag: Dag) -> tuple[int, ...]:
     One reverse-topological pass fills in each node's reach and count
     together, since its children are done before it.  A node with one child
     takes that child's reach and counts 0.  With two, one OR gives the reach
-    and one AND decides the single pair.  With more, the children's distinct
-    reach sets are collected first and their union is the reach.  If they
-    all share one set, every pair intersects (a reach set is never empty):
-    ``c * (c - 1) / 2`` pairs.  Otherwise the children are grouped by equal
-    sets: the ``c`` children of one group give ``c * (c - 1) / 2`` pairs, and
-    two groups of ``ca`` and ``cb`` children give ``ca * cb`` pairs when
-    their sets intersect.
+    and one AND decides the single pair.  With more, one C call reads the
+    children's reach sets.  If they all equal the first (a value test,
+    which hashes nothing), every pair intersects, since a reach set is never
+    empty: ``c * (c - 1) / 2`` pairs.  Otherwise the children are grouped
+    by equal sets, and the union of the groups is the reach.  The ``c``
+    children of one group give ``c * (c - 1) / 2`` pairs.  When the groups
+    are pairwise disjoint, which holds exactly when their bit counts add up
+    to the union's, no other pair meets; else two groups of ``ca`` and
+    ``cb`` children give ``ca * cb`` more pairs when their sets intersect.
     """
     n = len(dag)
     succs = dag.succs
     reach = [0] * n
-    reach_of = reach.__getitem__
     out = [0] * n
     sink_bit = 1
     for v in reversed(dag.topo_order):
@@ -329,27 +339,26 @@ def compute_reconv(dag: Dag) -> tuple[int, ...]:
         if c == 1:
             reach[v] = reach[children[0]]
         elif c == 2:
-            a, b = map(reach_of, children)
+            a, b = itemgetter(*children)(reach)
             reach[v] = a | b
             if a & b:
                 out[v] = 1
         elif c:
-            distinct = set(map(reach_of, children))
-            if len(distinct) == 1:
-                reach[v] = reach[children[0]]
+            reaches = itemgetter(*children)(reach)
+            first = reaches[0]
+            if reaches.count(first) == c:
+                reach[v] = first
                 out[v] = c * (c - 1) // 2
                 continue
-            reach[v] = reduce(operator.or_, distinct)
-            groups: dict[int, int] = dict.fromkeys(distinct, 0)
-            for w in children:
-                groups[reach[w]] += 1
-            sets = list(groups.items())
-            count = 0
-            for i, (ra, ca) in enumerate(sets):
-                count += ca * (ca - 1) // 2
-                for rb, cb in sets[i + 1 :]:
-                    if ra & rb:
-                        count += ca * cb
+            groups = Counter(reaches)
+            union = reach[v] = reduce(or_, groups)
+            count = sum([ca * (ca - 1) // 2 for ca in groups.values()])
+            if sum(map(int.bit_count, groups)) != union.bit_count():
+                sets = list(groups.items())
+                for i, (ra, ca) in enumerate(sets):
+                    for rb, cb in sets[i + 1 :]:
+                        if ra & rb:
+                            count += ca * cb
             out[v] = count
         else:
             reach[v] = sink_bit

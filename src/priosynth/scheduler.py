@@ -188,14 +188,15 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
         ]
         if bad:
             return bad
-    src, dst, duration, max_duration, types = _check_columns(dag)
+    tails, first, heads, duration, max_duration, types = _check_columns(dag)
     # Finishes past int64 are compared as exact Python ints.
     dtype = np.int64 if max(values) + max_duration <= _INT64_MAX else object
     start = np.empty(n, dtype)
     start[np.fromiter(starts.keys(), np.intp, n)] = np.fromiter(values, dtype, n)
     finish = start + duration
     violations: list[str] = []
-    if (finish[src] > start[dst]).any():
+    # Each node with successors must finish by the earliest of their starts.
+    if (finish.take(tails) > np.minimum.reduceat(start.take(heads), first)).any():
         violations += _precedence_messages(dag, starts)
     for op, cap, members in types:
         later_starts = np.sort(start[members])[cap:]
@@ -205,24 +206,31 @@ def verify_schedule(dag: Dag, starts: Mapping[int, int]) -> list[str]:
 
 
 def _check_columns(dag: Dag) -> tuple:
-    """``(src, dst, duration, max_duration, types)`` for the vector checks,
-    built on a graph's first check and cached in its ``_checks`` slot: the
-    int32 edge endpoints, the durations (int64 unless one overflows it),
-    and ``(op type, capacity, member ids)`` in capacity order.  Durations
-    and member ids come from the graph's stats table."""
+    """``(tails, first, heads, duration, max_duration, types)`` for the
+    vector checks, built on a graph's first check and cached in its
+    ``_checks`` slot.
+
+    ``heads`` lists every edge's head in sorted edge order, which is each
+    node's successors in turn.  ``tails`` holds the ascending ids of the
+    nodes with successors and ``first`` the position of each one's first
+    edge in ``heads``, so ``np.minimum.reduceat`` over ``first`` gives each
+    tail's earliest successor start in one call.  ``duration`` is int64
+    unless one duration overflows it; ``types`` holds ``(op type,
+    capacity, member ids)`` in capacity order.  Fanouts, durations and
+    member ids come from the graph's stats table."""
     if dag._checks is None:
-        n = len(dag)
         stats = dag.stats()
-        # Each node's successors in turn: the edges in sorted order.
-        src = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, dag.succs), np.intp, n))
-        dst = np.fromiter(chain.from_iterable(dag.succs), np.int32, sum(map(len, dag.succs)))
+        fanout = np.array(stats.fanout, np.intp)
+        tails = np.flatnonzero(fanout)
+        first = (np.cumsum(fanout) - fanout)[tails]
+        heads = np.fromiter(chain.from_iterable(dag.succs), np.intp, int(fanout.sum()))
         max_duration = max(stats.duration)
         duration = np.array(stats.duration, np.int64 if max_duration <= _INT64_MAX else object)
         types = [
             (op, cap, np.array(members, np.intp))
             for (op, cap), members in zip(dag.capacities.items(), stats.members)
         ]
-        dag._checks = (src, dst, duration, max_duration, types)
+        dag._checks = (tails, first, heads, duration, max_duration, types)
     return dag._checks
 
 

@@ -318,8 +318,27 @@ class TestFeatures:
             # Node 1's children reach {4}, {3} and {3}; its reach is their
             # union, which meets child 2's {3} at node 0.
             ([[0, 1], [0, 2], [1, 5], [1, 6], [1, 7], [2, 3], [5, 4], [6, 3], [7, 3]], 1),
+            # Three children that reach the pairwise disjoint {4}, {5} and
+            # {3}: no pair meets.
+            ([[0, 1], [0, 2], [0, 3], [1, 4], [2, 5]], 0),
+            # Disjoint groups {6} (children 1 and 2), {7} (child 3) and {4}
+            # (child 4 itself): only the repeated group's pair meets.
+            ([[0, 1], [0, 2], [0, 3], [0, 4], [1, 6], [2, 6], [3, 7], [5, 7]], 1),
+            # Two repeated groups, {6} from 1 and 2 and {7} from 3 and 4,
+            # and the sink 5: one pair inside each group.
+            ([[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 6], [2, 6], [3, 7], [4, 7]], 2),
         ],
-        ids=["two-disjoint", "two-shared", "one-set", "several-sets", "child-reaches-child", "union-reaches-parent"],
+        ids=[
+            "two-disjoint",
+            "two-shared",
+            "one-set",
+            "several-sets",
+            "child-reaches-child",
+            "union-reaches-parent",
+            "three-disjoint",
+            "disjoint-repeated-group",
+            "disjoint-two-repeated-groups",
+        ],
     )
     def test_reconv_branches_match_both_references(self, edges, expected):
         n = 1 + max(max(edge) for edge in edges)
@@ -334,6 +353,28 @@ class TestFeatures:
         assert reconv[0] == expected
         assert reconv == _reference_reconv_column(dag)
         assert list(reconv) == [brute_reconv(dag, v) for v in range(n)]
+
+    @pytest.mark.parametrize("children, expected", [((1, 2, 3), 3), ((1, 2, 3, 4), 3), ((1, 2), 1)])
+    def test_reconv_groups_equal_reach_sets_held_in_distinct_ints(self, children, expected):
+        # Nodes 1, 2 and 3 each reach sinks 5 and 6 through two children, so
+        # each one's reach set is its own OR of the same two sink bits; node
+        # 4 reaches sink 7 only.  The pass runs in reverse id order, so the
+        # isolated sinks 8-17 take the ten low bits, and those ORs are equal
+        # ints above the small ones CPython shares: distinct objects.
+        a, b = 1 << 10, 1 << 11
+        assert (a | b) is not (a | b)
+        edges = [[0, c] for c in children] + [[1, 5], [1, 6], [2, 5], [2, 6], [3, 5], [3, 6], [4, 7]]
+        dag = load_dag(
+            {
+                "nodes": [{"id": i, "type": "a", "duration": 1} for i in range(18)],
+                "edges": edges,
+                "capacities": {"a": 1},
+            }
+        )
+        reconv = compute_reconv(dag)
+        assert reconv[0] == expected
+        assert reconv == _reference_reconv_column(dag)
+        assert list(reconv) == [brute_reconv(dag, v) for v in range(len(dag))]
 
     def test_reconv_matches_reference_at_scale(self, scale_dags):
         for dag in scale_dags:
@@ -376,6 +417,15 @@ class TestFeatures:
     def test_levels_and_crit_match_reference(self, dag):
         assert compute_levels(dag) == reference_compute_levels(dag)
         assert compute_crit(dag) == reference_compute_crit(dag)
+
+    @given(dags())
+    @settings(max_examples=120, deadline=None)
+    def test_stats_columns_match_references(self, dag):
+        # The table builds levels and crit from its shared duration column.
+        stats = dag.stats()
+        assert stats.level == compute_levels(dag) == reference_compute_levels(dag)
+        assert stats.crit == compute_crit(dag) == reference_compute_crit(dag)
+        assert stats.reconv == compute_reconv(dag) == _reference_reconv_column(dag)
 
     @given(dags())
     @settings(max_examples=120, deadline=None)

@@ -528,6 +528,66 @@ class TestVectorChecks:
         assert dag._checks is cached
 
 
+def _framed(dag: Dag, sinks: int) -> Dag:
+    """``dag`` with its ids moved up by 2 behind a new edge ``(0, 1)``, then
+    a new edge between the next two ids, then ``sinks`` isolated nodes, all
+    of its first type: the first and the last edge in ``succs`` order are
+    each the only edge into their head, and the highest ids are sinks."""
+    n, op = len(dag), next(iter(dag.capacities))
+    nodes = [NodeRecord(0, op, 1), NodeRecord(1, op, 1)]
+    nodes += [NodeRecord(rec.id + 2, rec.op_type, rec.duration) for rec in dag.nodes]
+    nodes += [NodeRecord(v, op, 1) for v in range(n + 2, n + 4 + sinks)]
+    edges = [(0, 1)] + [(u + 2, v + 2) for u, v in dag.edges] + [(n + 2, n + 3)]
+    return Dag(nodes, edges, dag.capacities)
+
+
+class TestPrecedenceSegments:
+    """The precedence test reduces the cached edge heads one segment per
+    node with successors.  These graphs put the layout's ends where a
+    segment could be lost: no edges at all, trailing ids without
+    successors, and a broken first or last edge.  Each also runs with
+    starts past int64, the object-dtype path."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, scale_dags):
+        return {
+            "no_edges": Dag([NodeRecord(v, "ab"[v % 2], 2) for v in range(9)], [], {"a": 2, "b": 1}),
+            "framed": _framed(scale_dags[1], 30),
+            "layered": scale_dags[5],
+        }
+
+    @pytest.mark.parametrize("offset", [0, 2**70])
+    @pytest.mark.parametrize("name", ["no_edges", "framed", "layered"])
+    def test_mutants_match_reference(self, graphs, name, offset):
+        dag = graphs[name]
+        starts = list_schedule(dag, [float(v) for v in range(len(dag))], measure=False).starts
+        assert verify_schedule(dag, shifted(starts, offset)) == []
+        mutants = schedule_mutants(dag, starts)
+        assert ("one_edge" in mutants) == (name != "no_edges")
+        for kind, mutant in mutants.items():
+            mutant = shifted(mutant, offset)
+            expected = reference_verify_schedule(dag, mutant)
+            assert expected, kind
+            assert verify_schedule(dag, mutant) == expected, kind
+
+    @pytest.mark.parametrize("offset", [0, 2**70])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_broken_end_edge_alone(self, graphs, position, offset):
+        # The first and the last edge in ``succs`` order open the first
+        # segment and close the last one; starting its head a cycle early
+        # breaks that edge and no other.
+        dag = graphs["framed"]
+        starts = list_schedule(dag, [float(v) for v in range(len(dag))], measure=False).starts
+        u, v = dag.edges[position]
+        assert dag.preds[v] == (u,)
+        broken = shifted({**starts, v: starts[u] + dag.nodes[u].duration - 1}, offset)
+        expected = reference_verify_schedule(dag, broken)
+        assert [m for m in expected if m.startswith("precedence")] == [
+            f"precedence violated on edge ({u}, {v}): {broken[v]} < {broken[u]} + {dag.nodes[u].duration}"
+        ]
+        assert verify_schedule(dag, broken) == expected
+
+
 class TestOptimal:
     def test_node_limit_enforced(self):
         dag = random_dag(random.Random(0), 13)
