@@ -243,9 +243,8 @@ class Dag:
     def stats(self) -> StatsTable:
         """Compute (once) and return the full stats table for this graph."""
         if self._stats is None:
-            duration = tuple(rec.duration for rec in self.nodes)
-            level = compute_levels(self, duration)
-            crit = compute_crit(self, duration)
+            level = compute_levels(self)
+            crit = compute_crit(self)
             cp = max((lv + cr for lv, cr in zip(level, crit)), default=0)
             type_index = {t: i for i, t in enumerate(self.capacities)}
             op_index = []
@@ -263,7 +262,7 @@ class Dag:
                 fanout=tuple(map(len, self.succs)),
                 fanin=tuple(map(len, self.preds)),
                 reconv=compute_reconv(self),
-                duration=duration,
+                duration=tuple(rec.duration for rec in self.nodes),
                 op_index=tuple(op_index),
                 members=tuple(map(tuple, members)),
                 work=tuple(work),
@@ -273,14 +272,12 @@ class Dag:
         return self._stats
 
 
-def compute_levels(dag: Dag, duration: Sequence[int] | None = None) -> tuple[int, ...]:
+def compute_levels(dag: Dag) -> tuple[int, ...]:
     """Unconstrained ASAP start times: 0 for sources, else max over
-    predecessors of ``level(u) + duration(u)``.  ``duration`` is the
-    duration column when the caller has it; it is built from the nodes
-    otherwise."""
+    predecessors of ``level(u) + duration(u)``."""
     level = [0] * len(dag)
     # Each node's ASAP finish: its duration until its level is added.
-    finish = [rec.duration for rec in dag.nodes] if duration is None else list(duration)
+    finish = [rec.duration for rec in dag.nodes]
     preds = dag.preds
     for v in dag.topo_order:
         ps = preds[v]
@@ -292,12 +289,11 @@ def compute_levels(dag: Dag, duration: Sequence[int] | None = None) -> tuple[int
     return tuple(level)
 
 
-def compute_crit(dag: Dag, duration: Sequence[int] | None = None) -> tuple[int, ...]:
+def compute_crit(dag: Dag) -> tuple[int, ...]:
     """Remaining critical-path length: the largest duration sum over any
-    directed path from ``v`` to a sink, including ``v`` itself.
-    ``duration`` is as for :func:`compute_levels`."""
+    directed path from ``v`` to a sink, including ``v`` itself."""
     # Starts as the duration column; a sink keeps its duration.
-    crit = [rec.duration for rec in dag.nodes] if duration is None else list(duration)
+    crit = [rec.duration for rec in dag.nodes]
     succs = dag.succs
     for v in reversed(dag.topo_order):
         ws = succs[v]

@@ -274,8 +274,7 @@ def scale_priorities(dag: Dag, seed: int = 0) -> list[list[float]]:
 
 
 def schedule_mutants(dag: Dag, starts: Mapping[int, int]) -> dict[str, dict]:
-    """Invalid variants of a valid schedule, one per kind of violation;
-    a graph without an edge that some start crosses gets no edge mutants."""
+    """Invalid variants of a valid schedule, one per kind of violation."""
     n = len(dag)
     durations = [rec.duration for rec in dag.nodes]
     edges = [(u, v) for u, v in dag.edges if starts[v] > starts[u]]
@@ -287,13 +286,12 @@ def schedule_mutants(dag: Dag, starts: Mapping[int, int]) -> dict[str, dict]:
     mutants["negative"] = {**starts, n // 3: -1}
     mutants["bool"] = {**starts, n // 3: True}
     mutants["float_key"] = {(1.0 if v == 1 else v): s for v, s in starts.items()}
-    if edges:
-        u, v = edges[len(edges) // 2]
-        mutants["one_edge"] = {**starts, v: starts[u] + durations[u] - 1}
-        several = dict(starts)
-        for u, v in edges[:: max(1, len(edges) // 5)]:
-            several[v] = starts[u]
-        mutants["several_edges"] = several
+    u, v = edges[len(edges) // 2]
+    mutants["one_edge"] = {**starts, v: starts[u] + durations[u] - 1}
+    several = dict(starts)
+    for u, v in edges[:: max(1, len(edges) // 5)]:
+        several[v] = starts[u]
+    mutants["several_edges"] = several
     # A node that waited for a unit after its inputs were ready: every unit
     # of its type was busy the cycle before it started, so starting it then
     # exceeds the capacity by one without breaking any edge.

@@ -349,18 +349,40 @@ class TestVerify:
         assert verify_schedule(chain5, starts) == []
 
 
+def _framed(dag: Dag, sinks: int) -> Dag:
+    """``dag`` with its ids moved up by 2 behind a new edge ``(0, 1)``, then
+    a new edge between the next two ids, then ``sinks`` isolated nodes, all
+    of its first type: the first and the last edge in ``succs`` order are
+    each the only edge into their head, and the highest ids are sinks."""
+    n, op = len(dag), next(iter(dag.capacities))
+    nodes = [NodeRecord(0, op, 1), NodeRecord(1, op, 1)]
+    nodes += [NodeRecord(rec.id + 2, rec.op_type, rec.duration) for rec in dag.nodes]
+    nodes += [NodeRecord(v, op, 1) for v in range(n + 2, n + 4 + sinks)]
+    edges = [(0, 1)] + [(u + 2, v + 2) for u, v in dag.edges] + [(n + 2, n + 3)]
+    return Dag(nodes, edges, dag.capacities)
+
+
+@pytest.fixture(scope="module")
+def verify_dags(scale_dags):
+    """The scale graphs, then the second one framed by two lone edges and
+    30 trailing sinks: the precedence test's cached layout has a segment
+    per node with successors, and this graph puts one at either end."""
+    return (*scale_dags, _framed(scale_dags[1], 30))
+
+
 class TestVerifyEquivalence:
     """The vector checks must accept exactly what the message loop accepts,
     and every rejected schedule must get the message loop's exact
     messages."""
 
-    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
-    def test_messages_match_reference_at_scale(self, scale_dags, index):
-        dag = scale_dags[index]
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS) + 1))
+    def test_messages_match_reference_at_scale(self, verify_dags, index):
+        dag = verify_dags[index]
         starts = list_schedule(dag, scale_priorities(dag, index)[3], measure=False).starts
         assert verify_schedule(dag, starts) == reference_verify_schedule(dag, starts) == []
         mutants = schedule_mutants(dag, starts)
-        assert SCALE_SPECS[index].family == "chain" or "capacity_by_one" in mutants
+        chain = index < len(SCALE_SPECS) and SCALE_SPECS[index].family == "chain"
+        assert chain or "capacity_by_one" in mutants
         for kind, mutant in mutants.items():
             expected = reference_verify_schedule(dag, mutant)
             assert expected, kind
@@ -478,9 +500,9 @@ class TestVectorChecks:
     """The whole-array precedence and capacity tests against the reference
     message loop, at the edges of what the arrays hold."""
 
-    @pytest.mark.parametrize("index", range(len(SCALE_SPECS)))
-    def test_starts_past_int64(self, scale_dags, index):
-        dag = scale_dags[index]
+    @pytest.mark.parametrize("index", range(len(SCALE_SPECS) + 1))
+    def test_starts_past_int64(self, verify_dags, index):
+        dag = verify_dags[index]
         starts = list_schedule(dag, scale_priorities(dag, index)[3], measure=False).starts
         assert verify_schedule(dag, shifted(starts, 2**70)) == []
         for kind, mutant in schedule_mutants(dag, starts).items():
@@ -503,10 +525,28 @@ class TestVectorChecks:
 
     def test_graph_without_edges(self):
         dag = Dag([NodeRecord(v, "a", 2) for v in range(5)], [], {"a": 2})
-        assert verify_schedule(dag, {0: 0, 1: 0, 2: 2, 3: 2, 4: 4}) == []
-        late = {0: 0, 1: 0, 2: 1, 3: 2, 4: 4}
-        assert verify_schedule(dag, late) == reference_verify_schedule(dag, late)
-        assert verify_schedule(dag, late) == ["capacity exceeded for type 'a' at cycle 1"]
+        for offset in (0, 2**70):
+            assert verify_schedule(dag, shifted({0: 0, 1: 0, 2: 2, 3: 2, 4: 4}, offset)) == []
+            late = shifted({0: 0, 1: 0, 2: 1, 3: 2, 4: 4}, offset)
+            assert verify_schedule(dag, late) == reference_verify_schedule(dag, late)
+            assert verify_schedule(dag, late) == [f"capacity exceeded for type 'a' at cycle {offset + 1}"]
+
+    @pytest.mark.parametrize("offset", [0, 2**70])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_broken_end_edge_alone(self, verify_dags, position, offset):
+        # The first and the last edge in ``succs`` order open the first
+        # segment and close the last one; starting its head a cycle early
+        # breaks that edge and no other.
+        dag = verify_dags[-1]
+        starts = list_schedule(dag, [float(v) for v in range(len(dag))], measure=False).starts
+        u, v = dag.edges[position]
+        assert dag.preds[v] == (u,)
+        broken = shifted({**starts, v: starts[u] + dag.nodes[u].duration - 1}, offset)
+        expected = reference_verify_schedule(dag, broken)
+        assert [m for m in expected if m.startswith("precedence")] == [
+            f"precedence violated on edge ({u}, {v}): {broken[v]} < {broken[u]} + {dag.nodes[u].duration}"
+        ]
+        assert verify_schedule(dag, broken) == expected
 
     def test_capacity_type_without_nodes(self):
         dag = Dag([NodeRecord(0, "b", 1), NodeRecord(1, "b", 1)], [(0, 1)], {"a": 1, "b": 1, "c": 3})
@@ -526,66 +566,6 @@ class TestVectorChecks:
         assert verify_schedule(dag, mutant) == reference_verify_schedule(dag, mutant)
         assert verify_schedule(dag, starts) == []
         assert dag._checks is cached
-
-
-def _framed(dag: Dag, sinks: int) -> Dag:
-    """``dag`` with its ids moved up by 2 behind a new edge ``(0, 1)``, then
-    a new edge between the next two ids, then ``sinks`` isolated nodes, all
-    of its first type: the first and the last edge in ``succs`` order are
-    each the only edge into their head, and the highest ids are sinks."""
-    n, op = len(dag), next(iter(dag.capacities))
-    nodes = [NodeRecord(0, op, 1), NodeRecord(1, op, 1)]
-    nodes += [NodeRecord(rec.id + 2, rec.op_type, rec.duration) for rec in dag.nodes]
-    nodes += [NodeRecord(v, op, 1) for v in range(n + 2, n + 4 + sinks)]
-    edges = [(0, 1)] + [(u + 2, v + 2) for u, v in dag.edges] + [(n + 2, n + 3)]
-    return Dag(nodes, edges, dag.capacities)
-
-
-class TestPrecedenceSegments:
-    """The precedence test reduces the cached edge heads one segment per
-    node with successors.  These graphs put the layout's ends where a
-    segment could be lost: no edges at all, trailing ids without
-    successors, and a broken first or last edge.  Each also runs with
-    starts past int64, the object-dtype path."""
-
-    @pytest.fixture(scope="class")
-    def graphs(self, scale_dags):
-        return {
-            "no_edges": Dag([NodeRecord(v, "ab"[v % 2], 2) for v in range(9)], [], {"a": 2, "b": 1}),
-            "framed": _framed(scale_dags[1], 30),
-            "layered": scale_dags[5],
-        }
-
-    @pytest.mark.parametrize("offset", [0, 2**70])
-    @pytest.mark.parametrize("name", ["no_edges", "framed", "layered"])
-    def test_mutants_match_reference(self, graphs, name, offset):
-        dag = graphs[name]
-        starts = list_schedule(dag, [float(v) for v in range(len(dag))], measure=False).starts
-        assert verify_schedule(dag, shifted(starts, offset)) == []
-        mutants = schedule_mutants(dag, starts)
-        assert ("one_edge" in mutants) == (name != "no_edges")
-        for kind, mutant in mutants.items():
-            mutant = shifted(mutant, offset)
-            expected = reference_verify_schedule(dag, mutant)
-            assert expected, kind
-            assert verify_schedule(dag, mutant) == expected, kind
-
-    @pytest.mark.parametrize("offset", [0, 2**70])
-    @pytest.mark.parametrize("position", [0, -1])
-    def test_broken_end_edge_alone(self, graphs, position, offset):
-        # The first and the last edge in ``succs`` order open the first
-        # segment and close the last one; starting its head a cycle early
-        # breaks that edge and no other.
-        dag = graphs["framed"]
-        starts = list_schedule(dag, [float(v) for v in range(len(dag))], measure=False).starts
-        u, v = dag.edges[position]
-        assert dag.preds[v] == (u,)
-        broken = shifted({**starts, v: starts[u] + dag.nodes[u].duration - 1}, offset)
-        expected = reference_verify_schedule(dag, broken)
-        assert [m for m in expected if m.startswith("precedence")] == [
-            f"precedence violated on edge ({u}, {v}): {broken[v]} < {broken[u]} + {dag.nodes[u].duration}"
-        ]
-        assert verify_schedule(dag, broken) == expected
 
 
 class TestOptimal:
