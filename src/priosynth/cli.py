@@ -142,7 +142,7 @@ def cmd_stats(args) -> int:
         doc = {
             "name": dag.name,
             "nodes": len(dag),
-            "edges": len(dag.edges),
+            "edges": sum(map(len, dag.succs)),
             "cp_length": stats.cp_length,
             "pressure": stats.pressure,
             "per_node": {

@@ -6,13 +6,14 @@ space (for retrieval by similarity) for one motif category, whose template
 each with its sign from ``FEATURE_SIGNS``.  Kernels are mined from a
 training corpus in three motif categories, embedded from their parent graphs
 by :func:`priosynth.embedding.motif_matrix` without a subgraph per motif,
-and deduplicated by greedy leader clustering per category.
+and deduplicated by greedy leader clustering per category over the rows of
+that one normalized matrix.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import isfinite
@@ -128,10 +129,11 @@ def induced_subdag(dag: Dag, nodes: Iterable[int]) -> Dag:
     return Dag._from_succs(records, succs, caps)
 
 
-def _bounded_bfs(adjacency: Sequence[Sequence[int]], source: int, depth: int) -> dict[int, int]:
-    """Nodes within ``depth`` edges of ``source`` (source included, dist 0)."""
-    dist = {source: 0}
-    queue = deque([source])
+def _bounded_bfs(adjacency: Sequence[Sequence[int]], sources: Iterable[int], depth: int) -> dict[int, int]:
+    """Nodes within ``depth`` edges of ``sources``, each with its distance
+    from the nearest source (sources included, dist 0)."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         v = queue.popleft()
         if dist[v] == depth:
@@ -161,7 +163,10 @@ def mine_motifs(
       anchors;
     - ``reconvergent``: for anchors with reconverging child pairs, the union
       of child-to-witness paths of at most ``k`` edges (connector nodes
-      included so the motif stays connected);
+      included so the motif stays connected).  A witness is a node within
+      ``k`` edges of two children; one forward search per child and one
+      backward search from all witnesses at once give each node's two
+      distances, and a node joins when they sum to at most ``k``;
     - ``chain``: maximal linear runs (fanin and fanout at most 1) of at least
       ``chain_min_len`` nodes.
 
@@ -191,19 +196,14 @@ def mine_motifs(
         if stats.reconv[v] == 0:
             continue
         children = dag.succs[v]
-        reach_from_child = {c: _bounded_bfs(dag.succs, c, k) for c in children}
-        witness_count: dict[int, int] = {}
-        for c in children:
-            for x in reach_from_child[c]:
-                witness_count[x] = witness_count.get(x, 0) + 1
-        witnesses = {x for x, count in witness_count.items() if count >= 2}
+        reaches = [_bounded_bfs(dag.succs, (c,), k) for c in children]
+        witness_count = Counter(x for reach in reaches for x in reach)
+        witnesses = [x for x, count in witness_count.items() if count >= 2]
+        # Distance onward from each node to its nearest witness, up to k.
+        to_witness = _bounded_bfs(dag.preds, witnesses, k)
         region = {v, *children}
-        if witnesses:
-            for c in children:
-                for y, dist_cy in reach_from_child[c].items():
-                    onward = _bounded_bfs(dag.succs, y, k - dist_cy)
-                    if witnesses & set(onward):
-                        region.add(y)
+        for reach in reaches:
+            region.update(y for y, dist_cy in reach.items() if dist_cy + to_witness.get(y, k + 1) <= k)
         push("reconvergent", v, region)
 
     eligible = [v for v in range(n) if stats.fanin[v] <= 1 and stats.fanout[v] <= 1]
@@ -225,71 +225,58 @@ def mine_motifs(
     return motifs
 
 
-class _Centroids:
-    """One category's cluster centroids, as the leading rows of a matrix that
-    doubles when full, with the rows' norms cached for :func:`cosine_rows`."""
-
-    def __init__(self, dim: int):
-        self.rows = np.empty((8, dim))
-        self.norms = np.empty(8)
-        self.clusters: list[int] = []  # creation order of the cluster in each row
-
-    def add(self, vec: np.ndarray, cluster: int) -> None:
-        count = len(self.clusters)
-        if count == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-            self.norms = np.concatenate([self.norms, np.empty_like(self.norms)])
-        self.rows[count] = vec
-        self.clusters.append(cluster)
-        self.renorm(count)
-
-    def renorm(self, row: int) -> None:
-        self.norms[row] = row_norms(self.rows[row : row + 1])[0]
-
-
 def cluster_motifs(
-    entries: Sequence[tuple[Motif, np.ndarray]],
+    motifs: Sequence[Motif],
+    rows: np.ndarray,
     theta: float = LibraryParams.theta,
     budget: int = LibraryParams.budget,
 ) -> list[tuple[Motif, np.ndarray, int, int]]:
-    """Greedy leader clustering per category at cosine threshold ``theta``.
+    """Greedy leader clustering per category at cosine threshold ``theta``,
+    over ``rows``, the motifs' normalized embeddings in order.
 
     A motif joins the most similar centroid of its category (the earliest
     on ties) if that similarity reaches ``theta``, and leads a new cluster
     otherwise.  Returns one row per surviving cluster: (leader motif,
     centroid, support, creation order).  Clusters beyond ``budget`` are
     dropped lowest-support first (creation order breaks ties).
+
+    Each category's centroids are the leading rows of a table sized to its
+    motif count, with their norms cached for :func:`cosine_rows`: a new
+    cluster takes its leader's norm from one :func:`row_norms` pass over
+    ``rows``, and a centroid that a motif joins is renormalized.
     """
-    categories: dict[str, _Centroids] = {}
+    norms = row_norms(rows)
+    # Per category: its centroid table, their norms, and each row's cluster.
+    tables = {
+        category: (np.empty((count, rows.shape[1])), np.empty(count), [])
+        for category, count in Counter(motif.category for motif in motifs).items()
+    }
     leaders: list[Motif] = []
     supports: list[int] = []
-    places: list[tuple[_Centroids, int]] = []  # each cluster's category matrix and row
-    for motif, vec in entries:
-        group = categories.get(motif.category)
-        if group is None:
-            group = categories[motif.category] = _Centroids(len(vec))
-        count = len(group.clusters)
+    centroid_of: list[np.ndarray] = []  # each cluster's row of its table, a view
+    for index, motif in enumerate(motifs):
+        centroids, centroid_norms, clusters = tables[motif.category]
+        vec = rows[index]
+        count = len(clusters)
         if count:
-            sims = cosine_rows(group.rows[:count], group.norms[:count], vec)
+            sims = cosine_rows(centroids[:count], centroid_norms[:count], vec)
             best = int(np.argmax(sims))
             if sims[best] >= theta:
-                cluster = group.clusters[best]
-                centroid = group.rows[best]
+                cluster = clusters[best]
+                centroid = centroids[best]
                 # Running mean keeps the centroid independent of later members.
                 centroid += (vec - centroid) / (supports[cluster] + 1)
-                group.renorm(best)
+                centroid_norms[best] = row_norms(centroids[best : best + 1])[0]
                 supports[cluster] += 1
                 continue
-        places.append((group, count))
-        group.add(vec, len(leaders))
+        centroids[count] = vec
+        centroid_norms[count] = norms[index]
+        clusters.append(len(leaders))
+        centroid_of.append(centroids[count])
         leaders.append(motif)
         supports.append(1)
     ranked = sorted(range(len(leaders)), key=lambda i: (-supports[i], i))
-    rows = []
-    for i in sorted(ranked[:budget]):
-        group, row = places[i]
-        rows.append((leaders[i], group.rows[row].copy(), supports[i], i))
-    return rows
+    return [(leaders[i], centroid_of[i].copy(), supports[i], i) for i in sorted(ranked[:budget])]
 
 
 def build_kernel_library(
@@ -319,11 +306,12 @@ def build_kernel_library(
 
     mined = [mine_motifs(dag, k=params.k, chain_min_len=params.chain_min_len) for dag in train]
     rows = motif_matrix([(dag, [motif.nodes for motif in motifs]) for dag, motifs in zip(train, mined)], vocab)
-    entries = list(zip([motif for motifs in mined for motif in motifs], apply_normalizer(normalizer, rows)))
+    motifs = [motif for found in mined for motif in found]
 
     kernels: list[Kernel] = []
     counters: dict[str, int] = {}
-    for motif, centroid, support, _ in cluster_motifs(entries, theta=params.theta, budget=params.budget):
+    clusters = cluster_motifs(motifs, apply_normalizer(normalizer, rows), theta=params.theta, budget=params.budget)
+    for motif, centroid, support, _ in clusters:
         seq = counters.get(motif.category, 0)
         counters[motif.category] = seq + 1
         kernels.append(

@@ -15,7 +15,7 @@ import math
 import random
 import re
 import time
-from collections import Counter
+from collections import Counter, deque
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -792,6 +792,49 @@ def reference_induced_subdag(dag: Dag, nodes) -> Dag:
     used = {dag.nodes[v].op_type for v in chosen}
     caps = {t: dag.capacities[t] for t in used}
     return Dag(records, edges, caps)
+
+
+def _reference_bounded_bfs(adjacency, source: int, depth: int) -> dict[int, int]:
+    """Nodes within ``depth`` edges of ``source`` (source included, dist 0)."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == depth:
+            continue
+        for w in adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_reconvergent_regions(dag: Dag, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``(anchor, nodes)`` of each reconvergent motif of
+    ``kernels.mine_motifs``, by the search it ran before one backward search
+    per anchor: a forward search from every node within ``k`` of a child,
+    kept if a witness lies within the remaining depth."""
+    stats = dag.stats()
+    regions = []
+    for v in range(len(dag)):
+        if stats.reconv[v] == 0:
+            continue
+        children = dag.succs[v]
+        reach_from_child = {c: _reference_bounded_bfs(dag.succs, c, k) for c in children}
+        witness_count: dict[int, int] = {}
+        for c in children:
+            for x in reach_from_child[c]:
+                witness_count[x] = witness_count.get(x, 0) + 1
+        witnesses = {x for x, count in witness_count.items() if count >= 2}
+        region = {v, *children}
+        if witnesses:
+            for c in children:
+                for y, dist_cy in reach_from_child[c].items():
+                    onward = _reference_bounded_bfs(dag.succs, y, k - dist_cy)
+                    if witnesses & set(onward):
+                        region.add(y)
+        regions.append((v, tuple(sorted(region))))
+    return regions
 
 
 _REFERENCE_FANOUT_EDGES = (0, 1, 2, 3, 5, 8, 16)

@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_type_rule, random_dag, reference_embed
+from helpers import assert_type_rule, dags, random_dag, reference_embed, reference_reconvergent_regions
+from priosynth.bench import GeneratorSpec, generate_graph
 from priosynth.dsl import parse_expr, print_expr
 from priosynth.embedding import apply_normalizer, build_vocab, cosine_sim, embed, fit_normalizer, motif_matrix
 from priosynth.graph import Dag, load_dag
@@ -24,6 +27,11 @@ from priosynth.kernels import (
     retrieve_kernels,
     template_expr,
 )
+
+def desk_graph(seed):
+    """A layered 5x5 graph, the shape of the desk corpora."""
+    return generate_graph(GeneratorSpec("layered", layers=5, width=5, seed=seed, label="train"), 0)
+
 
 def corpus(seed=11, count=25, n_lo=6, n_hi=18):
     rng = random.Random(seed)
@@ -136,6 +144,12 @@ class TestMining:
         assert motifs[0].anchor == 0
         assert motifs[0].nodes == (0, 1, 2, 3)
 
+    @given(st.one_of(dags(max_nodes=10), st.integers(0, 2**16).map(desk_graph)), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_reconvergent_regions_match_the_forward_search(self, dag, k):
+        regions = [(m.anchor, m.nodes) for m in mine_motifs(dag, k=k) if m.category == "reconvergent"]
+        assert regions == reference_reconvergent_regions(dag, k)
+
     def test_hub_anchor_count(self):
         rng = random.Random(4)
         dag = random_dag(rng, 20, edge_prob=0.4)
@@ -150,13 +164,13 @@ class TestMining:
         assert mine_motifs(dag_a) == mine_motifs(dag_b)
 
 
-def reference_cluster_motifs(entries, theta, budget):
+def reference_cluster_motifs(motifs, rows, theta, budget):
     """The scalar leader-clustering loop that ``cluster_motifs`` replaced:
     one ``cosine_sim`` call per (motif, cluster of its category), the
     strictly better similarity wins, so ties go to the earliest cluster."""
     clusters = []  # [category, centroid, support], in creation order
     leaders = []
-    for motif, vec in entries:
+    for motif, vec in zip(motifs, rows):
         best_index, best_sim = -1, -2.0
         for index, (category, centroid, _) in enumerate(clusters):
             if category != motif.category:
@@ -184,98 +198,125 @@ def assert_same_clusters(rows, expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def clustered(motifs, rows, theta, budget):
+    """``cluster_motifs``, checked against the scalar reference."""
+    clusters = cluster_motifs(motifs, rows, theta, budget)
+    assert_same_clusters(clusters, reference_cluster_motifs(motifs, rows, theta, budget))
+    return clusters
+
+
 def toy_motif(category, index):
     return Motif(category=category, anchor=index, nodes=(index, index + 1))
 
 
 class TestClustering:
     def _embedded(self, dags_list):
+        """Every motif of the graphs, and its normalized embedding as a row."""
         vocab = build_vocab(dags_list)
         normalizer = fit_normalizer(embed(dags_list, vocab), vocab)
-        entries = []
-        for dag in dags_list:
-            for motif in mine_motifs(dag):
-                vec = apply_normalizer(normalizer, embed([induced_subdag(dag, motif.nodes)], vocab)[0])
-                entries.append((motif, vec))
-        return entries
+        pairs = [(dag, motif) for dag in dags_list for motif in mine_motifs(dag)]
+        rows = embed([induced_subdag(dag, motif.nodes) for dag, motif in pairs], vocab)
+        return [motif for _, motif in pairs], apply_normalizer(normalizer, rows)
 
     def test_supports_sum_to_motif_count(self):
-        entries = self._embedded(corpus(seed=2, count=8))
-        rows = cluster_motifs(entries, theta=0.95, budget=10**9)
-        assert sum(support for _, _, support, _ in rows) == len(entries)
+        motifs, rows = self._embedded(corpus(seed=2, count=8))
+        clusters = clustered(motifs, rows, theta=0.95, budget=10**9)
+        assert sum(support for _, _, support, _ in clusters) == len(motifs)
 
     def test_identical_vectors_collapse(self):
-        entries = self._embedded(corpus(seed=2, count=4))
-        motif, vec = entries[0]
-        rows = cluster_motifs([(motif, vec)] * 5, theta=0.95, budget=10)
-        assert len(rows) == 1
-        assert rows[0][2] == 5
-        assert np.allclose(rows[0][1], vec)
+        motifs, rows = self._embedded(corpus(seed=2, count=4))
+        clusters = clustered([motifs[0]] * 5, np.tile(rows[0], (5, 1)), theta=0.95, budget=10)
+        assert len(clusters) == 1
+        assert clusters[0][2] == 5
+        assert np.allclose(clusters[0][1], rows[0])
 
     def test_theta_above_one_keeps_everything_separate(self):
-        entries = self._embedded(corpus(seed=2, count=4))
-        rows = cluster_motifs(entries, theta=1.01, budget=10**9)
-        assert len(rows) == len(entries)
+        motifs, rows = self._embedded(corpus(seed=2, count=4))
+        clusters = clustered(motifs, rows, theta=1.01, budget=10**9)
+        assert len(clusters) == len(motifs)
 
     def test_budget_keeps_highest_support(self):
-        entries = self._embedded(corpus(seed=2, count=10))
-        full_rows = cluster_motifs(entries, theta=0.95, budget=10**9)
-        kept = cluster_motifs(entries, theta=0.95, budget=5)
+        motifs, rows = self._embedded(corpus(seed=2, count=10))
+        full_clusters = clustered(motifs, rows, theta=0.95, budget=10**9)
+        kept = clustered(motifs, rows, theta=0.95, budget=5)
         assert len(kept) == 5
-        cutoff = sorted((s for _, _, s, _ in full_rows), reverse=True)[:5]
+        cutoff = sorted((s for _, _, s, _ in full_clusters), reverse=True)[:5]
         assert sorted((s for _, _, s, _ in kept), reverse=True) == cutoff
 
     def test_centroid_is_running_mean(self):
-        entries = self._embedded(corpus(seed=2, count=4))
-        _, base = entries[0]
-        members = [base, base * 1.0001, base * 0.9999]
-        motif = entries[0][0]
-        rows = cluster_motifs([(motif, vec) for vec in members], theta=0.9, budget=10)
-        assert len(rows) == 1
-        assert np.allclose(rows[0][1], np.mean(members, axis=0))
+        motifs, rows = self._embedded(corpus(seed=2, count=4))
+        members = np.array([rows[0], rows[0] * 1.0001, rows[0] * 0.9999])
+        clusters = clustered([motifs[0]] * 3, members, theta=0.9, budget=10)
+        assert len(clusters) == 1
+        assert np.allclose(clusters[0][1], members.mean(axis=0))
 
     @pytest.mark.parametrize("seed", [2, 5, 9])
     @pytest.mark.parametrize("theta", [0.5, 0.9, 0.95, 0.99])
     @pytest.mark.parametrize("budget", [7, 10**9])
     def test_matches_the_scalar_reference(self, seed, theta, budget):
-        entries = self._embedded(corpus(seed=seed, count=10))
-        assert_same_clusters(cluster_motifs(entries, theta, budget), reference_cluster_motifs(entries, theta, budget))
+        motifs, rows = self._embedded(corpus(seed=seed, count=10))
+        clustered(motifs, rows, theta, budget)
+
+    def test_no_motifs_form_no_clusters(self):
+        assert clustered([], np.empty((0, 4)), 0.95, 10) == []
+
+    def test_many_clusters_of_one_category_keep_a_global_creation_order(self):
+        # Twelve distinct hub directions lead twelve hub clusters, more than
+        # fit a table of 8, while reconvergent motifs between them lead and
+        # join clusters of their own; late hub motifs join clusters 1 and 10.
+        rng = np.random.default_rng(7)
+        hubs, others = rng.standard_normal((12, 6)), rng.standard_normal((2, 6))
+        motifs, vecs = [], []
+        for i, hub in enumerate(hubs):
+            motifs.append(toy_motif("hub", i))
+            vecs.append(hub)
+            if i % 3 == 0:
+                motifs.append(toy_motif("reconvergent", 100 + i))
+                vecs.append(others[i % 2] * (1.0 + i / 1000))
+        for i in (10, 1, 10):
+            motifs.append(toy_motif("hub", 200 + i))
+            vecs.append(hubs[i] * 1.001)
+        clusters = clustered(motifs, np.array(vecs), 0.99, 10**9)
+        led = [(motif.category, motif.anchor, support, order) for motif, _, support, order in clusters]
+        assert led == [
+            ("hub", 0, 1, 0),
+            ("reconvergent", 100, 2, 1),
+            ("hub", 1, 2, 2),
+            ("hub", 2, 1, 3),
+            ("hub", 3, 1, 4),
+            ("reconvergent", 103, 2, 5),
+            ("hub", 4, 1, 6),
+            ("hub", 5, 1, 7),
+            ("hub", 6, 1, 8),
+            ("hub", 7, 1, 9),
+            ("hub", 8, 1, 10),
+            ("hub", 9, 1, 11),
+            ("hub", 10, 3, 12),
+            ("hub", 11, 1, 13),
+        ]
 
     def test_theta_exactly_at_a_similarity_joins(self):
         rng = np.random.default_rng(3)
         first, second = rng.standard_normal(6), rng.standard_normal(6)
         sim = cosine_sim(first, second)
-        entries = [(toy_motif("hub", 0), first), (toy_motif("hub", 1), second)]
-        for theta, clusters in ((sim, 1), (float(np.nextafter(sim, 2.0)), 2)):
-            rows = cluster_motifs(entries, theta, 10)
-            assert len(rows) == clusters
-            assert_same_clusters(rows, reference_cluster_motifs(entries, theta, 10))
+        motifs = [toy_motif("hub", 0), toy_motif("hub", 1)]
+        for theta, count in ((sim, 1), (float(np.nextafter(sim, 2.0)), 2)):
+            assert len(clustered(motifs, np.array([first, second]), theta, 10)) == count
 
     def test_tied_best_centroids_go_to_the_earliest(self):
-        entries = [
-            (toy_motif("chain", 0), np.array([1.0, 0.0, 0.0])),
-            (toy_motif("chain", 1), np.array([0.0, 1.0, 0.0])),
-            (toy_motif("chain", 2), np.array([1.0, 1.0, 0.0])),
-        ]
-        assert cosine_sim(entries[0][1], entries[2][1]) == cosine_sim(entries[1][1], entries[2][1])
-        rows = cluster_motifs(entries, 0.5, 10)
-        assert [(row[0].anchor, row[2]) for row in rows] == [(0, 2), (1, 1)]
-        assert_same_clusters(rows, reference_cluster_motifs(entries, 0.5, 10))
+        motifs = [toy_motif("chain", 0), toy_motif("chain", 1), toy_motif("chain", 2)]
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        assert cosine_sim(rows[0], rows[2]) == cosine_sim(rows[1], rows[2])
+        clusters = clustered(motifs, rows, 0.5, 10)
+        assert [(row[0].anchor, row[2]) for row in clusters] == [(0, 2), (1, 1)]
 
     @pytest.mark.parametrize("theta", [0.95, 0.0, -1.0])
     def test_zero_vectors_score_zero(self, theta):
         zero, unit = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])
-        entries = [
-            (toy_motif("hub", 0), zero),
-            (toy_motif("hub", 1), unit),
-            (toy_motif("hub", 2), zero),
-            (toy_motif("reconvergent", 3), zero),
-            (toy_motif("hub", 4), unit),
-        ]
-        rows = cluster_motifs(entries, theta, 10)
-        assert_same_clusters(rows, reference_cluster_motifs(entries, theta, 10))
+        motifs = [toy_motif(category, i) for i, category in enumerate(["hub", "hub", "hub", "reconvergent", "hub"])]
+        clusters = clustered(motifs, np.array([zero, unit, zero, zero, unit]), theta, 10)
         if theta > 0:
-            assert [row[2] for row in rows] == [1, 2, 1, 1]
+            assert [row[2] for row in clusters] == [1, 2, 1, 1]
 
 
 class TestLibrary:
