@@ -165,8 +165,8 @@ def mine_motifs(
       of child-to-witness paths of at most ``k`` edges (connector nodes
       included so the motif stays connected).  A witness is a node within
       ``k`` edges of two children; one forward search per child and one
-      backward search from all witnesses at once give each node's two
-      distances, and a node joins when they sum to at most ``k``;
+      backward search of depth ``k - 1`` from all witnesses at once give each
+      node's two distances, and a node joins when they sum to at most ``k``;
     - ``chain``: maximal linear runs (fanin and fanout at most 1) of at least
       ``chain_min_len`` nodes.
 
@@ -199,8 +199,10 @@ def mine_motifs(
         reaches = [_bounded_bfs(dag.succs, (c,), k) for c in children]
         witness_count = Counter(x for reach in reaches for x in reach)
         witnesses = [x for x, count in witness_count.items() if count >= 2]
-        # Distance onward from each node to its nearest witness, up to k.
-        to_witness = _bounded_bfs(dag.preds, witnesses, k)
+        # Distance onward from each node to its nearest witness, up to k - 1:
+        # a node k from every witness joins only at distance 0 from a child,
+        # so it is a child, and the region holds every child already.
+        to_witness = _bounded_bfs(dag.preds, witnesses, max(k - 1, 0))
         region = {v, *children}
         for reach in reaches:
             region.update(y for y, dist_cy in reach.items() if dist_cy + to_witness.get(y, k + 1) <= k)

@@ -438,11 +438,10 @@ def fallback_synthesize(
     ``basis`` that :func:`fallback_basis` returns.
 
     Coordinate descent over a fixed magnitude grid, with each feature at its
-    sign in ``FEATURE_SIGNS``, maximizes the mean batch score.  It starts from
-    every basis feature at its sign.  When the basis holds more than the core,
-    it also starts from a hand-written critical-path start, and from that same
-    start restricted to the core basis; with the core alone those starts and
-    feature lists equal the first, so their descents could not win.  No
+    sign in ``FEATURE_SIGNS``, maximizes the mean batch score.  Each descent
+    moves every basis feature, from one of two starts: every basis feature at
+    its sign, and the core at its signs with the other basis features at 0.
+    With the core alone the two starts are equal, and one descent runs.  No
     randomness and no wall-clock input anywhere.
 
     The winner depends only on (batch, basis, infeasibility penalty), and a
@@ -470,12 +469,12 @@ def fallback_synthesize(
             value = scores[terms] = total / max(1, len(stack.dags))
         return value
 
-    def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:
+    def descend(start: dict[str, float]) -> tuple[dict[str, float], float]:
         weights = dict(start)
         best = objective(weights)
         for _ in range(_MAX_PASSES):
             improved = False
-            for feature in features:
+            for feature in start:
                 kept = weights[feature]
                 for magnitude in _GRID:
                     candidate = FEATURE_SIGNS[feature] * magnitude
@@ -489,19 +488,15 @@ def fallback_synthesize(
                         improved = True
                     else:
                         weights[feature] = kept
-                weights[feature] = kept
             if not improved:
                 break
         return weights, best
 
-    best_weights, best_value = descend({feature: FEATURE_SIGNS[feature] for feature in basis}, basis)
-    if len(basis) > len(_CORE_FEATURES):
-        core_start_only = {feature: FEATURE_SIGNS[feature] for feature in _CORE_FEATURES}
-        core_start_full = {**dict.fromkeys(basis, 0.0), **core_start_only}
-        for start, features in ((core_start_full, basis), (core_start_only, _CORE_FEATURES)):
-            weights, value = descend(start, features)
-            if value > best_value:
-                best_weights, best_value = weights, value
+    signs = {feature: FEATURE_SIGNS[feature] for feature in basis}
+    core = {feature: signs[feature] if feature in _CORE_FEATURES else 0.0 for feature in basis}
+    starts = [signs] if core == signs else [signs, core]
+    # max keeps the first of equal scores, so the sign start wins a tie.
+    best_weights, _ = max(map(descend, starts), key=lambda found: found[1])
     winner = stack.winners[key] = make_expr(best_weights)
     return winner
 

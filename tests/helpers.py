@@ -573,14 +573,12 @@ def reference_schedule(expr: PriorityExpr, dag: Dag, memo: ScheduleMemo) -> tupl
     return found
 
 
-# The fallback's sign conventions while it still searched ``pressure``.
+# The fallback's sign conventions for the features a basis can hold: the
+# core and those the kernel templates name.
 _FEATURE_SIGNS = {
     "crit": 1.0,
-    "duration": 1.0,
-    "fanin": 1.0,
     "fanout": 1.0,
     "level": -1.0,
-    "pressure": 1.0,
     "reconv": 1.0,
     "slack": -1.0,
 }
@@ -594,18 +592,16 @@ def reference_fallback_synthesize(
 ) -> PriorityExpr:
     """The fallback synthesizer before it kept its own scores: every
     candidate, repeated or not, is scored one graph at a time through
-    :func:`reference_schedule`.  It also still searches ``pressure`` (see
-    ``_FEATURE_SIGNS`` above).
+    :func:`reference_schedule`.
 
     Deterministic template-merge synthesizer.
 
     The basis is the union of features named by the retrieved kernels'
     category templates plus an always-present core (crit, fanout, level).
     Coordinate descent over a fixed magnitude grid maximizes the mean batch
-    score, run from three starts: the signed mean of the templates'
-    magnitudes (each 1.0), a hand-written critical-path start, and that same
-    start restricted to the core basis.  No randomness and no wall-clock
-    input anywhere.
+    score, run from two starts: the signed mean of the templates'
+    magnitudes (each 1.0), and a hand-written critical-path start.  No
+    randomness and no wall-clock input anywhere.
     """
     if memo is None:
         memo = {}
@@ -642,7 +638,6 @@ def reference_fallback_synthesize(
                         improved = True
                     else:
                         weights[feature] = kept
-                weights[feature] = kept
             if not improved:
                 break
         return weights, best
@@ -654,17 +649,13 @@ def reference_fallback_synthesize(
             template_start[feature] = sum(values) / len(values)
         else:
             template_start[feature] = _FEATURE_SIGNS[feature]
-    core_start_full = {feature: 0.0 for feature in basis}
+    core_start = {feature: 0.0 for feature in basis}
     for feature in _CORE_FEATURES:
-        core_start_full[feature] = _FEATURE_SIGNS[feature]
-    core_start_only = {feature: _FEATURE_SIGNS[feature] for feature in _CORE_FEATURES}
+        core_start[feature] = _FEATURE_SIGNS[feature]
 
     best_weights, best_value = descend(template_start, basis)
-    for start, features in (
-        (core_start_full, basis),
-        (core_start_only, sorted(_CORE_FEATURES)),
-    ):
-        weights, value = descend(start, features)
+    if core_start != template_start:
+        weights, value = descend(core_start, basis)
         if value > best_value:
             best_weights, best_value = weights, value
     return make_expr(best_weights)

@@ -242,11 +242,6 @@ class TestFallback:
             batch = sample_batch(train, cfg, iteration)
             selections = select_kernels(batch, kernels, cfg, iteration, vectors)
             expected = reference_fallback_synthesize(selections, batch, cfg)
-            # The reference still searches pressure; its winner equals ours
-            # once the per-type terms are dropped.
-            expected = make_expr(
-                {name: weight for weight, name in expected.terms if name not in ("pressure", "const")}
-            )
             assert fallback_synthesize(fallback_basis(selections), batch, cfg) == expected
 
     def test_reads_only_the_features_of_the_selection(self, setup):
@@ -270,15 +265,14 @@ class TestFallback:
         assert fallback_basis([(dag, []) for dag in batch]) == core
 
     def test_core_basis_runs_one_descent(self, setup, monkeypatch):
-        # With the core alone, the two core starts equal the template start,
-        # so their descents are skipped.  The one descent left is the last
-        # of the three that a basis holding reconv runs.
+        # With no pass a descent scores only its start, so the candidates are
+        # the starts.  With the core alone the two starts are equal.
         train, *_ = setup
         cfg = LoopConfig()
         batch = train[:8]
         real_make_expr = loop.make_expr
 
-        def candidates(basis):
+        def candidates(basis, passes):
             made = []
 
             def recording_make_expr(weights):
@@ -286,15 +280,20 @@ class TestFallback:
                 return real_make_expr(weights)
 
             monkeypatch.setattr(loop, "make_expr", recording_make_expr)
+            monkeypatch.setattr(loop, "_MAX_PASSES", passes)
             fallback_synthesize(basis, batch, cfg)
             monkeypatch.undo()
             return made[:-1]  # the last call builds the winner
 
-        core = candidates(("crit", "fanout", "level"))
-        wider = candidates(("crit", "fanout", "level", "reconv"))
-        assert core[0] == {"crit": 1.0, "fanout": 1.0, "level": -1.0}
-        assert len(wider) > len(core)
-        assert wider[-len(core) :] == core
+        core = ("crit", "fanout", "level")
+        wider = ("crit", "fanout", "level", "reconv")
+        assert candidates(core, 0) == [{"crit": 1.0, "fanout": 1.0, "level": -1.0}]
+        assert candidates(wider, 0) == [
+            {"crit": 1.0, "fanout": 1.0, "level": -1.0, "reconv": 1.0},
+            {"crit": 1.0, "fanout": 1.0, "level": -1.0, "reconv": 0.0},
+        ]
+        # Every descent moves the whole basis: none drops reconv.
+        assert all(list(weights) == list(wider) for weights in candidates(wider, loop._MAX_PASSES))
 
     def test_every_template_feature_is_searchable(self):
         # A template naming a per-type feature such as pressure would hand
