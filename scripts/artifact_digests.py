@@ -27,9 +27,10 @@ The artifacts cover:
 - single layered graphs on both sides of the generator's choice between
   drawing edge coin flips in bulk and one at a time (see
   :data:`GENERATOR_SHAPES`), as ``dump_dag`` writes them;
-- the four files of ``scripts/run_desk_ablation.py`` for desk seeds 0 and 1,
-  and its ``library.json`` and ``normalizer.json`` for desk seeds 2-4, so the
-  library build is checked on every desk seed;
+- the ``ablation.json``, ``library.json``, ``normalizer.json`` and
+  ``summary.json`` that ``priosynth ablate`` writes for the default desk
+  config of seeds 0 and 1, and the library and normalizer of desk seeds 2-4,
+  so the library build is checked on every desk seed;
 - per ablation, an ``outcomes`` digest of what it scheduled (see
   :func:`ablation_outcomes`), so a change that rewrites only expression text
   shows that no schedule moved;
@@ -55,9 +56,6 @@ from typing import Callable, Iterable, Iterator
 
 from priosynth import bench, cli, config, embedding, kernels, loop
 from priosynth.graph import canonical_json, dump_dag
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import run_desk_ablation  # noqa: E402
 
 LARGE_SUITES = ((60, 64, 4), (80, 96, 2))
 # (layers, width, edge_prob) of one graph each: the sparse and the empty
@@ -174,16 +172,21 @@ def large_artifacts(seed: int, stats: bool = False) -> dict[str, str]:
 
 
 def desk_artifacts(seed: int) -> dict[str, str]:
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        run_desk_ablation.main(["--seed", str(seed), "--out", tmp])
-        out = {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(tmp).iterdir())}
+    """The files ``priosynth ablate`` writes for the default desk config of
+    ``seed``, by name; not ``manifest.json``, which holds the temporary path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "run.json"
+        config_path.write_text(json.dumps(config.default_run_config_document(seed)), encoding="utf-8")
+        run_cli("ablate", "--config", str(config_path), "--out", tmp)
+        names = ("ablation.json", "library.json", "normalizer.json", "summary.json")
+        out = {name: (Path(tmp) / name).read_text(encoding="utf-8") for name in names}
     out["outcomes"] = ablation_outcomes(json.loads(out["ablation.json"]))
     return out
 
 
 def desk_library(seed: int) -> dict[str, str]:
-    """The library and normalizer that ``scripts/run_desk_ablation.py``
-    writes for ``seed``, without running the ablation."""
+    """The library and normalizer that ``priosynth ablate`` writes for the
+    default desk config of ``seed``, without running the ablation."""
     run = config.prepare_run(config.load_run_config(config.default_run_config_document(seed=seed)))
     return {
         "library.json": kernels.dump_library(run.kernels),

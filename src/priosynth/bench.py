@@ -17,8 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dsl import FEATURES, PriorityExpr, eval_expr, make_expr, parse_expr, print_expr
-from .embedding import check_type
-from .graph import Dag, NodeRecord
+from .graph import Dag, NodeRecord, check_type
 from .kernels import template_expr
 from .scheduler import baseline_expr_text, list_schedule, verify_schedule
 

@@ -14,6 +14,7 @@ import hashlib
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .bench import (
@@ -30,15 +31,16 @@ from .config import (
     _generator_to_document,
     load_run_config,
     prepare_run,
+    read_run_config_document,
     run_config_to_document,
 )
 from .dsl import dump_heuristic, eval_expr, load_heuristic_file, parse_expr, print_expr
 from .embedding import dump_normalizer, load_normalizer
 from .graph import Dag, canonical_json, dump_dag, load_dag_file
 from .kernels import LibraryParams, build_kernel_library, dump_library, load_library, query_vectors, retrieve_kernels
-from .loop import run_ablation, run_loop
+from .loop import ABLATIONS, ablation_summary, pool_summaries, run_ablation, run_loop
 from .providers import ProviderError
-from .scheduler import dump_schedule, list_schedule, verify_schedule
+from .scheduler import baseline_expr_text, dump_schedule, list_schedule, verify_schedule
 
 EXIT_OK = 0
 EXIT_FORMAT = 3
@@ -93,8 +95,11 @@ def _write_manifest(out_dir: Path, command: str, config_doc, seed: int, inputs: 
     _write(out_dir / "manifest.json", canonical_json(manifest))
 
 
-def _write_run_manifest(out_dir: Path, command: str, config_arg: str, cfg) -> None:
-    """The manifest of a run read from ``--config``, hashing the file it names."""
+def _write_run_files(out_dir: Path, command: str, config_arg: str, cfg, run) -> None:
+    """The library and normalizer a run read from ``--config`` mined, and its
+    manifest, which hashes the file ``--config`` names."""
+    _write(out_dir / "library.json", dump_library(run.kernels))
+    _write(out_dir / "normalizer.json", dump_normalizer(run.normalizer))
     config_path = Path(config_arg)
     inputs = {str(config_path): _sha256(config_path)} if config_path.is_file() else {}
     _write_manifest(out_dir, command, run_config_to_document(cfg), cfg.seed, inputs)
@@ -220,32 +225,90 @@ def cmd_synthesize(args) -> int:
     result = run_loop(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop)
     out_dir = Path(args.out)
     _write(out_dir / "history.json", canonical_json(result.history))
-    _write(out_dir / "library.json", dump_library(run.kernels))
-    _write(out_dir / "normalizer.json", dump_normalizer(run.normalizer))
     comment = (
         f"selected at iteration {result.best_iteration} "
         f"(mean validation score {result.history['best']['mean_score']:.6f})"
     )
     _write(out_dir / "best.txt", dump_heuristic(result.best_expr, comment))
-    _write_run_manifest(out_dir, "synthesize", args.config, cfg)
+    _write_run_files(out_dir, "synthesize", args.config, cfg, run)
     print(f"best: {print_expr(result.best_expr)} (iteration {result.best_iteration})")
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config)
+def _seed_list(text: str) -> list[int]:
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+    for index, seed in enumerate(seeds):
+        # A repeated seed would write its directory twice and count its pairs
+        # twice in the pooled sign test.
+        if seed in seeds[:index]:
+            raise argparse.ArgumentTypeError(f"seed {seed} is listed twice")
+    return seeds
+
+
+def _ablation_configs(config_arg: str, seeds: list[int] | None) -> list:
+    """The run config ``--config`` names, or one per seed of ``--seeds``, each
+    with the document's top-level seed replaced."""
+    if seeds is None:
+        return [load_run_config(config_arg)]
+    document = read_run_config_document(config_arg)
+    if not isinstance(document, Mapping):
+        raise ConfigError("run config must be a JSON object")
+    for section in ("train", "val"):
+        if isinstance(document.get(section), Mapping) and "seed" in document[section]:
+            raise ConfigError(
+                f"{section} sets its own seed, so every seed of --seeds would build the same {section} corpus"
+            )
+    return [load_run_config({**document, "seed": seed}) for seed in seeds]
+
+
+def _print_paired(paired: dict) -> None:
+    references = sorted({ref for row in paired.values() for ref in row}, key=ABLATIONS.index)
+    header = f"{'mode':14s}" + "".join(f" {'vs ' + ref:>24s}" for ref in references)
+    print(f"\nper-graph winners, better/worse/tied and sign-test p\n{header}\n{'-' * len(header)}")
+    for mode, row in paired.items():
+        cells = [row.get(ref) for ref in references]
+        texts = [f"{c['better']}/{c['worse']}/{c['tied']} p={c['p']:.3f}" if c else "" for c in cells]
+        print(f"{mode:14s}" + "".join(f" {text:>24s}" for text in texts))
+
+
+def _ablate_seed(cfg, out_dir: Path, config_arg: str) -> dict:
+    """One seed's ablation: write its files to ``out_dir``, print its tables
+    and return its summary."""
     run = prepare_run(cfg)
     report = run_ablation(run.train, run.val, run.kernels, run.normalizer, run.vocab, cfg.loop, modes=cfg.modes)
-    out_dir = Path(args.out)
+    summary = ablation_summary(report, cfg.seed)
     _write(out_dir / "ablation.json", canonical_json(report))
-    _write_run_manifest(out_dir, "ablate", args.config, cfg)
-    width = max(len(mode) for mode in report["modes"])
-    for mode in cfg.modes:
-        row = report["modes"][mode]
-        print(
-            f"{mode:<{width}}  mean val makespan {row['mean_val_makespan']:.3f}  "
-            f"best {row['best_expr']}"
-        )
+    _write(out_dir / "summary.json", canonical_json(summary))
+    _write_run_files(out_dir, "ablate", config_arg, cfg, run)
+
+    print(f"seed {cfg.seed}: corpus {len(run.train)} train / {len(run.val)} val, library {len(run.kernels)} kernels")
+    print(f"baseline {baseline_expr_text()!r}: mean validation makespan {summary['baseline_mean_makespan']:.3f}\n")
+    header = f"{'mode':14s} {'mean makespan':>13s} {'gain %':>7s} {'iter':>4s}  best expression"
+    print(f"{header}\n{'-' * len(header)}")
+    for mode, row in summary["modes"].items():
+        print(f"{mode:14s} {row['mean_val_makespan']:13.3f} {row['gain_pct']:7.2f} "
+              f"{report['modes'][mode]['best_iteration']:4d}  {row['best_expr']}")
+    _print_paired({mode: row["paired"] for mode, row in summary["modes"].items()})
+    return summary
+
+
+def cmd_ablate(args) -> int:
+    configs = _ablation_configs(args.config, args.seeds)
+    out_dir = Path(args.out)
+    if len(configs) == 1:
+        _ablate_seed(configs[0], out_dir, args.config)
+        return EXIT_OK
+    summaries = []
+    for cfg in configs:
+        summaries.append(_ablate_seed(cfg, out_dir / f"seed-{cfg.seed}", args.config))
+        print()
+    pooled = pool_summaries(summaries)
+    print(f"pooled over seeds {', '.join(map(str, pooled['seeds']))}")
+    _print_paired(pooled["paired"])
+    _write(out_dir / "summary.json", canonical_json(pooled))
     return EXIT_OK
 
 
@@ -328,9 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("ablate", help="run the loop once per ablation mode")
+    p = sub.add_parser("ablate", help="run the loop once per ablation mode and pair the modes' winners")
     p.add_argument("--config", required=True, help="run-config JSON file")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument(
+        "--seeds",
+        type=_seed_list,
+        default=None,
+        help="comma-separated seeds such as 0,1,2,3,4 that replace the config's top-level seed; "
+        "several write --out/seed-N directories and a pooled --out/summary.json",
+    )
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="run the standard battery over graphs")

@@ -9,7 +9,7 @@ environment instead.
 The reader only maps document keys to the fields of the run-input
 dataclasses (``GeneratorSpec``, ``LibraryParams``, ``LoopConfig``,
 ``ProviderSpec``); each checks its own values with
-:func:`~priosynth.embedding.check_type` when constructed, so a config and
+:func:`~priosynth.graph.check_type` when constructed, so a config and
 the Python API share one type rule and one message, which the reader
 prefixes with ``bad <section>:``.
 """
@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .bench import GeneratorSpec, generate_suite
-from .embedding import Normalizer, build_vocab, check_type
-from .graph import Dag
+from .embedding import Normalizer, build_vocab
+from .graph import Dag, check_type
 from .kernels import Kernel, LibraryParams, build_kernel_library
 from .loop import ABLATIONS, LoopConfig, check_modes, loop_config_to_document
 from .providers import ProviderSpec
@@ -106,17 +106,22 @@ def _loop_from_document(doc, seed: int) -> LoopConfig:
     return _read(LoopConfig, doc, "loop", seed=seed)
 
 
+def read_run_config_document(path):
+    """The JSON value in the run-config file ``path``, not yet checked."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+
+
 def load_run_config(document) -> RunConfig:
     """Parse a run config given as a mapping or as the path (``str`` or
     ``Path``) of a JSON file.  Every section is checked here, the library and
     loop parameters included, so a bad config fails before any graph is built."""
     if isinstance(document, (str, Path)):
-        try:
-            document = json.loads(Path(document).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {document}: {exc}") from None
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+        document = read_run_config_document(document)
     if not isinstance(document, Mapping):
         raise ConfigError("run config must be a JSON object")
 

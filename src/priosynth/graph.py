@@ -16,12 +16,17 @@ index in capacity order and files each type's member ids and total work;
 the scheduler reads these with the duration and fan-in columns, so it
 builds no per-node list of its own.  Instances are immutable after
 construction.
+
+The module is also the document layer: graph files, the canonical JSON
+writer every artifact goes through, and the type checks that every document
+reader and run-input dataclass applies to its values.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -556,3 +561,44 @@ def load_dag_file(path) -> Dag:
 
     p = Path(path)
     return load_dag(p.read_text(encoding="utf-8"), name=p.stem)
+
+
+# ---------------------------------------------------------------------------
+# Input checks shared by every document reader and run-input dataclass
+
+
+def is_number(value) -> bool:
+    """A finite int or float read from a document; a bool or a numeric
+    string is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_type(name: str, value, kind):
+    """``value`` if its type is exactly ``kind`` (one of the classes of a
+    union such as ``str | None``), without coercion: only an int widens, to
+    a float, and a bool is neither an int nor a float."""
+    kinds = getattr(kind, "__args__", (kind,))
+    if type(value) in kinds:
+        return value
+    if float in kinds and type(value) is int:
+        return float(value)
+    try:
+        got = json.dumps(value, default=repr)
+    except TypeError:  # a mapping key that JSON cannot hold
+        got = repr(value)
+    raise ValueError(f"{name} must be of type {getattr(kind, '__name__', kind)}, got {got}")
+
+
+def number_list(value, what: str) -> tuple[float, ...]:
+    """``value`` as floats if it is a list of numbers (see :func:`is_number`);
+    nothing is coerced, so ``"12"`` is an error rather than ``(1.0, 2.0)``."""
+    if not isinstance(value, list) or not all(is_number(x) for x in value):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return tuple(float(x) for x in value)
+
+
+def reject_unknown_keys(document: dict, known: Sequence[str], where: str) -> None:
+    """Refuse a misspelled or stray key rather than ignore it."""
+    for key in document:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r} (expected one of {', '.join(known)})")

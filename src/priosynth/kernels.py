@@ -25,17 +25,14 @@ from .embedding import (
     Normalizer,
     apply_normalizer,
     build_vocab,
-    check_type,
     cosine_rows,
     embed,
     fit_normalizer,
     motif_matrix,
-    number_list,
-    reject_unknown_keys,
     row_norms,
     top_m,
 )
-from .graph import Dag, NodeRecord, canonical_json
+from .graph import Dag, NodeRecord, canonical_json, check_type, number_list, reject_unknown_keys
 
 LIBRARY_LAYOUT = "v3"
 

@@ -50,14 +50,14 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, chain
-from math import isfinite
+from math import comb, isfinite
 from typing import Sequence
 
 import numpy as np
 
 from .dsl import FEATURES, ExprError, PriorityExpr, Terms, feature_column, make_expr, parse_expr, print_expr, priorities
-from .embedding import Normalizer, check_type
-from .graph import Dag
+from .embedding import Normalizer
+from .graph import Dag, check_type
 from .kernels import (
     CATEGORY_FEATURES,
     FEATURE_SIGNS,
@@ -685,3 +685,70 @@ def run_ablation(
             "history": result.history,
         }
     return out
+
+
+def sign_test_p(better: int, worse: int) -> float:
+    """Exact two-sided sign-test p of ``better`` wins against ``worse``
+    losses (ties dropped): twice the Binomial(n, 1/2) tail at the smaller
+    count, capped at 1."""
+    n = better + worse
+    tail = sum(comb(n, i) for i in range(min(better, worse) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def _paired_row(better: int, worse: int, tied: int) -> dict:
+    return {"better": better, "worse": worse, "tied": tied, "p": sign_test_p(better, worse)}
+
+
+def ablation_summary(report: dict, seed: int) -> dict:
+    """What a :func:`run_ablation` report says about each mode: its winner's
+    mean validation makespan, gain in percent over the level baseline and
+    expression, and ``paired`` against the ``no_retrieval`` and
+    ``random_kernel`` winners (when the report has them): on how many
+    validation graphs it schedules shorter, longer or the same, with the
+    sign-test p of those wins and losses."""
+    modes = report["modes"]
+    # Every mode schedules the same validation graphs under the same baseline.
+    base_evals = next(iter(modes.values()))["history"]["baseline"]["evals"]
+    base_ms = sum(e["makespan"] for e in base_evals) / len(base_evals)
+
+    def winner_makespans(mode: str) -> list:
+        row = modes[mode]
+        return [e["makespan"] for e in row["history"]["records"][row["best_iteration"]]["evals"]]
+
+    def paired(mode: str, reference: str) -> dict:
+        pairs = list(zip(winner_makespans(mode), winner_makespans(reference)))
+        better = sum(1 for ours, theirs in pairs if ours < theirs)
+        worse = sum(1 for ours, theirs in pairs if ours > theirs)
+        return _paired_row(better, worse, len(pairs) - better - worse)
+
+    references = [ref for ref in ("no_retrieval", "random_kernel") if ref in modes]
+    return {
+        "seed": seed,
+        "baseline_mean_makespan": base_ms,
+        "modes": {
+            mode: {
+                "mean_val_makespan": row["mean_val_makespan"],
+                "gain_pct": 100.0 * (base_ms - row["mean_val_makespan"]) / base_ms,
+                "best_expr": row["best_expr"],
+                "paired": {ref: paired(mode, ref) for ref in references if ref != mode},
+            }
+            for mode, row in modes.items()
+        },
+    }
+
+
+def pool_summaries(summaries: Sequence[dict]) -> dict:
+    """The seeds of several :func:`ablation_summary` results, and their
+    paired counts summed over those seeds with the sign-test p of the sums."""
+    totals: dict = {}
+    for summary in summaries:
+        for mode, row in summary["modes"].items():
+            for ref, counts in row["paired"].items():
+                total = totals.setdefault(mode, {}).setdefault(ref, [0, 0, 0])
+                for i, key in enumerate(("better", "worse", "tied")):
+                    total[i] += counts[key]
+    return {
+        "seeds": [summary["seed"] for summary in summaries],
+        "paired": {mode: {ref: _paired_row(*total) for ref, total in row.items()} for mode, row in totals.items()},
+    }

@@ -14,7 +14,7 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .embedding import check_type
+from .graph import check_type
 
 
 class ProviderError(RuntimeError):
@@ -24,7 +24,7 @@ class ProviderError(RuntimeError):
 @dataclass(frozen=True)
 class ProviderSpec:
     """A provider descriptor, checked when constructed by
-    :func:`~priosynth.embedding.check_type`: ``endpoint``, ``model`` and
+    :func:`~priosynth.graph.check_type`: ``endpoint``, ``model`` and
     ``auth_env`` are strings or None, and ``replies`` a tuple of strings."""
 
     kind: str = "fallback"

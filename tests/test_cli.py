@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from priosynth.cli import main
 from priosynth.config import ConfigError, _generator_to_document, load_run_config
 from priosynth.graph import canonical_json, load_dag
 from priosynth.kernels import CATEGORY_FEATURES
+from priosynth.loop import pool_summaries, sign_test_p
 
 
 def run_cli(capsys, *argv):
@@ -483,14 +483,96 @@ class TestSynthesize:
 
 
 class TestAblate:
+    FILES = ("ablation.json", "library.json", "normalizer.json", "summary.json")
+
     def test_writes_report(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "ab"
         code, stdout, _ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(out))
         assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*self.FILES, "manifest.json"])
         report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
         assert set(report["modes"]) == {"full", "no_retrieval"}
         assert "full" in stdout and "no_retrieval" in stdout
 
+        summary = (out / "summary.json").read_text(encoding="utf-8")
+        assert summary == canonical_json(json.loads(summary))
+        modes = json.loads(summary)["modes"]
+        assert set(modes) == {"full", "no_retrieval"}
+        assert modes["no_retrieval"]["paired"] == {}
+        counts = modes["full"]["paired"]["no_retrieval"]
+        assert counts["better"] + counts["worse"] + counts["tied"] == 4
+        assert counts["p"] == sign_test_p(counts["better"], counts["worse"])
+
+    @pytest.mark.parametrize(
+        ("better", "worse", "p"),
+        [(14, 9, 0.4048728942871094), (9, 14, 0.4048728942871094), (0, 0, 1.0), (1, 0, 1.0), (6, 0, 0.03125)],
+    )
+    def test_sign_test_p(self, better, worse, p):
+        assert sign_test_p(better, worse) == pytest.approx(p, rel=1e-12)
+
+    def test_pooled_counts_sum_over_seeds(self):
+        def summary(seed, better, worse, tied):
+            counts = {"better": better, "worse": worse, "tied": tied}
+            return {"seed": seed, "modes": {"full": {"paired": {"no_retrieval": counts}}}}
+
+        pooled = pool_summaries([summary(0, 14, 9, 27), summary(1, 2, 5, 43), summary(2, 0, 0, 50)])
+        counts = {"better": 16, "worse": 14, "tied": 120, "p": pytest.approx(0.8555, abs=1e-4)}
+        assert pooled == {"seeds": [0, 1, 2], "paired": {"full": {"no_retrieval": counts}}}
+
+    def test_one_seed_writes_what_the_config_seed_writes(self, tiny_config, tmp_path, capsys):
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(plain))[0] == 0
+        assert run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(seeded), "--seeds", "3")[0] == 0
+        for name in self.FILES:
+            assert (seeded / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_several_seeds_write_one_directory_each_and_pool_them(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "seeds"
+        code, stdout, _ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(out), "--seeds", "3,4")
+        assert code == 0
+        assert "pooled over seeds 3, 4" in stdout
+        assert sorted(p.name for p in out.iterdir()) == ["seed-3", "seed-4", "summary.json"]
+        config = json.loads(tiny_config.read_text(encoding="utf-8"))
+        totals = {"better": 0, "worse": 0, "tied": 0}
+        for seed in (3, 4):
+            alone = tmp_path / f"alone-{seed}"
+            path = tmp_path / f"run-{seed}.json"
+            path.write_text(json.dumps({**config, "seed": seed}), encoding="utf-8")
+            assert run_cli(capsys, "ablate", "--config", str(path), "--out", str(alone))[0] == 0
+            for name in self.FILES:
+                assert (out / f"seed-{seed}" / name).read_bytes() == (alone / name).read_bytes()
+            counts = json.loads((alone / "summary.json").read_text(encoding="utf-8"))["modes"]["full"]["paired"]
+            for key in totals:
+                totals[key] += counts["no_retrieval"][key]
+        pooled = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert pooled["seeds"] == [3, 4]
+        assert pooled["paired"]["full"]["no_retrieval"] == {**totals, "p": sign_test_p(totals["better"], totals["worse"])}
+
+    @pytest.mark.parametrize(("seeds", "repeated"), [("0,0", 0), ("3,1,2,1", 1)])
+    def test_repeated_seed_is_refused(self, tiny_config, tmp_path, capsys, seeds, repeated):
+        out = tmp_path / "desk"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "--config", str(tiny_config), "--out", str(out), "--seeds", seeds])
+        assert excinfo.value.code == 2
+        assert f"seed {repeated} is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_that_are_not_integers_exit_2(self, tiny_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "ab"), "--seeds", "1,x"])
+        assert excinfo.value.code == 2
+        assert "'1,x' is not a comma-separated list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["train", "val"])
+    def test_section_seed_under_seeds_exits_3(self, section, tiny_config, tmp_path, capsys):
+        config = json.loads(tiny_config.read_text(encoding="utf-8"))
+        config[section]["seed"] = 7
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(capsys, "ablate", "--config", str(path), "--out", str(tmp_path / "ab"), "--seeds", "0,1")
+        assert code == 3
+        assert f"{section} sets its own seed" in err
+        assert not (tmp_path / "ab").exists()
 
     @pytest.mark.parametrize(
         ("section", "message"),
@@ -511,64 +593,6 @@ class TestAblate:
         assert code == 3
         assert message in err
         assert not (tmp_path / "ab").exists()
-
-
-@pytest.fixture(scope="module")
-def desk_script():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_ablation.py"
-    spec = importlib.util.spec_from_file_location("run_desk_ablation", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestDeskAblationScript:
-    def test_writes_the_four_files_and_the_cli_report(self, desk_script, tiny_config, tmp_path, capsys):
-        out = tmp_path / "desk"
-        assert desk_script.main(["--config", str(tiny_config), "--out", str(out)]) == 0
-        names = ["ablation.json", "library.json", "normalizer.json", "summary.json"]
-        assert sorted(p.name for p in out.iterdir()) == names
-        summary = (out / "summary.json").read_text(encoding="utf-8")
-        assert summary == canonical_json(json.loads(summary))
-        modes = json.loads(summary)["modes"]
-        assert set(modes) == {"full", "no_retrieval"}
-        assert modes["no_retrieval"]["paired"] == {}
-        counts = modes["full"]["paired"]["no_retrieval"]
-        assert counts["better"] + counts["worse"] + counts["tied"] == 4
-        assert counts["p"] == desk_script.sign_test_p(counts["better"], counts["worse"])
-
-        cli_out = tmp_path / "ab"
-        code, *_ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(cli_out))
-        assert code == 0
-        assert (out / "ablation.json").read_bytes() == (cli_out / "ablation.json").read_bytes()
-
-    @pytest.mark.parametrize(
-        ("better", "worse", "p"),
-        [(14, 9, 0.4048728942871094), (9, 14, 0.4048728942871094), (0, 0, 1.0), (1, 0, 1.0), (6, 0, 0.03125)],
-    )
-    def test_sign_test_p(self, desk_script, better, worse, p):
-        assert desk_script.sign_test_p(better, worse) == pytest.approx(p, rel=1e-12)
-
-    def test_pooled_counts_sum_over_seeds(self, desk_script):
-        def summary(better, worse, tied):
-            return {"modes": {"full": {"paired": {"no_retrieval": {"better": better, "worse": worse, "tied": tied}}}}}
-
-        pooled = desk_script.pool([summary(14, 9, 27), summary(2, 5, 43), summary(0, 0, 50)])
-        counts = {"better": 16, "worse": 14, "tied": 120, "p": pytest.approx(0.8555, abs=1e-4)}
-        assert pooled == {"full": {"no_retrieval": counts}}
-
-    def test_seeds_and_config_are_exclusive(self, desk_script, tiny_config, tmp_path):
-        with pytest.raises(SystemExit):
-            desk_script.main(["--config", str(tiny_config), "--seeds", "0,1", "--out", str(tmp_path)])
-
-    @pytest.mark.parametrize(("seeds", "repeated"), [("0,0", 0), ("3,1,2,1", 1)])
-    def test_repeated_seed_is_refused(self, desk_script, tmp_path, capsys, seeds, repeated):
-        out = tmp_path / "desk"
-        with pytest.raises(SystemExit) as excinfo:
-            desk_script.main(["--seeds", seeds, "--out", str(out)])
-        assert excinfo.value.code == 2
-        assert f"seed {repeated} is listed twice" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestReport:

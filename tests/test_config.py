@@ -137,6 +137,16 @@ def test_default_document_takes_the_declared_defaults(seed):
     assert (cfg.train_count, cfg.val_count) == (200, 50)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_readme_config_is_the_desk_config(seed):
+    """The README's example config, run with ``priosynth ablate --seeds``,
+    reads as the desk config whose files the digest record pins."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run configuration\n", 1)[1]
+    document = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert load_run_config({**document, "seed": seed}) == load_run_config(default_run_config_document(seed))
+
+
 def _generator_keys_and_scripted_provider() -> dict:
     doc = default_run_config_document(seed=4)
     doc["train"].update(types={"alu": 2, "mem": 1.5}, durations=[2, 5], capacities={"alu": 3, "mem": 2})
