@@ -489,11 +489,14 @@ class TestAblate:
         out = tmp_path / "ab"
         code, stdout, _ = run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(out))
         assert code == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted([*self.FILES, "manifest.json"])
         report = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
         assert set(report["modes"]) == {"full", "no_retrieval"}
         assert "full" in stdout and "no_retrieval" in stdout
 
+    def test_writes_the_four_files_and_the_summary(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "ab"
+        assert run_cli(capsys, "ablate", "--config", str(tiny_config), "--out", str(out))[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*self.FILES, "manifest.json"])
         summary = (out / "summary.json").read_text(encoding="utf-8")
         assert summary == canonical_json(json.loads(summary))
         modes = json.loads(summary)["modes"]
