@@ -131,7 +131,7 @@ def load_run_config(document) -> RunConfig:
     if train_spec.label == val_spec.label and train_spec.seed == val_spec.seed:
         raise ConfigError("train and val sections must differ in label or seed")
     modes_doc = document.get("modes", list(ABLATIONS))
-    if not isinstance(modes_doc, list) or not modes_doc:
+    if not isinstance(modes_doc, list):
         raise ConfigError("modes must be a non-empty array")
     try:
         check_modes(modes_doc)

@@ -131,9 +131,11 @@ class Dag:
 
         caps: dict[str, int] = {}
         for op_type, cap in capacities.items():
+            if not isinstance(op_type, str) or not op_type:
+                raise GraphFormatError(f"op type {op_type!r} must be a non-empty string")
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
                 raise GraphFormatError(f"capacity for {op_type!r} must be a positive integer, got {cap!r}")
-            caps[str(op_type)] = cap
+            caps[op_type] = cap
         for rec in node_list:
             if rec.op_type not in caps:
                 raise GraphFormatError(f"missing capacity entry for op type {rec.op_type!r}")

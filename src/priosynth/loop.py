@@ -33,13 +33,13 @@ the same graphs and batches:
   :func:`~priosynth.dsl.priorities`, the term sum of ``eval_expr``, over the
   stack then gives every graph's priorities, and one sort its heap order,
   under a new expression.
-- Each such stack also keeps what is computed for its sequence, each keyed
-  with the infeasibility penalty: an evaluation's history rows per
-  expression, the fallback search's candidate scores and its winner per
-  basis.  An expression evaluated again, by a later iteration or mode, gets
-  the same row list, so every record that holds it refers to one list, which
+- Each such stack also keeps what is computed for its sequence: an
+  evaluation's history rows per expression, the fallback search's candidate
+  scores per expression and its winner per basis.  An expression evaluated
+  again, by a later iteration or mode, gets the same row list, so every
+  record that holds it refers to one list, which
   :func:`~priosynth.graph.canonical_json` writes once; a fallback search
-  repeated on the same batch, basis and penalty returns its stored winner.
+  repeated on the same batch and basis returns its stored winner.
 - The training graphs, every graph retrieval can query, are embedded in one
   batch per cache, and each is ranked against the library once per
   :func:`run_loop` call.
@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, chain
-from math import comb, isfinite
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -75,25 +75,26 @@ ABLATIONS = ("full", "no_retrieval", "no_motif", "random_kernel")
 
 _PROVIDER_ATTEMPTS = 3
 
+# Charged once per infeasible schedule, on top of its negated makespan.
+INFEASIBILITY_PENALTY = 5000.0
+
 
 @dataclass(frozen=True)
 class LoopConfig:
     """Hyperparameters of one synthesis run, checked when constructed by
-    :func:`check_type`; ``infeasibility_penalty``, charged once per
-    infeasible schedule, must be finite and nonnegative."""
+    :func:`check_type`."""
 
     iterations: int = 3
     top_m: int = 5
     batch_size: int = 8
-    infeasibility_penalty: float = 5000.0
     seed: int = 0
     ablation: str = "full"
     fallback_on_error: bool = True
     provider: ProviderSpec = field(default_factory=ProviderSpec)
 
     def __post_init__(self):
-        for name, kind in (("iterations", int), ("top_m", int), ("batch_size", int), ("infeasibility_penalty", float),
-                           ("seed", int), ("ablation", str), ("fallback_on_error", bool), ("provider", ProviderSpec)):
+        for name, kind in (("iterations", int), ("top_m", int), ("batch_size", int), ("seed", int),
+                           ("ablation", str), ("fallback_on_error", bool), ("provider", ProviderSpec)):
             object.__setattr__(self, name, check_type(name, getattr(self, name), kind))
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
@@ -103,9 +104,6 @@ class LoopConfig:
             raise ValueError("batch_size must be positive")
         if self.top_m < 0:
             raise ValueError("top_m must be nonnegative")
-        penalty = self.infeasibility_penalty
-        if not (isfinite(penalty) and penalty >= 0):
-            raise ValueError(f"infeasibility_penalty must be finite and nonnegative, got {penalty!r}")
 
 
 def loop_config_to_document(cfg: LoopConfig) -> dict:
@@ -119,12 +117,12 @@ class RunResult:
     history: dict
 
 
-def score_schedule(cfg: LoopConfig, makespan: int, feasible: bool) -> float:
-    """Higher is better: negated makespan, minus a flat penalty when the
-    schedule is infeasible."""
+def score_schedule(makespan: int, feasible: bool) -> float:
+    """Higher is better: negated makespan, minus
+    :data:`INFEASIBILITY_PENALTY` when the schedule is infeasible."""
     value = -float(makespan)
     if not feasible:
-        value -= cfg.infeasibility_penalty
+        value -= INFEASIBILITY_PENALTY
     return value
 
 
@@ -152,11 +150,10 @@ class _Stack:
     (group, -priority, id) lays out each graph's type order in its own
     slice.
 
-    The stack also keeps what the run computes for its sequence, each keyed
-    with the infeasibility penalty: ``rows``, each evaluation's history rows
-    keyed (terms, penalty); ``scores``, the fallback candidates' mean scores
-    keyed penalty, then terms; and ``winners``, each fallback winner keyed
-    (basis, penalty)."""
+    The stack also keeps what the run computes for its sequence: ``rows``,
+    each evaluation's history rows keyed by terms; ``scores``, the fallback
+    candidates' mean scores keyed by terms; and ``winners``, each fallback
+    winner keyed by basis."""
 
     def __init__(self, dags: tuple[Dag, ...]):
         self.dags = dags
@@ -168,9 +165,9 @@ class _Stack:
         self.group = np.fromiter(
             (offset + i for offset, dag in zip(offsets, dags) for i in dag.stats().op_index), np.intp, size
         )
-        self.rows: dict[tuple[Terms, float], list[dict]] = {}
-        self.scores: dict[float, dict[Terms, float]] = {}
-        self.winners: dict[tuple[tuple[str, ...], float], PriorityExpr] = {}
+        self.rows: dict[Terms, list[dict]] = {}
+        self.scores: dict[Terms, float] = {}
+        self.winners: dict[tuple[str, ...], PriorityExpr] = {}
 
     def rank(self, p: np.ndarray) -> tuple[np.ndarray, set[int]]:
         """The node ids sorted by (group, -priority, id), whose slice
@@ -237,30 +234,28 @@ class RunCache:
 def evaluate_heuristic(
     expr: PriorityExpr,
     dags: Sequence[Dag],
-    cfg: LoopConfig,
     cache: RunCache | None = None,
 ) -> list[dict]:
     """Schedule every graph under ``expr``, in the order of ``dags``, and
     return one history row per graph: ``graph``, ``makespan``, ``feasible``
     and ``score``.
 
-    The list is kept on the graphs' stack in ``cache`` under (terms,
-    infeasibility penalty), and a repeated call returns that same list
-    object, so every record and mode that evaluates the expression shares it.
-    Callers must not mutate the list or its rows."""
+    The list is kept on the graphs' stack in ``cache`` under the
+    expression's terms, and a repeated call returns that same list object, so
+    every record and mode that evaluates the expression shares it.  Callers
+    must not mutate the list or its rows."""
     if cache is None:
         cache = RunCache()
     stack = cache.stack(dags)
-    key = (expr.terms, cfg.infeasibility_penalty)
-    rows = stack.rows.get(key)
+    rows = stack.rows.get(expr.terms)
     if rows is None:
         outcomes = stack.outcomes(expr.terms, cache.schedules)
-        rows = stack.rows[key] = [
+        rows = stack.rows[expr.terms] = [
             {
                 "graph": dag.name or "",
                 "makespan": makespan,
                 "feasible": feasible,
-                "score": score_schedule(cfg, makespan, feasible),
+                "score": score_schedule(makespan, feasible),
             }
             for dag, (makespan, feasible) in zip(stack.dags, outcomes)
         ]
@@ -431,7 +426,6 @@ def fallback_basis(selections: Sequence[tuple[Dag, Sequence[Kernel]]]) -> tuple[
 def fallback_synthesize(
     basis: Sequence[str],
     batch: Sequence[Dag],
-    cfg: LoopConfig,
     cache: RunCache | None = None,
 ) -> PriorityExpr:
     """Deterministic template-merge synthesizer over the sorted feature
@@ -444,29 +438,27 @@ def fallback_synthesize(
     With the core alone the two starts are equal, and one descent runs.  No
     randomness and no wall-clock input anywhere.
 
-    The winner depends only on (batch, basis, infeasibility penalty), and a
-    candidate's score only on (batch, penalty, terms), so ``cache`` keeps
-    both on the batch's stack: a repeated call returns its stored winner, and
-    every call on a batch shares that batch's scores.
+    The winner depends only on (batch, basis), and a candidate's score only
+    on (batch, terms), so ``cache`` keeps both on the batch's stack: a
+    repeated call returns its stored winner, and every call on a batch
+    shares that batch's scores.
     """
     if cache is None:
         cache = RunCache()
     stack = cache.stack(batch)
-    penalty = cfg.infeasibility_penalty
-    key = (tuple(basis), penalty)
+    key = tuple(basis)
     winner = stack.winners.get(key)
     if winner is not None:
         return winner
-    scores = stack.scores.setdefault(penalty, {})
 
     def objective(weights: dict[str, float]) -> float:
         terms = make_expr(weights).terms
-        value = scores.get(terms)
+        value = stack.scores.get(terms)
         if value is None:
             total = 0.0
             for makespan, feasible in stack.outcomes(terms, cache.schedules):
-                total += score_schedule(cfg, makespan, feasible)
-            value = scores[terms] = total / max(1, len(stack.dags))
+                total += score_schedule(makespan, feasible)
+            value = stack.scores[terms] = total / max(1, len(stack.dags))
         return value
 
     def descend(start: dict[str, float]) -> tuple[dict[str, float], float]:
@@ -580,7 +572,7 @@ def run_loop(
     ranked: dict[Dag, list[Kernel]] = {}
 
     baseline = parse_expr(baseline_expr_text())
-    baseline_evals = evaluate_heuristic(baseline, val, cfg, cache)
+    baseline_evals = evaluate_heuristic(baseline, val, cache)
 
     feedback_history: list[str] = []
     records: list[dict] = []
@@ -603,10 +595,10 @@ def run_loop(
         if expr is None:
             if provider is not None and not cfg.fallback_on_error:
                 raise ProviderError(f"provider failed after {_PROVIDER_ATTEMPTS} attempts: {last_error}")
-            expr = fallback_synthesize(fallback_basis(selections), batch, cfg, cache)
+            expr = fallback_synthesize(fallback_basis(selections), batch, cache)
             source = "fallback"
 
-        evals = evaluate_heuristic(expr, val, cfg, cache)
+        evals = evaluate_heuristic(expr, val, cache)
         feedback = make_feedback(evals, baseline_evals, val)
         feedback_history.append(feedback)
         records.append(
@@ -635,7 +627,10 @@ def run_loop(
 
 
 def check_modes(modes: Sequence[str]) -> None:
-    """Raise ``ValueError`` unless every mode is a known ablation mode, listed once."""
+    """Raise ``ValueError`` unless ``modes`` is non-empty and every mode is a
+    known ablation mode, listed once."""
+    if not modes:
+        raise ValueError("modes must be a non-empty array")
     for index, mode in enumerate(modes):
         if mode not in ABLATIONS:
             raise ValueError(f"unknown ablation mode {mode!r}")
@@ -657,8 +652,8 @@ def run_ablation(
     and report per-mode winners with mean validation makespans.  The modes
     share one :class:`RunCache`, so a pair one mode scored is not scheduled
     again by the next, a batch is not stacked or a candidate scored again, a
-    fallback search that an earlier mode ran on the same batch, basis and
-    penalty is not run again, and no graph is embedded again."""
+    fallback search that an earlier mode ran on the same batch and basis is
+    not run again, and no graph is embedded again."""
     check_modes(modes)
     out: dict = {"modes": {}}
     cache = RunCache()

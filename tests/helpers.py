@@ -587,7 +587,6 @@ _FEATURE_SIGNS = {
 def reference_fallback_synthesize(
     selections: Sequence[tuple[Dag, Sequence[Kernel]]],
     batch: Sequence[Dag],
-    cfg: LoopConfig,
     memo: ScheduleMemo | None = None,
 ) -> PriorityExpr:
     """The fallback synthesizer before it kept its own scores: every
@@ -616,7 +615,7 @@ def reference_fallback_synthesize(
         expr = make_expr(weights)
         total = 0.0
         for dag in batch:
-            total += score_schedule(cfg, *reference_schedule(expr, dag, memo))
+            total += score_schedule(*reference_schedule(expr, dag, memo))
         return total / max(1, len(batch))
 
     def descend(start: dict[str, float], features: Sequence[str]) -> tuple[dict[str, float], float]:

@@ -66,19 +66,31 @@ def desk_run():
     }
 
 
-# sha256 of the seed-0 desk library and normalizer files.  The similarity
-# kernel reduces in a fixed order, so a change to that order (or any other
-# drift in clustering) shows up here as changed bytes.
-DESK_LIBRARY_SHA256 = "145c467fa2a42d6ec4f52a633789857e86e5760807e024cb9c036c39031fc5ca"
-DESK_NORMALIZER_SHA256 = "3ea8d5d66adb7c2010f1131c8ac9bf3ff24f3acc57e27b0ef010fa7d8ecf1a94"
-# sha256 of the seed-0 desk ablation.json: the fallback search's winners,
-# every recorded schedule length, and the JSON writer's bytes.
-DESK_ABLATION_SHA256 = "5bb934f30e7ad4780c150e091226359f3a46df5c30bfa7049356d7839ecc3c24"
-# sha256 of the same ablation's outcomes alone (``ablation_outcomes`` in
+RECORD = Path(__file__).resolve().parent / "artifact_digests.txt"
+
+
+def recorded_digest(name: str) -> str:
+    """The sha256 that ``tests/artifact_digests.txt`` records for ``name``."""
+    for line in RECORD.read_text(encoding="utf-8").splitlines():
+        digest, recorded = line.split("  ")
+        if recorded == name:
+            return digest
+    raise KeyError(name)
+
+
+# The seed-0 desk library and normalizer files.  The similarity kernel
+# reduces in a fixed order, so a change to that order (or any other drift in
+# clustering) shows up here as changed bytes.
+DESK_LIBRARY_SHA256 = recorded_digest("desk/0/library.json")
+DESK_NORMALIZER_SHA256 = recorded_digest("desk/0/normalizer.json")
+# The seed-0 desk ablation.json: the fallback search's winners, every
+# recorded schedule length, and the JSON writer's bytes.
+DESK_ABLATION_SHA256 = recorded_digest("desk/0/ablation.json")
+# The same ablation's outcomes alone (``ablation_outcomes`` in
 # scripts/artifact_digests.py): every record's (graph, makespan, feasible,
 # score) rows and each mode's mean validation makespan.  A change that
 # rewrites only expression text leaves this pin as it is.
-DESK_OUTCOMES_SHA256 = "10bbbe85dea2e973cf85ddd862e61d94c080395f72e422d7a4861a0c7a61f1df"
+DESK_OUTCOMES_SHA256 = recorded_digest("desk/0/outcomes")
 
 
 def test_desk_library_bytes_are_pinned(desk_run):
@@ -124,8 +136,7 @@ def test_artifact_digests_match_the_record():
     groups = [group for group in module.artifact_groups() if group[0] in FAST_DIGEST_GROUPS]
     assert [prefix for prefix, _ in groups] == list(FAST_DIGEST_GROUPS)
     prefixes = tuple(f"{prefix}/" for prefix in FAST_DIGEST_GROUPS)
-    record = Path(__file__).resolve().parent / "artifact_digests.txt"
-    lines = record.read_text(encoding="utf-8").splitlines()
+    lines = RECORD.read_text(encoding="utf-8").splitlines()
     recorded = [line for line in lines if line.split("  ")[1].startswith(prefixes)]
     computed = list(module.digest_lines(groups))
     assert [line.split("  ")[1] for line in computed] == [line.split("  ")[1] for line in recorded]

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -192,6 +191,16 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(bad))
         assert code == 3
         assert "edge (0.0, True)" in err
+
+    def test_empty_op_type_capacity_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "empty-type.json"
+        bad.write_text(
+            '{"nodes": [{"id": 0, "type": "a", "duration": 1}], "edges": [], "capacities": {"": 1, "a": 1}}',
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "stats", str(bad))
+        assert code == 3
+        assert "op type '' must be a non-empty string" in err
 
 
 class TestKernelsAndRetrieve:
@@ -581,9 +590,9 @@ class TestAblate:
         ("section", "message"),
         [
             ({"library": {"budget": -5}}, "budget must be nonnegative, got -5"),
-            ({"loop": {"infeasibility_penalty": math.nan}}, "infeasibility_penalty must be finite and nonnegative"),
-            ({"loop": {"infeasibility_penalty": math.inf}}, "infeasibility_penalty must be finite and nonnegative"),
-            ({"loop": {"infeasibility_penalty": -1.0}}, "infeasibility_penalty must be finite and nonnegative"),
+            ({"loop": {"top_m": -1}}, "top_m must be nonnegative"),
+            ({"modes": []}, "modes must be a non-empty array"),
+            ({"modes": "full"}, "modes must be a non-empty array"),
             ({"modes": ["full", "no_retrieval", "full"]}, "ablation mode 'full' is listed twice"),
             ({"modes": ["full", "nope"]}, "unknown ablation mode 'nope'"),
         ],

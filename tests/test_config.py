@@ -103,22 +103,22 @@ def test_int_widens_to_float():
 
 def test_an_int_float_field_echoes_as_the_reader_widens_it():
     types = {"alu": 3, "mem": 1, "mul": 1}
-    doc = {"train": {"edge_prob": 1, "types": types}, "library": {"theta": 1}, "loop": {"infeasibility_penalty": 1}}
+    doc = {"train": {"edge_prob": 1, "types": types}, "library": {"theta": 1}}
     read = load_run_config(doc)
     built = replace(
         read,
         train_spec=GeneratorSpec(edge_prob=1, type_weights=tuple(types.items()), label="train"),
         library=LibraryParams(theta=1),
-        loop=LoopConfig(infeasibility_penalty=1),
     )
     assert type(built.train_spec.edge_prob) is float
     assert {type(weight) for _, weight in built.train_spec.type_weights} == {float}
-    assert type(built.library.theta) is float and type(built.loop.infeasibility_penalty) is float
+    assert type(built.library.theta) is float
     assert canonical_json(run_config_to_document(built)) == canonical_json(run_config_to_document(read))
 
 
 def test_unknown_keys_are_ignored():
-    cfg = load_run_config({"extra": 1, "train": {"widht": 9, "duration_range": [2, 3]}, "loop": {"jobs": 1, "iterations": 2}})
+    loop = {"jobs": 1, "infeasibility_penalty": 1.0, "iterations": 2}
+    cfg = load_run_config({"extra": 1, "train": {"widht": 9, "duration_range": [2, 3]}, "loop": loop})
     assert cfg.train_spec.width == 4
     assert cfg.train_spec.duration_range == (1, 6)  # the document spells it "durations"
     assert cfg.loop.iterations == 2

@@ -139,6 +139,20 @@ class TestValidation:
                 }
             )
 
+    def test_capacity_key_must_be_a_non_empty_string(self):
+        # An empty key would enter the embedding vocabulary; a non-string key
+        # is not coerced to its string.
+        with pytest.raises(GraphFormatError, match="^op type '' must be a non-empty string$"):
+            load_dag(
+                {
+                    "nodes": [{"id": 0, "type": "alu", "duration": 1}],
+                    "edges": [],
+                    "capacities": {"": 1, "alu": 1},
+                }
+            )
+        with pytest.raises(GraphFormatError, match="^op type 1 must be a non-empty string$"):
+            Dag([NodeRecord(0, "1", 1)], [], {1: 1})
+
     def test_dangling_edge_rejected(self):
         with pytest.raises(GraphFormatError, match="unknown node"):
             load_dag(

@@ -50,7 +50,7 @@ def corpus(seed=11, count=20, n_lo=6, n_hi=16):
 
 # sha256 of canonical_json of the provider-sourced history in
 # ``test_provider_history_bytes_are_pinned``.
-PROVIDER_HISTORY_SHA256 = "b35c66875463dbaaa88fc9eabc6a3485e5dad32389c8642e879e751a537b4f96"
+PROVIDER_HISTORY_SHA256 = "03d31f0bba5cf5ff27be4695c57f62371865482a849a1e65dd028fc8391d96d7"
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +64,17 @@ def setup():
 
 class TestScoring:
     def test_score_formula(self):
-        cfg = LoopConfig()
-        assert score_schedule(cfg, 10, True) == -10.0
-        assert score_schedule(cfg, 10, False) == -5010.0
+        assert score_schedule(10, True) == -10.0
+        assert score_schedule(10, False) == -5010.0
 
     def test_evaluate_follows_input_order(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        evals = evaluate_heuristic(parse_expr("1*crit"), val, LoopConfig())
+        evals = evaluate_heuristic(parse_expr("1*crit"), val)
         assert [e["graph"] for e in evals] == [dag.name for dag in val]
 
     def test_mean_score(self):
-        cfg = LoopConfig()
         dag = corpus(count=1)[0]
-        evals = evaluate_heuristic(parse_expr("1*crit"), [dag], cfg)
+        evals = evaluate_heuristic(parse_expr("1*crit"), [dag])
         assert mean_score(evals) == evals[0]["score"]
         assert mean_score([]) == 0.0
 
@@ -203,9 +201,8 @@ class TestReplyParsing:
 class TestFallback:
     def test_no_kernels_still_synthesizes(self, setup):
         train, *_ = setup
-        cfg = LoopConfig()
         batch = train[:6]
-        expr = fallback_synthesize(fallback_basis([(d, []) for d in batch]), batch, cfg)
+        expr = fallback_synthesize(fallback_basis([(d, []) for d in batch]), batch)
         names = {name for _, name in expr.terms}
         assert names  # non-empty canonical expression
         assert names <= {"crit", "fanout", "level", "const"}
@@ -215,11 +212,11 @@ class TestFallback:
         cfg = LoopConfig(top_m=3)
         batch = train[:8]
         selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
-        expr = fallback_synthesize(fallback_basis(selections), batch, cfg)
+        expr = fallback_synthesize(fallback_basis(selections), batch)
         base = parse_expr("1*crit + 1*fanout - 1*level")
 
         def batch_score(e):
-            return mean_score(evaluate_heuristic(e, batch, cfg))
+            return mean_score(evaluate_heuristic(e, batch))
 
         assert batch_score(expr) >= batch_score(base)
 
@@ -229,7 +226,7 @@ class TestFallback:
         batch = train[:8]
         selections = select_kernels(batch, kernels, cfg, 0, query_vectors(train, normalizer))
         basis = fallback_basis(selections)
-        assert fallback_synthesize(basis, batch, cfg) == fallback_synthesize(basis, batch, cfg)
+        assert fallback_synthesize(basis, batch) == fallback_synthesize(basis, batch)
 
     @pytest.mark.parametrize("mode", ABLATIONS)
     def test_matches_reference_synthesizer(self, setup, mode):
@@ -241,8 +238,8 @@ class TestFallback:
             cfg = LoopConfig(seed=iteration, top_m=2 + iteration, batch_size=4 + 3 * iteration, ablation=mode)
             batch = sample_batch(train, cfg, iteration)
             selections = select_kernels(batch, kernels, cfg, iteration, vectors)
-            expected = reference_fallback_synthesize(selections, batch, cfg)
-            assert fallback_synthesize(fallback_basis(selections), batch, cfg) == expected
+            expected = reference_fallback_synthesize(selections, batch)
+            assert fallback_synthesize(fallback_basis(selections), batch) == expected
 
     def test_reads_only_the_features_of_the_selection(self, setup):
         # hub and whole_graph kernels name the same features, so these
@@ -268,7 +265,6 @@ class TestFallback:
         # With no pass a descent scores only its start, so the candidates are
         # the starts.  With the core alone the two starts are equal.
         train, *_ = setup
-        cfg = LoopConfig()
         batch = train[:8]
         real_make_expr = loop.make_expr
 
@@ -281,7 +277,7 @@ class TestFallback:
 
             monkeypatch.setattr(loop, "make_expr", recording_make_expr)
             monkeypatch.setattr(loop, "_MAX_PASSES", passes)
-            fallback_synthesize(basis, batch, cfg)
+            fallback_synthesize(basis, batch)
             monkeypatch.undo()
             return made[:-1]  # the last call builds the winner
 
@@ -319,7 +315,7 @@ class TestFallback:
             return expr
 
         monkeypatch.setattr(loop, "make_expr", recording_make_expr)
-        fallback_synthesize(fallback_basis(selections), batch, cfg)
+        fallback_synthesize(fallback_basis(selections), batch)
         assert candidates
         for expr in candidates:
             assert not {"pressure", "const"} & {name for _, name in expr.terms}, print_expr(expr)
@@ -348,10 +344,10 @@ class TestFallback:
             return real_outcomes(stack, terms, memo)
 
         monkeypatch.setattr(helpers, "make_expr", recording(visited, helpers.make_expr))
-        reference_fallback_synthesize(selections, batch, cfg)
+        reference_fallback_synthesize(selections, batch)
         monkeypatch.setattr(loop, "make_expr", recording(made, loop.make_expr))
         monkeypatch.setattr(loop._Stack, "outcomes", recording_outcomes)
-        fallback_synthesize(fallback_basis(selections), batch, cfg)
+        fallback_synthesize(fallback_basis(selections), batch)
         visited, made = visited[:-1], made[:-1]  # the last call builds the winner
         assert made == visited
         assert len(set(made)) < len(made)
@@ -361,9 +357,8 @@ class TestFallback:
 class TestFeedback:
     def test_mentions_worst_regressions(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        cfg = LoopConfig()
-        base = evaluate_heuristic(parse_expr("1*level"), val, cfg)
-        cand = evaluate_heuristic(parse_expr("-1*crit"), val, cfg)
+        base = evaluate_heuristic(parse_expr("1*level"), val)
+        cand = evaluate_heuristic(parse_expr("-1*crit"), val)
         text = make_feedback(cand, base, val)
         if any(c["makespan"] > b["makespan"] for c, b in zip(cand, base)):
             assert "regressions" in text
@@ -371,16 +366,14 @@ class TestFeedback:
 
     def test_clean_candidate_reported(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        cfg = LoopConfig()
-        base = evaluate_heuristic(parse_expr("1*level"), val, cfg)
+        base = evaluate_heuristic(parse_expr("1*level"), val)
         text = make_feedback(base, base, val)
         assert "matched or beat" in text
 
     def test_at_most_five_regression_lines(self):
         train = corpus(seed=31, count=30, n_lo=10, n_hi=16)
-        cfg = LoopConfig()
-        base = evaluate_heuristic(parse_expr("1*crit + 1*fanout - 1*level"), train, cfg)
-        cand = evaluate_heuristic(parse_expr("-1*crit - 1*fanout + 1*level"), train, cfg)
+        base = evaluate_heuristic(parse_expr("1*crit + 1*fanout - 1*level"), train)
+        cand = evaluate_heuristic(parse_expr("-1*crit - 1*fanout + 1*level"), train)
         regressed = sum(1 for c, b in zip(cand, base) if c["makespan"] > b["makespan"])
         assert regressed > 5  # the scenario really has many regressions
         text = make_feedback(cand, base, train)
@@ -514,10 +507,6 @@ class TestRunLoop:
             LoopConfig(ablation="bogus")
         with pytest.raises(ValueError):
             LoopConfig(iterations=0)
-        for penalty in (float("nan"), float("inf"), -float("inf"), -1.0):
-            with pytest.raises(ValueError, match="infeasibility_penalty must be finite and nonnegative"):
-                LoopConfig(infeasibility_penalty=penalty)
-        assert LoopConfig(infeasibility_penalty=0.0).infeasibility_penalty == 0.0
         # The provider's document is not a ProviderSpec; only the reader makes
         # one of it.  A key that JSON cannot hold is shown by repr.
         for provider in ({"kind": "http"}, {(1, 2): 3}):
@@ -537,9 +526,6 @@ class TestRunLoop:
             ("seed", None, "seed must be of type int, got null"),
             ("fallback_on_error", 1, "fallback_on_error must be of type bool, got 1"),
             ("fallback_on_error", "false", 'fallback_on_error must be of type bool, got "false"'),
-            ("infeasibility_penalty", True, "infeasibility_penalty must be of type float, got true"),
-            ("infeasibility_penalty", "1", 'infeasibility_penalty must be of type float, got "1"'),
-            ("infeasibility_penalty", None, "infeasibility_penalty must be of type float, got null"),
             ("ablation", 1, "ablation must be of type str, got 1"),
             ("provider", "fallback", 'provider must be of type ProviderSpec, got "fallback"'),
         ],
@@ -583,6 +569,7 @@ class TestAblation:
         [
             (("full", "full"), "^ablation mode 'full' is listed twice$"),
             (("full", "nope"), "^unknown ablation mode 'nope'$"),
+            ((), "^modes must be a non-empty array$"),
         ],
     )
     def test_bad_mode_list_runs_no_mode(self, setup, monkeypatch, modes, message):
@@ -651,11 +638,10 @@ class TestScheduleMemo:
         short, long = chain([1, 5]), chain([2, 5])
         expr = parse_expr("1*crit")
         assert type_order(short, eval_expr(expr, short)) == type_order(long, eval_expr(expr, long))
-        cfg = LoopConfig()
 
         def makespans(graph_sets):
             cache = loop.RunCache()
-            return [row["makespan"] for dags in graph_sets for row in evaluate_heuristic(expr, dags, cfg, cache)]
+            return [row["makespan"] for dags in graph_sets for row in evaluate_heuristic(expr, dags, cache)]
 
         assert makespans([[short, long]]) == [6, 7]
         assert makespans([[short], [long]]) == [6, 7]
@@ -673,13 +659,12 @@ class TestScheduleMemo:
         with_pressure = parse_expr("1*crit + 1*fanout - 1*level + 1*pressure + 1*reconv")
         without = parse_expr("1*crit + 1*fanout - 1*level + 1*reconv")
         assert type_order(dag, eval_expr(with_pressure, dag)) != type_order(dag, eval_expr(without, dag))
-        cfg = LoopConfig()
         for first, second in ((with_pressure, without), (without, with_pressure)):
             cache = loop.RunCache()
-            evaluate_heuristic(first, [dag], cfg, cache)
-            evaluate_heuristic(second, [dag], cfg, cache)
-            assert evaluate_heuristic(with_pressure, [dag], cfg, cache)[0]["makespan"] == 34
-            assert evaluate_heuristic(without, [dag], cfg, cache)[0]["makespan"] == 32
+            evaluate_heuristic(first, [dag], cache)
+            evaluate_heuristic(second, [dag], cache)
+            assert evaluate_heuristic(with_pressure, [dag], cache)[0]["makespan"] == 34
+            assert evaluate_heuristic(without, [dag], cache)[0]["makespan"] == 32
 
     def test_shared_memo_leaks_nothing_between_modes(self, setup):
         train, val, vocab, kernels, normalizer = setup
@@ -691,7 +676,7 @@ class TestScheduleMemo:
 
     def test_recorded_evals_match_a_direct_replay(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        cfg = LoopConfig(seed=3, infeasibility_penalty=7.5)
+        cfg = LoopConfig(seed=3)
         history = run_loop(train, val, kernels, normalizer, vocab, cfg).history
         for row in [history["baseline"], *history["records"]]:
             expr = parse_expr(row["expr"])
@@ -701,7 +686,7 @@ class TestScheduleMemo:
                     "graph": dag.name,
                     "makespan": schedule.makespan,
                     "feasible": schedule.feasible,
-                    "score": score_schedule(cfg, schedule.makespan, schedule.feasible),
+                    "score": score_schedule(schedule.makespan, schedule.feasible),
                 }
 
 
@@ -711,24 +696,22 @@ class TestSharedEvaluations:
 
     def test_repeated_evaluation_returns_the_stored_list(self, setup):
         train, val, vocab, kernels, normalizer = setup
-        cfg, cache = LoopConfig(), loop.RunCache()
-        rows = evaluate_heuristic(parse_expr("1*crit - 1*level"), val, cfg, cache)
+        cache = loop.RunCache()
+        rows = evaluate_heuristic(parse_expr("1*crit - 1*level"), val, cache)
         # An equal expression and an equal graph sequence make the same key.
-        assert evaluate_heuristic(parse_expr("crit - level"), tuple(val), cfg, cache) is rows
-        assert rows == evaluate_heuristic(parse_expr("1*crit - 1*level"), val, cfg)
+        assert evaluate_heuristic(parse_expr("crit - level"), tuple(val), cache) is rows
+        assert rows == evaluate_heuristic(parse_expr("1*crit - 1*level"), val)
 
     def test_penalty_and_graph_set_key_the_rows(self, setup):
         train, val, vocab, kernels, normalizer = setup
         # Overflowing priorities make a schedule infeasible, so the penalty
-        # shows in the scores.
-        expr, cfg, cache = parse_expr("1e308*crit"), LoopConfig(), loop.RunCache()
-        rows = evaluate_heuristic(expr, val, cfg, cache)
-        assert not all(row["feasible"] for row in rows)
-        cheaper = evaluate_heuristic(expr, val, replace(cfg, infeasibility_penalty=1.0), cache)
-        fewer = evaluate_heuristic(expr, val[1:], cfg, cache)
-        assert cheaper is not rows and fewer is not rows
-        assert [row["score"] for row in cheaper] != [row["score"] for row in rows]
-        assert cheaper == evaluate_heuristic(expr, val, replace(cfg, infeasibility_penalty=1.0))
+        # shows in the scores: an infeasible schedule has makespan 0.
+        expr, cache = parse_expr("1e308*crit"), loop.RunCache()
+        rows = evaluate_heuristic(expr, val, cache)
+        infeasible = [row for row in rows if not row["feasible"]]
+        assert infeasible and all(row["score"] == -5000.0 for row in infeasible)
+        fewer = evaluate_heuristic(expr, val[1:], cache)
+        assert fewer is not rows
         assert fewer == rows[1:]
 
     def test_ablation_shares_rows_and_feedback_per_expression(self, setup, monkeypatch):
@@ -860,11 +843,11 @@ class TestStackedOrders:
             return real_schedule(dag, priority, measure=measure)
 
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
-        cfg, cache = LoopConfig(infeasibility_penalty=7.5), loop.RunCache()
-        rows = evaluate_heuristic(expr, graphs, cfg, cache)
+        cache = loop.RunCache()
+        rows = evaluate_heuristic(expr, graphs, cache)
         assert [(row["makespan"], row["feasible"], row["score"]) for row in rows] == [
             (3, True, -3.0),
-            (0, False, -7.5),
+            (0, False, -5000.0),
             (0, True, -0.0),
             (5, True, -5.0),
         ]
@@ -918,30 +901,6 @@ class TestRunCache:
             alone = run_loop(train, val, kernels, normalizer, vocab, replace(cfg, ablation=mode))
             assert canonical_json(report["modes"][mode]["history"]) == canonical_json(alone.history)
 
-    def test_stored_winners_and_scores_keep_to_their_penalty(self, setup):
-        train, *_ = setup
-        batch = train[:6]
-        basis = ("crit", "fanout", "level", "reconv")
-        cheap, dear = LoopConfig(infeasibility_penalty=7.5), LoopConfig()
-        cache = loop.RunCache()
-        expected = fallback_synthesize(basis, batch, cheap, cache)
-        sentinel = parse_expr("3*duration")
-        assert expected != sentinel
-        stack = cache.stack(batch)
-        # Poison everything stored under the first penalty.
-        for key in stack.winners:
-            stack.winners[key] = sentinel
-        for scores in stack.scores.values():
-            for terms in scores:
-                scores[terms] = float("inf")
-        # Another penalty reads none of it ...
-        assert fallback_synthesize(basis, batch, dear, cache) == fallback_synthesize(basis, batch, dear)
-        assert list(cache.stacks) == [tuple(batch)]
-        penalties = {cheap.infeasibility_penalty, dear.infeasibility_penalty}
-        assert {penalty for _, penalty in stack.winners} == set(stack.scores) == penalties
-        # ... and the first penalty is served from the store.
-        assert fallback_synthesize(basis, batch, cheap, cache) is sentinel
-
     def test_ablation_stacks_each_graph_sequence_once(self, setup, monkeypatch):
         # The validation set and each distinct batch get one stack, which
         # every mode and every evaluation or search on them reads.
@@ -965,7 +924,7 @@ class TestRunCache:
         # A wider basis revisits the core candidates a core-only search
         # scored on the same batch; no expression is scored on it twice.
         train, *_ = setup
-        batch, cfg, cache = train[:6], LoopConfig(), loop.RunCache()
+        batch, cache = train[:6], loop.RunCache()
         scored = []
         real_outcomes = loop._Stack.outcomes
 
@@ -974,13 +933,13 @@ class TestRunCache:
             return real_outcomes(stack, terms, memo)
 
         monkeypatch.setattr(loop._Stack, "outcomes", recording_outcomes)
-        core = fallback_synthesize(("crit", "fanout", "level"), batch, cfg, cache)
+        core = fallback_synthesize(("crit", "fanout", "level"), batch, cache)
         first = len(scored)
-        wider = fallback_synthesize(("crit", "fanout", "level", "reconv"), batch, cfg, cache)
+        wider = fallback_synthesize(("crit", "fanout", "level", "reconv"), batch, cache)
         assert len(set(scored)) == len(scored) > first
         monkeypatch.undo()
-        assert core == fallback_synthesize(("crit", "fanout", "level"), batch, cfg)
-        assert wider == fallback_synthesize(("crit", "fanout", "level", "reconv"), batch, cfg)
+        assert core == fallback_synthesize(("crit", "fanout", "level"), batch)
+        assert wider == fallback_synthesize(("crit", "fanout", "level", "reconv"), batch)
 
     def test_each_graph_is_ranked_once_per_run(self, setup, monkeypatch):
         train, val, vocab, kernels, normalizer = setup

@@ -295,14 +295,14 @@ class TestTypeOrder:
             return real_schedule(dag, priority, measure=measure)
 
         monkeypatch.setattr(loop, "list_schedule", counting_schedule)
-        cfg, cache = loop.LoopConfig(), loop.RunCache()
+        cache = loop.RunCache()
         for _ in range(2):
-            (row,) = loop.evaluate_heuristic(expr, [diamond], cfg, cache)
+            (row,) = loop.evaluate_heuristic(expr, [diamond], cache)
             assert (row["makespan"], row["feasible"]) == (0, False)
         # Scheduled once, and stored under the expression's terms only.
         assert calls == [diamond]
         assert cache.schedules == {(diamond, expr.terms): (0, False)}
-        (row,) = loop.evaluate_heuristic(parse_expr("1*crit"), [diamond], cfg, cache)
+        (row,) = loop.evaluate_heuristic(parse_expr("1*crit"), [diamond], cache)
         assert (row["makespan"], row["feasible"]) == (7, True)
 
 
